@@ -214,6 +214,7 @@ std::uint64_t scenario_monitor_overhead(bool smoke) {
   double monitored_wall = 0.0;
   std::uint64_t bare_events = 0;
   std::uint64_t monitored_events = 0;
+  std::uint64_t timed_events = 0;  // every pass of both arms is timed
   monitor::MonitorService service;
   for (int i = 0; i < passes; ++i) {
     double wall = 0.0;
@@ -221,9 +222,11 @@ std::uint64_t scenario_monitor_overhead(bool smoke) {
     if (!pass(nullptr, wall, events)) return 0;
     bare_wall = (i == 0) ? wall : std::min(bare_wall, wall);
     bare_events = events;
+    timed_events += events;
     if (!pass(&service, wall, events)) return 0;
     monitored_wall = (i == 0) ? wall : std::min(monitored_wall, wall);
     monitored_events = events;
+    timed_events += events;
   }
 
   if (monitored_events != bare_events) {
@@ -243,7 +246,7 @@ std::uint64_t scenario_monitor_overhead(bool smoke) {
                  monitored_wall);
     return 0;
   }
-  return bare_events + monitored_events;
+  return timed_events;
 }
 
 /// Scenario-hook overhead A/B: the same sweep twice — bare, and with an
@@ -297,15 +300,18 @@ std::uint64_t scenario_scenario_overhead(bool smoke) {
   double armed_wall = 0.0;
   std::uint64_t bare_events = 0;
   std::uint64_t armed_events = 0;
+  std::uint64_t timed_events = 0;  // every pass of both arms is timed
   for (int i = 0; i < passes; ++i) {
     double wall = 0.0;
     std::uint64_t events = 0;
     if (!pass(bare_runs, wall, events)) return 0;
     bare_wall = (i == 0) ? wall : std::min(bare_wall, wall);
     bare_events = events;
+    timed_events += events;
     if (!pass(armed_runs, wall, events)) return 0;
     armed_wall = (i == 0) ? wall : std::min(armed_wall, wall);
     armed_events = events;
+    timed_events += events;
   }
 
   if (armed_events != bare_events) {
@@ -325,7 +331,7 @@ std::uint64_t scenario_scenario_overhead(bool smoke) {
                  armed_wall);
     return 0;
   }
-  return bare_events + armed_events;
+  return timed_events;
 }
 
 /// Snapshot/fork A/B: N campaign replicates cold-started (fresh fabric +
@@ -409,6 +415,7 @@ std::uint64_t scenario_snapshot_fork(bool smoke) {
   double fork_wall = 0.0;
   std::vector<std::uint64_t> cold_events;
   std::vector<std::uint64_t> fork_events;
+  std::uint64_t timed_events = 0;  // every pass of both arms is timed
   for (int i = 0; i < passes; ++i) {
     double wall = 0.0;
     cold_events = cold_pass(wall);
@@ -416,6 +423,8 @@ std::uint64_t scenario_snapshot_fork(bool smoke) {
     fork_events = fork_pass(wall);
     if (fork_events.empty()) return 0;
     fork_wall = (i == 0) ? wall : std::min(fork_wall, wall);
+    for (const auto e : cold_events) timed_events += e;
+    for (const auto e : fork_events) timed_events += e;
   }
 
   if (fork_events != cold_events) {
@@ -430,9 +439,7 @@ std::uint64_t scenario_snapshot_fork(bool smoke) {
                "fork %.3fs\n",
                speedup, cold_wall, fork_wall);
   if (speedup < 1.5) return 0;
-  std::uint64_t total = 0;
-  for (const auto e : cold_events) total += 2 * e;  // both arms, identical
-  return total;
+  return timed_events;
 }
 
 /// FC pass-through: the same saturating flood window realized over the

@@ -238,7 +238,7 @@ void SerialControlHost::on_byte(std::uint8_t byte) {
   rx_lines_.clear();
   if (done.callback) done.callback(std::move(lines));
   // Defer the next command to a fresh event so callbacks can enqueue more.
-  simulator_.schedule_in(0, [this] { pump(); });
+  simulator_.schedule_now([this] { pump(); });
 }
 
 }  // namespace hsfi::core

@@ -38,7 +38,7 @@ void FcPort::inject_rrdy(std::size_t count) {
 void FcPort::schedule_pump_tx() {
   if (tx_pump_scheduled_) return;
   tx_pump_scheduled_ = true;
-  simulator_.schedule_in(0, [this] {
+  simulator_.schedule_now([this] {
     tx_pump_scheduled_ = false;
     pump_tx();
   });

@@ -42,7 +42,7 @@ bool HostInterface::send_raw(std::vector<std::uint8_t> packet_bytes) {
 void HostInterface::schedule_pump_tx() {
   if (tx_pump_scheduled_) return;
   tx_pump_scheduled_ = true;
-  simulator_.schedule_in(0, [this] {
+  simulator_.schedule_now([this] {
     tx_pump_scheduled_ = false;
     pump_tx();
   });

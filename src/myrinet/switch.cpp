@@ -9,7 +9,10 @@
 namespace hsfi::myrinet {
 
 Switch::Switch(sim::Simulator& simulator, std::string name, Config config)
-    : simulator_(simulator), name_(std::move(name)), config_(config) {
+    : simulator_(simulator),
+      forward_lane_(simulator.add_lane()),
+      name_(std::move(name)),
+      config_(config) {
   ports_.reserve(config_.num_ports);
   for (std::size_t i = 0; i < config_.num_ports; ++i) {
     auto port = std::make_unique<Port>();
@@ -116,7 +119,7 @@ void Switch::schedule_pump(std::size_t port) {
   Port& p = *ports_[port];
   if (p.pump_scheduled) return;
   p.pump_scheduled = true;
-  simulator_.schedule_in(0, [this, port] {
+  simulator_.schedule_now([this, port] {
     ports_[port]->pump_scheduled = false;
     pump(port);
   });
@@ -214,12 +217,11 @@ void Switch::arm_long_timeout(std::size_t port) {
       });
 }
 
-void Switch::close_connection(Port& p, bool emit_tail_crc) {
+void Switch::close_connection(Port& p) {
   if (p.long_timeout_event != sim::kInvalidEventId) {
     simulator_.cancel(p.long_timeout_event);
     p.long_timeout_event = sim::kInvalidEventId;
   }
-  (void)emit_tail_crc;  // tail emission handled by the caller (batched)
   release_output(p.out_port);
   p.held.reset();
   p.state = InState::kIdle;
@@ -269,8 +271,8 @@ void Switch::pump(std::size_t port) {
     Port& o = *ports_[batch_out];
     if (o.tx != nullptr) {
       o.pending_chars += batch.size();
-      simulator_.schedule_in(
-          config_.forwarding_latency,
+      simulator_.schedule_lane_at(
+          forward_lane_, simulator_.now() + config_.forwarding_latency,
           [this, out = batch_out, b = std::move(batch)]() mutable {
             Port& q = *ports_[out];
             q.pending_chars -= b.size() < q.pending_chars ? b.size()
@@ -350,7 +352,7 @@ void Switch::pump(std::size_t port) {
           batch.push_back(to_symbol(ControlSymbol::kGap));
           ++p.stats.packets_routed;
           flush();
-          close_connection(p, /*emit_tail_crc=*/true);
+          close_connection(p);
           batch_out = Port::kFree;
         }
         // IDLE / undecodable inside a packet: transparent, not forwarded.

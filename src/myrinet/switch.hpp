@@ -182,7 +182,9 @@ class Switch {
   /// failure. Returns success.
   bool acquire_output(std::size_t out, std::size_t in);
   void release_output(std::size_t out);
-  void close_connection(Port& p, bool emit_tail_crc);
+  /// Ends `p`'s packet: disarms the long timeout and frees its output (the
+  /// caller has already batched the packet's tail).
+  void close_connection(Port& p);
   void arm_long_timeout(std::size_t port);
   void send_flow(std::size_t port, ControlSymbol c);
   /// True when output `out` may accept more data right now, counting
@@ -192,6 +194,9 @@ class Switch {
                     std::size_t queued_chars);
 
   sim::Simulator& simulator_;
+  /// Forwarding-latency events: every one is scheduled a constant delay
+  /// after the current time, so they form one time-ordered lane.
+  sim::Simulator::LaneId forward_lane_;
   std::string name_;
   Config config_;
   std::vector<std::unique_ptr<Port>> ports_;

@@ -15,7 +15,7 @@ constexpr int kMaxDepth = 32;
 struct Parser {
   std::string_view text;
   std::size_t pos = 0;
-  std::string error;
+  std::string error{};
 
   [[nodiscard]] bool done() const noexcept { return pos >= text.size(); }
   [[nodiscard]] char peek() const noexcept { return text[pos]; }

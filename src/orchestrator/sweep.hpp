@@ -29,8 +29,9 @@ struct FaultPoint {
   /// nullopt = fault-free baseline run.
   std::optional<core::InjectorConfig> config;
   /// One-line human description (shown by `run_sweep --list-faults`);
-  /// optional — expansion and run naming never read it.
-  std::string description;
+  /// optional — expansion and run naming never read it. The default
+  /// member initializer lets aggregate initializers leave it out.
+  std::string description{};
 };
 
 /// Which link direction(s) the fault is programmed into (the device sits

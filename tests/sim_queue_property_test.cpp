@@ -7,7 +7,9 @@
 // schedule/cancel/fire operations through both implementations and checks
 // they agree step for step, across several seeds (one of which stays on a
 // single timestamp, the pure tie-break regime, and one of which cancels
-// aggressively enough to churn the freelist hard).
+// aggressively enough to churn the freelist hard). Lanes get the same
+// treatment, mixed with plain events, and across snapshot/restore; a
+// far-future cancel churn pins the bound on stale heap entries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -320,5 +322,188 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Scenario>& param_info) {
       return "seed" + std::to_string(param_info.param.seed);
     });
+
+// ---------------------------------------------------------------------------
+// Lanes: FIFO streams whose heads alone sit in the heap. Mixed with plain
+// schedules, cancels and pops, lane events must still fire in the
+// reference's exact (when, schedule order), since every event draws its
+// seq from the one counter.
+
+TEST(SimQueueLaneTest, LanesAgreeWithNaiveMultimapReference) {
+  std::mt19937_64 rng(0x1A7E5);
+  EventQueue queue;
+  ReferenceQueue reference;
+  constexpr std::size_t kLanes = 4;
+  std::vector<EventQueue::LaneId> lanes;
+  std::vector<SimTime> lane_tail(kLanes, 0);
+  for (std::size_t l = 0; l < kLanes; ++l) lanes.push_back(queue.add_lane());
+  struct Live {
+    EventId id;
+    std::uint64_t ref_id;
+  };
+  std::vector<Live> live;  // plain events: lane events cannot be cancelled
+  std::vector<std::uint64_t> fired_log;
+  std::uint64_t next_token = 1;
+  SimTime now = 0;
+
+  for (int op = 0; op < 20'000; ++op) {
+    const auto roll = static_cast<int>(rng() % 100);
+    const std::uint64_t token = next_token;
+    auto record = [token, &fired_log] { fired_log.push_back(token); };
+    if (roll < 45) {
+      // Lane append, at or after the lane's last append (the stream lanes
+      // exist for), ties included. One in ten lands earlier instead, which
+      // the queue must route through the heap without reordering anything.
+      const std::size_t l = rng() % kLanes;
+      SimTime when = std::max(now, lane_tail[l]) +
+                     static_cast<SimTime>(rng() % 400);
+      if (rng() % 10 == 0) {
+        when = now + static_cast<SimTime>(rng() % 400);
+      } else {
+        lane_tail[l] = when;
+      }
+      queue.schedule_lane(lanes[l], when, record);
+      reference.schedule(when, token);
+      ++next_token;
+    } else if (roll < 70 || reference.empty()) {
+      const SimTime when =
+          rng() % 4 == 0 ? now : now + static_cast<SimTime>(rng() % 1'000);
+      live.push_back({queue.schedule(when, record),
+                      reference.schedule(when, token)});
+      ++next_token;
+    } else if (roll < 80 && !live.empty()) {
+      const std::size_t pick = rng() % live.size();
+      queue.cancel(live[pick].id);
+      reference.cancel(live[pick].ref_id);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else {
+      ASSERT_EQ(queue.next_time(), reference.next_time());
+      auto fired = queue.pop();
+      const auto expected = reference.pop();
+      EXPECT_EQ(fired.when, expected.first);
+      now = fired.when;
+      fired.action();
+      ASSERT_EQ(fired_log.back(), expected.second)
+          << "front events disagree at op " << op;
+      std::erase_if(live, [&](const Live& l) { return l.id == fired.id; });
+    }
+    ASSERT_EQ(queue.size(), reference.size());
+  }
+
+  while (!reference.empty()) {
+    auto fired = queue.pop();
+    const auto expected = reference.pop();
+    ASSERT_EQ(fired.when, expected.first);
+    fired.action();
+    ASSERT_EQ(fired_log.back(), expected.second);
+  }
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(SimQueueLaneTest, RestoreReplaysNonEmptyLanesTwice) {
+  std::mt19937_64 rng(0x5AFE);
+  EventQueue queue;
+  std::vector<std::uint64_t> log;
+  const EventQueue::LaneId lane_a = queue.add_lane();
+  const EventQueue::LaneId lane_b = queue.add_lane();
+  SimTime tail_a = 0;
+  SimTime tail_b = 0;
+  SimTime now = 0;
+  std::uint64_t next_token = 1;
+  std::vector<EventId> plain;
+  for (int op = 0; op < 4'000; ++op) {
+    const std::uint64_t token = next_token++;
+    auto record = [token, &log] { log.push_back(token); };
+    switch (rng() % 5) {
+      case 0:
+        tail_a = std::max(now, tail_a) + static_cast<SimTime>(rng() % 300);
+        queue.schedule_lane(lane_a, tail_a, record);
+        break;
+      case 1:
+        tail_b = std::max(now, tail_b) + static_cast<SimTime>(rng() % 300);
+        queue.schedule_lane(lane_b, tail_b, record);
+        break;
+      case 2:
+        plain.push_back(
+            queue.schedule(now + static_cast<SimTime>(rng() % 600), record));
+        break;
+      case 3:
+        if (!plain.empty()) {
+          queue.cancel(plain[rng() % plain.size()]);
+          break;
+        }
+        [[fallthrough]];
+      default:
+        if (!queue.empty()) {
+          auto fired = queue.pop();
+          now = fired.when;
+          fired.action();
+        }
+    }
+  }
+  const EventQueue::Snapshot snap = queue.snapshot();
+  ASSERT_GE(snap.lanes.size(), 2u);
+  ASSERT_FALSE(snap.lanes[lane_a].empty());
+  ASSERT_FALSE(snap.lanes[lane_b].empty());
+
+  // After the capture each timeline appends the same events (a lane tail,
+  // a tie with it on the other lane, a plain event at the same time), so
+  // lanes must stay usable across restore with the seq counter intact.
+  const SimTime later = std::max(tail_a, tail_b) + 1;
+  const auto extend = [&](EventQueue& q) {
+    q.schedule_lane(lane_a, later, [&log] { log.push_back(1'000'001); });
+    q.schedule_lane(lane_b, later, [&log] { log.push_back(1'000'002); });
+    q.schedule(later, [&log] { log.push_back(1'000'003); });
+  };
+  extend(queue);
+  log.clear();
+  const auto original = drain(queue, log);
+  const auto original_log = log;
+  ASSERT_EQ(original_log.back(), 1'000'003u);
+
+  // Restore in place, as a forked run does, twice from one snapshot.
+  for (int fork = 0; fork < 2; ++fork) {
+    queue.restore(snap);
+    ASSERT_EQ(queue.size(), snap.live);
+    extend(queue);
+    log.clear();
+    EXPECT_EQ(drain(queue, log), original) << "fork " << fork;
+    EXPECT_EQ(log, original_log) << "fork " << fork;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Stale entries: a switch arms a far-future long timeout per packet and
+// cancels it when the packet closes. Lazy deletion alone would keep every
+// cancelled entry in the heap until its (distant) time surfaced; the queue
+// must compact so cancelled entries never outnumber live ones.
+
+TEST(SimQueueCompactionTest, FarFutureCancelChurnKeepsHeapBounded) {
+  constexpr SimTime kLongTimeout = 50'000'000'000;  // 50 ms in ps
+  constexpr std::uint64_t kTimers = 16;
+  EventQueue queue;
+  std::vector<std::uint64_t> log;
+  for (std::uint64_t t = 0; t < kTimers; ++t) {
+    queue.schedule(2 * kLongTimeout + static_cast<SimTime>(t),
+                   [t, &log] { log.push_back(t); });
+  }
+  SimTime now = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    const EventId timeout = queue.schedule(now + kLongTimeout, [] {});
+    queue.schedule(now + 100, [] {});
+    queue.cancel(timeout);
+    auto fired = queue.pop();
+    ASSERT_EQ(fired.when, now + 100);
+    now = fired.when;
+    fired.action();
+    // No lanes here, so every live event sits in the heap.
+    ASSERT_LE(queue.snapshot().heap.size(), 2 * queue.size())
+        << "after " << i + 1 << " cancelled timeouts";
+  }
+  drain(queue, log);
+  std::vector<std::uint64_t> expected(kTimers);
+  for (std::uint64_t t = 0; t < kTimers; ++t) expected[t] = t;
+  EXPECT_EQ(log, expected);
+}
 
 }  // namespace
