@@ -1,79 +1,30 @@
-// Parallel campaign sweep driver: the NFTAPE "external management and
-// control framework" role, scaled out. Expands a fault × direction ×
-// replicate grid into independent runs and executes them on a worker pool,
-// one private simulated testbed per run.
+// Campaign sweep CLI: the NFTAPE "external management and control
+// framework" role, scaled out. argv becomes one campaign — the grid flags
+// lowered by orchestrator::lower_grid_flags, or a --spec campaign file —
+// and adaptive::run_campaign executes it: a fault × direction × replicate
+// grid (or a strategy's rounds) of independent runs on a worker pool, one
+// private simulated testbed per run.
 //
 //   ./build/examples/run_sweep                          # default 32-run grid
 //   ./build/examples/run_sweep --workers 1 --out a.jsonl
 //   ./build/examples/run_sweep --workers 8 --out b.jsonl
-//   sort a.jsonl | diff - <(sort b.jsonl)               # byte-identical
-#include <fcntl.h>
-#include <unistd.h>
-
+//   cmp a.jsonl b.jsonl                                 # byte-identical
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <memory>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "adaptive/controller.hpp"
-#include "adaptive/strategy.hpp"
-#include "monitor/feed.hpp"
-#include "monitor/jsonl_reader.hpp"
-#include "monitor/service.hpp"
-#include "nftape/fabric.hpp"
-#include "nftape/medium.hpp"
+#include "adaptive/campaign_driver.hpp"
 #include "orchestrator/campaign_file.hpp"
-#include "orchestrator/json_value.hpp"
-#include "orchestrator/jsonl.hpp"
 #include "orchestrator/repro.hpp"
-#include "orchestrator/runner.hpp"
-#include "orchestrator/shard.hpp"
-#include "orchestrator/sweep.hpp"
-#include "scenario/minimizer.hpp"
 #include "scenario/scenario.hpp"
 
 using namespace hsfi;
 
 namespace {
-
-std::vector<orchestrator::FaultPoint> fault_axis_for(nftape::Medium medium) {
-  return orchestrator::standard_fault_axis(medium);
-}
-
-/// The built-in (non --spec) testbed and workload configuration. Factored
-/// out of main because --replay must rebuild it bit-for-bit from a trace:
-/// a replayed run only matches its stored record if every field the trace
-/// does not carry is identical to what the emitting process used.
-void apply_static_config(orchestrator::SweepSpec& sweep) {
-  sweep.testbed.map_period = sim::milliseconds(100);
-  sweep.testbed.nic_config.rx_processing_time = sim::microseconds(1);
-  sweep.testbed.send_stack_time = sim::microseconds(1);
-  // FC realization: drain receive buffers faster than the 12 us sequence
-  // pace so the healthy path never stalls on credits.
-  sweep.testbed.fc.rx_processing_time = sim::microseconds(1);
-  sweep.base.warmup = sim::milliseconds(10);
-  sweep.base.drain = sim::milliseconds(10);
-  // Full-capacity bursts (paper §4.2): collisions at the switch outputs
-  // engage STOP/GO flow control, so control-symbol faults have symbols to
-  // corrupt. Jitter makes the seed axis real — replicates differ.
-  sweep.base.workload.udp_interval = sim::microseconds(12);
-  sweep.base.workload.burst_size = 4;
-  sweep.base.workload.jitter = 0.5;
-  sweep.base.workload.payload_size = 256;
-}
-
-scenario::Medium scenario_medium_for(nftape::Medium m) {
-  return m == nftape::Medium::kFc ? scenario::Medium::kFc
-                                  : scenario::Medium::kMyrinet;
-}
 
 void usage(std::FILE* to = stdout) {
   std::fprintf(
@@ -133,17 +84,18 @@ void usage(std::FILE* to = stdout) {
       "                   with --monitor: also re-render the table at most\n"
       "                   every N ms while the campaign runs (default: final\n"
       "                   table only)\n"
-      "  --early-cancel   with --strategy: live mode — the streaming feed\n"
+      "  --early-cancel   with a strategy: live mode — the streaming feed\n"
       "                   cancels a cell's remaining runs in a round once\n"
       "                   the strategy declares them redundant (records\n"
-      "                   become outcome=skipped; the JSONL stream is no\n"
-      "                   longer byte-stable across worker counts)\n"
+      "                   become outcome=skipped, so the JSONL is neither\n"
+      "                   byte-stable across worker counts nor resumable)\n"
       "  --dry-run        print the expanded grid (static) or the round-0\n"
-      "                   batch (adaptive) without executing anything\n"
+      "                   batch (strategy); it runs and writes nothing\n"
       "  --spec FILE      declarative campaign file (JSON: targets, media,\n"
-      "                   fault subsets, grids, strategy); replaces the grid\n"
-      "                   flags (--medium/--faults/--seed/--replicates/\n"
-      "                   --duration-ms/--strategy come from the spec)\n"
+      "                   fault subsets, grids, strategy) instead of the grid\n"
+      "                   flags --medium/--faults/--seed/--replicates/\n"
+      "                   --duration-ms/--scenario/--emit-repro/--strategy\n"
+      "                   and its knobs; every other flag applies to it\n"
       "  --shard K/N      with --spec --out: execute only shard K of N\n"
       "                   (0-based; ownership is seed-keyed, so all N\n"
       "                   processes agree without coordination); writes\n"
@@ -153,746 +105,63 @@ void usage(std::FILE* to = stdout) {
       "  --resume         with --spec --out: continue after the last durable\n"
       "                   checkpoint batch (static) or round (strategy);\n"
       "                   refuses checkpoints from an edited spec\n"
-      "  --batch N        with --spec: override the spec's checkpoint_batch\n"
+      "  --batch N        with --spec --out: override checkpoint_batch\n"
       "  --crash-after-batches N\n"
-      "                   test hook: append a torn record and hard-exit (as\n"
-      "                   if SIGKILLed) after N durable batches/rounds\n");
+      "                   test hook (with --spec --out): append a torn\n"
+      "                   record and hard-exit, as if SIGKILLed, after N\n"
+      "                   durable batches/rounds\n");
 }
 
-/// Commit stamp for --bench-out records: HSFI_COMMIT env when set (the
-/// before/after measurement scripts pin it), else git, else "unknown".
-/// Self-contained on purpose — this file must build against kernels that
-/// predate bench/harness.
-std::string commit_id() {
-  if (const char* env = std::getenv("HSFI_COMMIT"); env != nullptr && *env) {
-    return env;
-  }
-  std::string commit = "unknown";
-  if (std::FILE* pipe = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-    char buffer[64] = {};
-    if (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) {
-      std::string line(buffer);
-      while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-        line.pop_back();
-      }
-      if (!line.empty()) commit = line;
-    }
-    pclose(pipe);
-  }
-  return commit;
+/// Flags that define the campaign, which a --spec file defines already.
+constexpr std::string_view kDefining[] = {
+    "--medium",     "--faults",     "--seed",       "--replicates",
+    "--duration-ms", "--scenario",  "--emit-repro", "--strategy",
+    "--tolerance",  "--max-rounds", "--target-count"};
+
+/// Flags that only mean something to a strategy.
+constexpr std::string_view kStrategyOnly[] = {"--tolerance", "--max-rounds",
+                                              "--target-count",
+                                              "--early-cancel"};
+
+/// Flags of durable execution, which binds checkpoints to a spec file.
+constexpr std::string_view kDurable[] = {"--shard", "--merge", "--resume",
+                                         "--batch", "--crash-after-batches"};
+
+bool in(const std::string& arg, const auto& table) {
+  return std::find(std::begin(table), std::end(table), arg) != std::end(table);
 }
 
-/// Re-renders the monitor table to stderr at most once per interval,
-/// driven by run completions (no render thread; the runner serializes
-/// sink callbacks, so the steady_clock read races with nothing).
-class IntervalRenderer final : public orchestrator::RecordSink {
- public:
-  IntervalRenderer(monitor::MonitorService& service, long interval_ms)
-      : service_(service),
-        interval_(std::chrono::milliseconds(interval_ms)),
-        last_(std::chrono::steady_clock::now()) {}
-
-  void on_record(const orchestrator::RunRecord&) override {
-    const auto now = std::chrono::steady_clock::now();
-    if (now - last_ < interval_) return;
-    last_ = now;
-    std::fprintf(stderr, "\n%s",
-                 service_.table("live monitor").render().c_str());
-  }
-
- private:
-  monitor::MonitorService& service_;
-  std::chrono::steady_clock::duration interval_;
-  std::chrono::steady_clock::time_point last_;
-};
-
-bool write_bench_out(const std::string& path,
-                     const std::vector<orchestrator::RunRecord>& records,
-                     double total_s) {
-  std::uint64_t events = 0;
-  std::uint64_t symbols = 0;
-  for (const auto& r : records) {
-    events += r.result.events_executed;
-    symbols += r.result.symbols_sent;
-  }
-  const std::string commit = commit_id();
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  out << "[\n";
-  bool first = true;
-  const auto record = [&](const char* metric, double v, int decimals,
-                          const char* unit) {
-    if (!first) out << ",\n";
-    first = false;
-    orchestrator::JsonObject o;
-    o.add("bench", "run_sweep");
-    o.add("metric", metric);
-    o.add_fixed("value", v, decimals);
-    o.add("unit", unit);
-    o.add("commit", commit);
-    out << "  " << o.str();
-  };
-  record("events_per_sec_median",
-         total_s > 0 ? static_cast<double>(events) / total_s : 0, 1,
-         "events/s");
-  record("wall_s_median", total_s, 6, "s");
-  record("events", static_cast<double>(events), 0, "count");
-  // Link symbols carried over the same runs: invariant under kernel-level
-  // batching, so events-per-symbol trending down means the refactor is
-  // removing scheduling overhead rather than simulating less traffic.
-  record("symbols", static_cast<double>(symbols), 0, "count");
-  record("runs", static_cast<double>(records.size()), 0, "count");
-  out << "\n]\n";
-  return static_cast<bool>(out);
-}
-
-// ===========================================================================
-// --spec mode: declarative campaign files, seed-keyed sharding, durable
-// checkpoints, resume, and shard merge (see orchestrator/campaign_file.hpp
-// and orchestrator/shard.hpp).
-
-struct SpecCli {
-  std::string spec_path;
-  std::string out_path;
-  std::size_t workers = 0;
-  bool snapshots = false;
-  bool timing = false;
-  bool resume = false;
-  bool dry_run = false;
-  std::uint32_t shard_k = 0;
-  std::uint32_t shard_n = 1;
-  std::uint32_t merge_n = 0;
-  std::size_t batch_override = 0;
-  std::uint64_t crash_after = 0;  ///< test hook: hard-exit after N batches
-};
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", (unsigned long long)v);
-  return buf;
-}
-
-/// The --crash-after-batches hook: append a torn (newline-less, truncated)
-/// record to the data file — the worst-case in-flight write — then die
-/// without unwinding, like a SIGKILL would. Resume must discard the tear.
-[[noreturn]] void crash_torn(const std::string& data_file) {
-  const int fd = ::open(data_file.c_str(), O_WRONLY | O_APPEND);
-  if (fd >= 0) {
-    const char torn[] = "{\"run\":9999999,\"name\":\"torn-by-cra";
-    const ssize_t ignored = ::write(fd, torn, sizeof(torn) - 1);
-    (void)ignored;
-    ::close(fd);
-  }
-  _exit(9);
-}
-
-int run_spec_static(const orchestrator::CampaignFile& file,
-                    const SpecCli& cli) {
-  const auto runs = orchestrator::expand_campaign(file);
-
-  if (cli.dry_run) {
-    std::printf("dry run: %zu runs across %zu targets\n", runs.size(),
-                file.targets.size());
-    for (const auto& r : runs) {
-      if (cli.shard_n > 1 &&
-          orchestrator::shard_of(r.seed, cli.shard_n) != cli.shard_k) {
-        continue;
-      }
-      std::printf("%zu %s seed=%llu\n", r.index, r.campaign.name.c_str(),
-                  (unsigned long long)r.seed);
-    }
-    return 0;
-  }
-
-  if (cli.merge_n > 0) {
-    const std::size_t merged =
-        orchestrator::merge_shards(runs, cli.out_path, cli.merge_n);
-    std::fprintf(stderr, "merged %zu records from %u shards into %s\n",
-                 merged, cli.merge_n, cli.out_path.c_str());
-    return 0;
-  }
-
-  const auto mine = orchestrator::shard_runs(runs, cli.shard_k, cli.shard_n);
-  std::fprintf(stderr, "%s: %zu of %zu runs on shard %u/%u\n",
-               file.name.c_str(), mine.size(), runs.size(), cli.shard_k,
-               cli.shard_n);
-
-  orchestrator::RunnerConfig rc;
-  rc.workers = cli.workers;
-  rc.snapshots = cli.snapshots;
-  rc.on_progress = [](const orchestrator::Progress& p) {
-    std::fprintf(stderr, "\r%zu/%zu done, %zu failed, %zu in flight   ",
-                 p.completed + p.failed, p.total, p.failed, p.in_flight);
-  };
-  orchestrator::Runner runner(rc);
-
-  if (cli.out_path.empty()) {
-    // No durability without a file: plain in-memory sweep to stdout.
-    const auto records = runner.run_all(mine);
-    std::fprintf(stderr, "\n");
-    for (const auto& r : records) {
-      std::printf("%s\n", orchestrator::to_jsonl(r, cli.timing).c_str());
-    }
-    std::fprintf(stderr, "\n%s",
-                 orchestrator::summarize(file.name, records).render().c_str());
-    for (const auto& r : records) {
-      if (r.outcome != orchestrator::RunOutcome::kOk) return 2;
-    }
-    return 0;
-  }
-
-  const std::string data_file =
-      orchestrator::shard_path(cli.out_path, cli.shard_k, cli.shard_n);
-  orchestrator::Checkpoint identity;
-  identity.spec_digest = file.digest;
-  identity.shard = cli.shard_k;
-  identity.of = cli.shard_n;
-
-  orchestrator::ShardOptions opts;
-  opts.batch =
-      cli.batch_override != 0 ? cli.batch_override : file.checkpoint_batch;
-  opts.resume = cli.resume;
-  opts.include_timing = cli.timing;
-  if (cli.crash_after > 0) {
-    opts.after_batch = [&](const orchestrator::Checkpoint& c) {
-      if (c.batches >= cli.crash_after) crash_torn(data_file);
-    };
-  }
-
-  const auto result =
-      orchestrator::run_sharded(runner, mine, data_file, identity, opts);
-  std::fprintf(stderr, "\n%s: %zu runs executed, %llu restored from %s\n",
-               data_file.c_str(), result.executed.size(),
-               (unsigned long long)result.restored,
-               orchestrator::checkpoint_path(data_file).c_str());
-  if (!result.executed.empty()) {
-    std::fprintf(
-        stderr, "\n%s",
-        orchestrator::summarize(file.name, result.executed).render().c_str());
-  }
-  for (const auto& r : result.executed) {
-    if (r.outcome != orchestrator::RunOutcome::kOk) return 2;
-  }
-  return 0;
-}
-
-/// Per-target cursor of the adaptive sidecar.
-struct AdaptiveTargetState {
-  std::uint64_t rounds = 0;
-  std::uint64_t records = 0;  ///< JSONL lines this target owns, in order
-  bool done = false;
-};
-
-void write_adaptive_checkpoint(const std::string& sidecar,
-                               std::uint64_t digest, std::uint64_t bytes,
-                               const std::vector<AdaptiveTargetState>& state) {
-  std::string targets = "[";
-  for (std::size_t i = 0; i < state.size(); ++i) {
-    orchestrator::JsonObject t;
-    t.add_u64("rounds", state[i].rounds);
-    t.add_u64("records", state[i].records);
-    t.add_bool("done", state[i].done);
-    if (i > 0) targets += ',';
-    targets += t.str();
-  }
-  targets += ']';
-  const std::string line = "{\"magic\":\"hsfi-ckpt-v1\",\"mode\":\"adaptive\""
-                           ",\"spec\":\"" + hex64(digest) + "\",\"bytes\":" +
-                           std::to_string(bytes) + ",\"targets\":" + targets +
-                           "}\n";
-  orchestrator::write_text_durable(sidecar, line);
-}
-
-/// Strategy campaigns from a spec: one Controller per target, records
-/// appended durably with a sidecar updated at every round barrier. Resume
-/// parses the durable JSONL back (monitor::parse_record — the strict
-/// record contract) and replays it through Controller::run, which
-/// re-derives and verifies every restored round before executing new ones.
-int run_spec_adaptive(const orchestrator::CampaignFile& file,
-                      const SpecCli& cli) {
-  const orchestrator::StrategySpec& strat = *file.strategy;
-  const std::string sidecar =
-      cli.out_path.empty() ? "" : cli.out_path + ".ckpt";
-
-  std::vector<AdaptiveTargetState> state(file.targets.size());
-  std::vector<std::vector<std::vector<adaptive::ReplayRecord>>> replays(
-      file.targets.size());
-  std::uint64_t keep_bytes = 0;
-
-  if (cli.resume) {
-    std::ifstream in(sidecar, std::ios::binary);
-    if (in) {
-      std::ostringstream text;
-      text << in.rdbuf();
-      std::string error;
-      const auto doc = orchestrator::parse_json(text.str(), &error);
-      if (!doc) {
-        std::fprintf(stderr, "corrupt checkpoint %s (%s)\n", sidecar.c_str(),
-                     error.c_str());
-        return 1;
-      }
-      const auto* mode = doc->find("mode");
-      const auto* spec = doc->find("spec");
-      if (mode == nullptr || mode->text != "adaptive" || spec == nullptr ||
-          std::strtoull(spec->text.c_str(), nullptr, 16) != file.digest) {
-        std::fprintf(stderr,
-                     "checkpoint %s does not match this campaign spec — "
-                     "refusing to splice\n",
-                     sidecar.c_str());
-        return 1;
-      }
-      const auto* bytes = doc->find("bytes");
-      const auto* targets = doc->find("targets");
-      if (bytes == nullptr || !bytes->as_u64(keep_bytes) ||
-          targets == nullptr ||
-          targets->items.size() != file.targets.size()) {
-        std::fprintf(stderr, "checkpoint %s is malformed\n", sidecar.c_str());
-        return 1;
-      }
-      for (std::size_t i = 0; i < state.size(); ++i) {
-        const auto& t = targets->items[i];
-        const auto* rounds = t.find("rounds");
-        const auto* records = t.find("records");
-        const auto* done = t.find("done");
-        if (rounds == nullptr || !rounds->as_u64(state[i].rounds) ||
-            records == nullptr || !records->as_u64(state[i].records) ||
-            done == nullptr) {
-          std::fprintf(stderr, "checkpoint %s is malformed\n",
-                       sidecar.c_str());
-          return 1;
-        }
-        state[i].done = done->boolean;
-      }
-
-      // Read the durable record prefix back and replay it per target, in
-      // round order (emission order is round-major, so grouping is a walk).
-      std::ifstream data(cli.out_path, std::ios::binary);
-      if (!data) {
-        std::fprintf(stderr, "checkpoint %s exists but %s is missing\n",
-                     sidecar.c_str(), cli.out_path.c_str());
-        return 1;
-      }
-      std::string prefix(keep_bytes, '\0');
-      data.read(prefix.data(), static_cast<std::streamsize>(keep_bytes));
-      if (static_cast<std::uint64_t>(data.gcount()) != keep_bytes) {
-        std::fprintf(stderr,
-                     "%s is shorter than its checkpoint (%llu bytes) — the "
-                     "file was tampered with\n",
-                     cli.out_path.c_str(), (unsigned long long)keep_bytes);
-        return 1;
-      }
-      std::istringstream lines(prefix);
-      std::string line;
-      for (std::size_t ti = 0; ti < state.size(); ++ti) {
-        for (std::uint64_t n = 0; n < state[ti].records; ++n) {
-          if (!std::getline(lines, line)) {
-            std::fprintf(stderr, "%s has fewer records than its checkpoint\n",
-                         cli.out_path.c_str());
-            return 1;
-          }
-          const auto rec = monitor::parse_record(line);
-          if (!rec) {
-            std::fprintf(stderr, "unparseable record in %s: %s\n",
-                         cli.out_path.c_str(), line.c_str());
-            return 1;
-          }
-          auto& rounds = replays[ti];
-          if (rec->round >= rounds.size()) rounds.resize(rec->round + 1);
-          adaptive::ReplayRecord rr;
-          rr.name = rec->name;
-          rr.ok = rec->ok();
-          rr.injections = rec->injections;
-          rr.duplicates = rec->duplicates;
-          rr.manifestations = rec->manifestations;
-          rounds[rec->round].push_back(std::move(rr));
-        }
-      }
-      std::fprintf(stderr, "resuming %s: %llu durable bytes restored\n",
-                   cli.out_path.c_str(), (unsigned long long)keep_bytes);
-    }
-  }
-
-  std::unique_ptr<orchestrator::DurableAppender> out;
-  if (!cli.out_path.empty()) {
-    out = std::make_unique<orchestrator::DurableAppender>(cli.out_path,
-                                                          keep_bytes);
-  }
-
-  std::vector<orchestrator::RunRecord> executed;
-  std::size_t replayed_total = 0;
-  std::size_t global_index = 0;
-  std::uint64_t rounds_executed = 0;  // across targets, for --crash-after
-  bool converged_all = true;
-
-  for (std::size_t ti = 0; ti < file.targets.size(); ++ti) {
-    const auto& target = file.targets[ti];
-    const orchestrator::SweepSpec& sweep = target.sweep;
-
-    adaptive::AdaptiveSpec aspec;
-    aspec.name = file.name + ":" + target.name;
-    aspec.base = sweep.base;
-    aspec.testbed = sweep.testbed;
-    aspec.startup_settle = sweep.startup_settle;
-    aspec.faults = sweep.faults;
-    aspec.directions = sweep.directions;
-    aspec.knob = strat.knob;
-    aspec.base_seed = sweep.base_seed;
-    aspec.max_rounds = strat.max_rounds;
-    aspec.name_prefix = target.name + ":";
-    aspec.index_base = global_index;
-
-    adaptive::ControllerConfig cc;
-    cc.runner.workers = cli.workers;
-    cc.runner.snapshots = cli.snapshots;
-    const std::uint64_t replayed_rounds = replays[ti].size();
-    cc.on_round = [&](const adaptive::RoundSummary& s) {
-      std::fprintf(stderr, "%s round %u: %zu runs (%zu failed), %zu total\n",
-                   target.name.c_str(), s.round, s.runs, s.failed,
-                   s.total_runs);
-      if (s.round < replayed_rounds) return;  // restored, already durable
-      if (out != nullptr) {
-        // Round barrier = durability barrier: data first, cursor second.
-        out->sync();
-        state[ti].rounds = s.round + 1;
-        state[ti].records = s.total_runs;
-        write_adaptive_checkpoint(sidecar, file.digest, out->bytes(), state);
-      }
-      ++rounds_executed;
-      if (cli.crash_after > 0 && rounds_executed >= cli.crash_after) {
-        crash_torn(cli.out_path);
-      }
-    };
-    if (out != nullptr) {
-      cc.on_record = [&](const orchestrator::RunRecord& r) {
-        out->append(orchestrator::to_jsonl(r, cli.timing) + "\n");
-      };
-    } else {
-      cc.on_record = [&](const orchestrator::RunRecord& r) {
-        std::printf("%s\n", orchestrator::to_jsonl(r, cli.timing).c_str());
-      };
-    }
-
-    adaptive::Controller controller(aspec, std::move(cc));
-
-    std::unique_ptr<adaptive::Strategy> strategy;
-    if (strat.name == "bisect") {
-      adaptive::BisectionConfig bc;
-      bc.lo = strat.axis_lo;
-      bc.hi = strat.axis_hi;
-      bc.tolerance = strat.tolerance_us;
-      bc.higher_is_more_intense = false;
-      bc.min_manifested = 3;
-      strategy = std::make_unique<adaptive::BisectionStrategy>(
-          controller.cells(), bc);
-    } else if (strat.name == "coverage") {
-      adaptive::CoverageConfig cov;
-      cov.knob_value = strat.axis_lo;
-      cov.target_count = strat.target_count;
-      cov.batch_replicates = sweep.replicates;
-      strategy = std::make_unique<adaptive::CoverageStrategy>(
-          controller.cells(), cov);
-    } else {
-      adaptive::FixedGridConfig fg;
-      fg.knob_values = {
-          sim::to_nanoseconds(sweep.base.workload.udp_interval) / 1000.0};
-      fg.replicates = sweep.replicates;
-      strategy = std::make_unique<adaptive::FixedGridStrategy>(
-          controller.cells(), fg);
-    }
-
-    if (cli.dry_run) {
-      const auto round0 = controller.expand_round(strategy->next_round(0), 0,
-                                                  0, strat.name);
-      std::printf("%s: %zu runs in round 0 (strategy %s)\n",
-                  target.name.c_str(), round0.size(), strat.name.c_str());
-      for (const auto& r : round0) {
-        std::printf("%zu %s seed=%llu round=%u\n", r.index,
-                    r.campaign.name.c_str(), (unsigned long long)r.seed,
-                    r.round);
-      }
-      continue;
-    }
-
-    const auto outcome = controller.run(*strategy, replays[ti]);
-    global_index += outcome.replayed + outcome.records.size();
-    replayed_total += outcome.replayed;
-    if (!outcome.converged) converged_all = false;
-    for (const auto& r : outcome.records) executed.push_back(r);
-
-    state[ti].rounds = outcome.rounds;
-    state[ti].records = outcome.replayed + outcome.records.size();
-    state[ti].done = true;
-    if (out != nullptr) {
-      out->sync();
-      write_adaptive_checkpoint(sidecar, file.digest, out->bytes(), state);
-    }
-  }
-  if (cli.dry_run) return 0;
-
-  std::fprintf(stderr, "\n%s [%s]: %zu runs executed, %zu replayed%s\n",
-               file.name.c_str(), strat.name.c_str(), executed.size(),
-               replayed_total,
-               converged_all ? ", all targets converged" : "");
-  if (!executed.empty()) {
-    std::fprintf(
-        stderr, "\n%s",
-        orchestrator::summarize(file.name, executed).render().c_str());
-  }
-  for (const auto& r : executed) {
-    if (r.outcome != orchestrator::RunOutcome::kOk &&
-        r.outcome != orchestrator::RunOutcome::kSkipped) {
-      return 2;
-    }
-  }
-  return 0;
-}
-
-// ===========================================================================
-// --emit-repro / --replay: reproducer minimization over a misbehavior
-// scenario and byte-level trace replay (orchestrator/repro.hpp,
-// scenario/minimizer.hpp).
-
-/// Executes one expanded run through the production Runner (one worker,
-/// cold fabric) — the byte-determinism reference an emitted trace stores
-/// and a replay is compared against.
-orchestrator::RunRecord reference_run(const orchestrator::RunSpec& run) {
-  orchestrator::RunnerConfig rc;
-  rc.workers = 1;
-  return orchestrator::Runner(rc).run_all({run}).front();
-}
-
-int emit_repro(orchestrator::SweepSpec sweep, bool fault_filtered,
-               const std::string& path) {
-  // One-run grid: the first selected fault (fault-free baseline when
-  // --faults was not given — the scenario alone must manifest), one
-  // direction, one replicate.
-  sweep.name = "repro";
-  if (fault_filtered) {
-    sweep.faults.resize(1);
-  } else {
-    sweep.faults = {{"baseline", std::nullopt, ""}};
-  }
-  sweep.directions = {orchestrator::FaultDirection::kBoth};
-  sweep.intensities.clear();
-  sweep.replicates = 1;
-  const auto runs = orchestrator::expand(sweep);
-  const auto& run = runs.front();
-
-  const auto reference = reference_run(run);
-  if (reference.outcome != orchestrator::RunOutcome::kOk) {
-    std::fprintf(stderr, "reference run failed (%s): %s\n",
-                 std::string(to_string(reference.outcome)).c_str(),
-                 reference.error.c_str());
-    return 1;
-  }
-  const std::string expect = orchestrator::dominant_class(reference.result);
-  if (expect.empty()) {
-    std::fprintf(stderr,
-                 "scenario '%s' did not manifest under %s — nothing to "
-                 "minimize\n",
-                 run.campaign.scenario->name.c_str(),
-                 run.campaign.name.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "%s manifests as %s; minimizing %zu steps\n",
-               run.campaign.name.c_str(), expect.c_str(),
-               run.campaign.scenario->steps.size());
-
-  // ddmin probes fork from one settled snapshot: boot + mapping are paid
-  // once, every candidate subset costs one measurement window.
-  const auto fabric = nftape::make_fabric(run.campaign.medium, run.testbed);
-  fabric->start();
-  fabric->settle(run.startup_settle);
-  const auto snap = fabric->capture_snapshot();
-  nftape::CampaignRunner probes(*fabric);
-  const scenario::Minimizer::Execute execute =
-      [&](const scenario::ScenarioSpec& candidate) {
-        if (snap != nullptr) fabric->restore_snapshot(*snap);
-        nftape::CampaignSpec spec = run.campaign;
-        spec.scenario = candidate;
-        return orchestrator::dominant_class(probes.run(spec));
-      };
-  const auto minimized =
-      scenario::Minimizer().minimize(*run.campaign.scenario, expect, execute);
-  if (!minimized.reproduced) {
-    std::fprintf(stderr,
-                 "forked re-execution did not reproduce %s; the full "
-                 "%zu-step sequence is reported irreducible\n",
-                 expect.c_str(), minimized.minimal.steps.size());
-    return 1;
-  }
-  std::fprintf(stderr,
-               "minimized %zu -> %zu steps in %zu runs (naive one-at-a-time "
-               "removal needs >= %zu)\n",
-               run.campaign.scenario->steps.size(),
-               minimized.minimal.steps.size(), minimized.runs,
-               run.campaign.scenario->steps.size() + 1);
-
-  // Verification: the minimal sequence back through the production Runner
-  // on a cold fabric — its record is what the trace stores and what a
-  // replay must reproduce byte-for-byte.
-  sweep.base.scenario = minimized.minimal;
-  const auto verify = reference_run(orchestrator::expand(sweep).front());
-  const std::string got = verify.outcome == orchestrator::RunOutcome::kOk
-                              ? orchestrator::dominant_class(verify.result)
-                              : std::string();
-  if (got != expect) {
-    std::fprintf(stderr,
-                 "verification run classed '%s', expected '%s' — trace not "
-                 "written\n",
-                 got.c_str(), expect.c_str());
-    return 1;
-  }
-
-  orchestrator::ReproTrace trace;
-  trace.name = verify.name;
-  trace.medium = sweep.base.medium;
-  trace.seed = sweep.base_seed;
-  trace.fault = sweep.faults.front().config ? sweep.faults.front().name : "";
-  trace.direction = orchestrator::FaultDirection::kBoth;
-  trace.warmup = sweep.base.warmup;
-  trace.duration = sweep.base.duration;
-  trace.drain = sweep.base.drain;
-  trace.udp_interval = sweep.base.workload.udp_interval;
-  trace.payload_size = sweep.base.workload.payload_size;
-  trace.burst_size = sweep.base.workload.burst_size;
-  trace.jitter = sweep.base.workload.jitter;
-  trace.scenario = minimized.minimal;
-  trace.expect = expect;
-  trace.jsonl = orchestrator::to_jsonl(verify, false);
-
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  out << orchestrator::to_json(trace);
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "write to %s failed\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "wrote %s (%zu-step reproducer for %s)\n", path.c_str(),
-               minimized.minimal.steps.size(), expect.c_str());
-  return 0;
-}
-
-int replay_trace(const std::string& path) {
-  orchestrator::ReproTrace trace;
-  try {
-    trace = orchestrator::load_repro_trace(path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
-
-  orchestrator::SweepSpec sweep;
-  sweep.name = "replay";
-  apply_static_config(sweep);
-  sweep.base.medium = trace.medium;
-  sweep.base.warmup = trace.warmup;
-  sweep.base.duration = trace.duration;
-  sweep.base.drain = trace.drain;
-  sweep.base.workload.udp_interval = trace.udp_interval;
-  sweep.base.workload.payload_size = trace.payload_size;
-  sweep.base.workload.burst_size = trace.burst_size;
-  sweep.base.workload.jitter = trace.jitter;
-  sweep.base.scenario = trace.scenario;
-  sweep.base_seed = trace.seed;
-  sweep.directions = {trace.direction};
-  sweep.replicates = 1;
-  if (trace.fault.empty()) {
-    sweep.faults = {{"baseline", std::nullopt, ""}};
-  } else {
-    for (auto& f : fault_axis_for(trace.medium)) {
-      if (f.name == trace.fault) sweep.faults.push_back(std::move(f));
-    }
-    if (sweep.faults.empty()) {
-      std::fprintf(stderr, "trace fault '%s' is not on the %s axis\n",
-                   trace.fault.c_str(),
-                   std::string(nftape::to_string(trace.medium)).c_str());
-      return 1;
-    }
-  }
-
-  const auto record = reference_run(orchestrator::expand(sweep).front());
-  const std::string line = orchestrator::to_jsonl(record, false);
-  if (line == trace.jsonl) {
-    std::printf("reproduced %s: %s, record byte-identical\n",
-                trace.name.c_str(),
-                trace.expect.empty() ? "(no class)" : trace.expect.c_str());
-    return 0;
-  }
-  std::fprintf(stderr,
-               "replay of %s DIVERGED\n  stored:   %s\n  replayed: %s\n",
-               trace.name.c_str(), trace.jsonl.c_str(), line.c_str());
-  return 2;
-}
-
-int run_spec(const SpecCli& cli) {
-  try {
-    const auto file = orchestrator::load_campaign_file(cli.spec_path);
-    if (file.strategy.has_value()) {
-      if (cli.shard_n > 1 || cli.merge_n > 0) {
-        std::fprintf(stderr,
-                     "--shard/--merge apply to static campaigns; '%s' is "
-                     "steered by strategy %s\n",
-                     cli.spec_path.c_str(), file.strategy->name.c_str());
-        return 1;
-      }
-      return run_spec_adaptive(file, cli);
-    }
-    return run_spec_static(file, cli);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
+[[noreturn]] void refuse(const std::string& why) {
+  std::fprintf(stderr, "%s\n\n", why.c_str());
+  usage(stderr);
+  std::exit(1);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t workers = 0;
-  bool snapshots = false;
-  std::uint64_t seed = 1;
-  std::size_t replicates = 2;
-  long duration_ms = 60;
-  std::string out_path;
-  std::string bench_out_path;
-  bool timing = false;
-  std::string fault_filter;
-  nftape::Medium medium = nftape::Medium::kMyrinet;
-  bool list_only = false;
-  bool list_faults = false;
-  bool list_scenarios = false;
-  std::string scenario_name;
+  orchestrator::GridFlags grid;
+  orchestrator::StrategySpec strategy;  // name stays empty without --strategy
+  adaptive::CampaignOptions opts;
+  std::string spec_path;
   std::string emit_repro_path;
   std::string replay_path;
-  std::string strategy_name;
-  long tolerance_us = 24;
-  std::uint32_t max_rounds = 12;
-  std::uint64_t target_count = 5;
-  bool dry_run = false;
-  bool monitor = false;
-  long monitor_interval_ms = 0;  // 0 = final table only
-  bool early_cancel = false;
-  SpecCli spec;
-  bool grid_flags_used = false;  // flags the spec supersedes
+  bool list = false;
+  bool list_faults = false;
+  bool list_scenarios = false;
+  std::vector<std::string> defining, strategy_only, durable;
+  int options = 0;
 
-  for (int i = 1; i < argc; ++i) {
+  for (int i = 1; i < argc; ++i, ++options) {
     const std::string arg = argv[i];
+    if (in(arg, kDefining)) defining.push_back(arg);
+    if (in(arg, kStrategyOnly)) strategy_only.push_back(arg);
+    if (in(arg, kDurable)) durable.push_back(arg);
     // Both lambdas bound-check i before reading argv[++i]: a flag at the
     // end of the command line must not read past argv, and a non-numeric
     // value must not silently parse as 0.
     const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n\n", arg.c_str());
-        usage(stderr);
-        std::exit(1);
-      }
+      if (i + 1 >= argc) refuse(arg + " needs a value");
       return argv[++i];
     };
     const auto numeric = [&]() -> long long {
@@ -901,49 +170,35 @@ int main(int argc, char** argv) {
       errno = 0;
       const long long parsed = std::strtoll(v, &end, 10);
       // ERANGE check: strtoll saturates out-of-range input to LLONG_MAX and
-      // only reports it via errno, so "--runs 99999999999999999999" would
-      // otherwise silently become a 9.2e18-run campaign.
-      if (errno == ERANGE) {
-        std::fprintf(stderr, "%s value out of range: '%s'\n\n", arg.c_str(),
-                     v);
-        usage(stderr);
-        std::exit(1);
-      }
+      // only reports it via errno, so "--seed 99999999999999999999" would
+      // otherwise silently become a different campaign.
+      if (errno == ERANGE) refuse(arg + " value out of range: '" + v + "'");
       if (end == v || *end != '\0' || parsed < 0) {
-        std::fprintf(stderr, "%s needs a non-negative integer, got '%s'\n\n",
-                     arg.c_str(), v);
-        usage(stderr);
-        std::exit(1);
+        refuse(arg + " needs a non-negative integer, got '" + v + "'");
       }
       return parsed;
     };
+    const auto positive = [&]() -> long long {
+      const long long n = numeric();
+      if (n == 0) refuse(arg + " must be positive");
+      return n;
+    };
     if (arg == "--workers") {
-      workers = static_cast<std::size_t>(numeric());
+      opts.workers = static_cast<std::size_t>(numeric());
     } else if (arg == "--snapshots") {
-      // Execution knob like --workers (never changes the records), so it
-      // is allowed alongside --spec.
       const std::string v = value();
-      if (v == "on") {
-        snapshots = true;
-      } else if (v == "off") {
-        snapshots = false;
-      } else {
-        std::fprintf(stderr, "--snapshots must be on or off, got '%s'\n\n",
-                     v.c_str());
-        usage(stderr);
-        return 1;
+      if (v != "on" && v != "off") {
+        refuse("--snapshots must be on or off, got '" + v + "'");
       }
+      opts.snapshots = v == "on";
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(numeric());
-      grid_flags_used = true;
+      grid.seed = static_cast<std::uint64_t>(numeric());
     } else if (arg == "--replicates") {
-      replicates = static_cast<std::size_t>(numeric());
-      grid_flags_used = true;
+      grid.replicates = static_cast<std::size_t>(numeric());
     } else if (arg == "--duration-ms") {
-      duration_ms = static_cast<long>(numeric());
-      grid_flags_used = true;
+      grid.duration = sim::milliseconds(numeric());
     } else if (arg == "--spec") {
-      spec.spec_path = value();
+      spec_path = value();
     } else if (arg == "--shard") {
       const char* v = value();
       char* end = nullptr;
@@ -959,192 +214,86 @@ int main(int argc, char** argv) {
              k < n && n <= 4096;
       }
       if (!ok) {
-        std::fprintf(stderr, "--shard wants K/N with 0 <= K < N, got '%s'\n\n",
-                     v);
-        usage(stderr);
-        return 1;
+        refuse(std::string("--shard wants K/N with 0 <= K < N, got '") + v +
+               "'");
       }
-      spec.shard_k = static_cast<std::uint32_t>(k);
-      spec.shard_n = static_cast<std::uint32_t>(n);
+      opts.shard_k = static_cast<std::uint32_t>(k);
+      opts.shard_n = static_cast<std::uint32_t>(n);
     } else if (arg == "--merge") {
       const auto n = numeric();
-      if (n < 2 || n > 4096) {
-        std::fprintf(stderr, "--merge needs at least 2 shards\n\n");
-        usage(stderr);
-        return 1;
-      }
-      spec.merge_n = static_cast<std::uint32_t>(n);
+      if (n < 2 || n > 4096) refuse("--merge needs at least 2 shards");
+      opts.merge_n = static_cast<std::uint32_t>(n);
     } else if (arg == "--resume") {
-      spec.resume = true;
+      opts.resume = true;
     } else if (arg == "--batch") {
-      const auto n = numeric();
-      if (n == 0) {
-        std::fprintf(stderr, "--batch must be positive\n\n");
-        usage(stderr);
-        return 1;
-      }
-      spec.batch_override = static_cast<std::size_t>(n);
+      opts.batch = static_cast<std::size_t>(positive());
     } else if (arg == "--crash-after-batches") {
-      spec.crash_after = static_cast<std::uint64_t>(numeric());
+      opts.crash_after = static_cast<std::uint64_t>(numeric());
     } else if (arg == "--out") {
-      out_path = value();
+      opts.out_path = value();
     } else if (arg == "--bench-out") {
-      bench_out_path = value();
+      opts.bench_out_path = value();
     } else if (arg == "--timing") {
-      timing = true;
+      opts.timing = true;
     } else if (arg == "--faults") {
-      fault_filter = value();
-      grid_flags_used = true;
+      grid.faults.clear();
+      const std::string list_arg = value();
+      for (std::size_t at = 0; !list_arg.empty();) {
+        const std::size_t comma = list_arg.find(',', at);
+        grid.faults.push_back(list_arg.substr(at, comma - at));
+        if (comma == std::string::npos) break;
+        at = comma + 1;
+      }
     } else if (arg == "--medium") {
-      grid_flags_used = true;
       const char* v = value();
       const auto parsed = nftape::parse_medium(v);
       if (!parsed) {
-        std::fprintf(stderr, "--medium must be myrinet or fc, got '%s'\n\n", v);
-        usage(stderr);
-        return 1;
+        refuse(std::string("--medium must be myrinet or fc, got '") + v + "'");
       }
-      medium = *parsed;
+      grid.medium = *parsed;
     } else if (arg == "--strategy") {
-      strategy_name = value();
-      grid_flags_used = true;
-      if (strategy_name != "fixed" && strategy_name != "bisect" &&
-          strategy_name != "coverage") {
-        std::fprintf(stderr,
-                     "--strategy must be fixed, bisect, or coverage, got "
-                     "'%s'\n\n",
-                     strategy_name.c_str());
-        usage(stderr);
-        return 1;
+      strategy.name = value();
+      if (strategy.name != "fixed" && strategy.name != "bisect" &&
+          strategy.name != "coverage") {
+        refuse("--strategy must be fixed, bisect, or coverage, got '" +
+               strategy.name + "'");
       }
     } else if (arg == "--tolerance") {
-      tolerance_us = static_cast<long>(numeric());
-      if (tolerance_us == 0) {
-        std::fprintf(stderr, "--tolerance must be positive\n\n");
-        usage(stderr);
-        return 1;
-      }
+      strategy.tolerance_us = static_cast<double>(positive());
     } else if (arg == "--max-rounds") {
-      max_rounds = static_cast<std::uint32_t>(numeric());
+      strategy.max_rounds = static_cast<std::uint32_t>(numeric());
     } else if (arg == "--target-count") {
-      target_count = static_cast<std::uint64_t>(numeric());
+      strategy.target_count = static_cast<std::uint64_t>(numeric());
     } else if (arg == "--monitor") {
-      monitor = true;
+      opts.monitor = true;
     } else if (arg == "--monitor-interval-ms") {
-      monitor_interval_ms = static_cast<long>(numeric());
-      if (monitor_interval_ms == 0) {
-        std::fprintf(stderr, "--monitor-interval-ms must be positive\n\n");
-        usage(stderr);
-        return 1;
-      }
+      opts.monitor_interval_ms = static_cast<long>(positive());
     } else if (arg == "--early-cancel") {
-      early_cancel = true;
+      opts.early_cancel = true;
     } else if (arg == "--dry-run") {
-      dry_run = true;
+      opts.dry_run = true;
     } else if (arg == "--list") {
-      // Deferred past parsing so `--medium fc --list` works in any order.
-      list_only = true;
+      list = true;  // deferred past parsing: `--medium fc --list` works too
     } else if (arg == "--list-faults") {
       list_faults = true;
     } else if (arg == "--list-scenarios") {
       list_scenarios = true;
     } else if (arg == "--scenario") {
-      scenario_name = value();
-      grid_flags_used = true;
+      grid.scenario = value();
     } else if (arg == "--emit-repro") {
       emit_repro_path = value();
-      grid_flags_used = true;
     } else if (arg == "--replay") {
       replay_path = value();
     } else if (arg == "--help") {
       usage();
       return 0;
     } else {
-      std::fprintf(stderr, "unknown option '%s'\n\n", arg.c_str());
-      usage(stderr);
-      return 1;
+      refuse("unknown option '" + arg + "'");
     }
   }
+  if (!strategy.name.empty()) grid.strategy = strategy;
 
-  if (!replay_path.empty()) {
-    // Standalone mode: the trace defines the run; every other campaign
-    // flag would contradict it.
-    if (grid_flags_used || !spec.spec_path.empty() || monitor || dry_run ||
-        list_only || list_faults || list_scenarios) {
-      std::fprintf(stderr, "--replay is standalone; drop the other flags\n\n");
-      usage(stderr);
-      return 1;
-    }
-    return replay_trace(replay_path);
-  }
-  if (!emit_repro_path.empty() && scenario_name.empty()) {
-    std::fprintf(stderr, "--emit-repro requires --scenario\n\n");
-    usage(stderr);
-    return 1;
-  }
-  if (!emit_repro_path.empty() && !strategy_name.empty()) {
-    std::fprintf(stderr,
-                 "--emit-repro minimizes a single static run; drop "
-                 "--strategy\n\n");
-    usage(stderr);
-    return 1;
-  }
-  if (monitor_interval_ms > 0 && !monitor) {
-    std::fprintf(stderr, "--monitor-interval-ms requires --monitor\n\n");
-    usage(stderr);
-    return 1;
-  }
-  if (early_cancel && strategy_name.empty()) {
-    std::fprintf(stderr, "--early-cancel requires --strategy\n\n");
-    usage(stderr);
-    return 1;
-  }
-
-  // --spec supersedes the grid flags and owns the shard/resume machinery.
-  if (spec.spec_path.empty()) {
-    if (spec.shard_n > 1 || spec.merge_n > 0 || spec.resume ||
-        spec.batch_override != 0 || spec.crash_after != 0) {
-      std::fprintf(stderr,
-                   "--shard/--merge/--resume/--batch/--crash-after-batches "
-                   "require --spec\n\n");
-      usage(stderr);
-      return 1;
-    }
-  } else {
-    if (grid_flags_used) {
-      std::fprintf(stderr,
-                   "--spec defines the campaign; drop "
-                   "--medium/--faults/--seed/--replicates/--duration-ms/"
-                   "--strategy\n\n");
-      usage(stderr);
-      return 1;
-    }
-    if (monitor || early_cancel || !bench_out_path.empty()) {
-      std::fprintf(stderr,
-                   "--monitor/--early-cancel/--bench-out are not supported "
-                   "with --spec\n\n");
-      usage(stderr);
-      return 1;
-    }
-    if ((spec.shard_n > 1 || spec.merge_n > 0 || spec.resume) &&
-        out_path.empty()) {
-      std::fprintf(stderr, "--shard/--merge/--resume require --out\n\n");
-      usage(stderr);
-      return 1;
-    }
-    if (spec.shard_n > 1 && spec.merge_n > 0) {
-      std::fprintf(stderr, "--shard and --merge are mutually exclusive\n\n");
-      usage(stderr);
-      return 1;
-    }
-    spec.out_path = out_path;
-    spec.workers = workers;
-    spec.snapshots = snapshots;
-    spec.timing = timing;
-    spec.dry_run = dry_run;
-    return run_spec(spec);
-  }
-
+  // Listings describe the catalogues and load no campaign.
   if (list_scenarios) {
     for (const auto& s : scenario::list_scenarios()) {
       std::printf("%-15s %-8s %s\n", std::string(s.name).c_str(),
@@ -1153,8 +302,8 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (list_only || list_faults) {
-    for (const auto& f : fault_axis_for(medium)) {
+  if (list || list_faults) {
+    for (const auto& f : orchestrator::standard_fault_axis(grid.medium)) {
       if (list_faults) {
         std::printf("%-15s %s\n", f.name.c_str(), f.description.c_str());
       } else {
@@ -1164,290 +313,63 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  orchestrator::SweepSpec sweep;
-  sweep.name = medium == nftape::Medium::kFc ? "fc symbol sweep"
-                                             : "control-plane sweep";
-  sweep.base_seed = seed;
-  sweep.base.medium = medium;
-  sweep.replicates = replicates == 0 ? 1 : replicates;
-  // STOP/GO symbols originate mostly on the switch side (back-pressure
-  // toward the sender), so the from-switch direction is the interesting
-  // single-direction point. On FC the same pair covers R_RDY starvation
-  // (from-switch strips the credit returns node 0's sender lives on).
-  sweep.directions = {orchestrator::FaultDirection::kFromSwitch,
-                      orchestrator::FaultDirection::kBoth};
-  for (auto& f : fault_axis_for(medium)) {
-    if (!fault_filter.empty()) {
-      const std::string needle = "," + f.name + ",";
-      const std::string hay = "," + fault_filter + ",";
-      if (hay.find(needle) == std::string::npos) continue;
-    }
-    sweep.faults.push_back(std::move(f));
+  // The refusals: combinations that contradict what the flags mean.
+  if (!replay_path.empty()) {
+    // The trace defines the run and how it executes: one cold run on one
+    // worker, compared with the stored record.
+    if (options > 1) refuse("--replay is standalone; drop the other flags");
+    return orchestrator::replay_repro(replay_path);
   }
-  if (sweep.faults.empty()) {
-    std::fprintf(stderr, "no faults selected (see --list)\n");
+  if (!spec_path.empty() && !defining.empty()) {
+    std::string flags;
+    for (const auto& f : defining) flags += (flags.empty() ? "" : "/") + f;
+    refuse("--spec defines the campaign; drop " + flags);
+  }
+  if (!durable.empty() && spec_path.empty()) {
+    refuse("--shard/--merge/--resume/--batch/--crash-after-batches require "
+           "--spec");
+  }
+  if (!durable.empty() && opts.out_path.empty()) {
+    refuse("--shard/--merge/--resume require --out (so do --batch and "
+           "--crash-after-batches)");
+  }
+  if (opts.shard_n > 1 && opts.merge_n > 0) {
+    refuse("--shard and --merge are mutually exclusive");
+  }
+  if (opts.monitor_interval_ms > 0 && !opts.monitor) {
+    refuse("--monitor-interval-ms requires --monitor");
+  }
+  if (!emit_repro_path.empty() && grid.scenario.empty()) {
+    refuse("--emit-repro requires --scenario");
+  }
+  if (!emit_repro_path.empty() && grid.strategy) {
+    refuse("--emit-repro minimizes a single static run; drop --strategy");
+  }
+  if (opts.early_cancel && opts.resume) {
+    refuse("--early-cancel cannot --resume: live-mode records depend on "
+           "completion order");
+  }
+
+  orchestrator::CampaignFile campaign;
+  try {
+    campaign = spec_path.empty() ? orchestrator::lower_grid_flags(grid)
+                                 : orchestrator::load_campaign_file(spec_path);
+  } catch (const orchestrator::CampaignFileError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
-
-  apply_static_config(sweep);
-  sweep.base.duration = sim::milliseconds(duration_ms);
-
-  if (!scenario_name.empty()) {
-    const auto scen = scenario::find_scenario(scenario_name);
-    if (!scen) {
-      std::fprintf(stderr, "unknown scenario '%s' (see --list-scenarios)\n",
-                   scenario_name.c_str());
-      return 1;
-    }
-    if (!scenario::compatible(*scen, scenario_medium_for(medium))) {
-      std::fprintf(stderr,
-                   "scenario '%s' drives another medium's protocol objects; "
-                   "it cannot arm on %s\n",
-                   scenario_name.c_str(),
-                   std::string(nftape::to_string(medium)).c_str());
-      return 1;
-    }
-    sweep.base.scenario = *scen;
+  if (!campaign.strategy && !strategy_only.empty()) {
+    refuse(strategy_only.front() + " requires --strategy");
+  }
+  if (campaign.strategy && (opts.shard_n > 1 || opts.merge_n > 0)) {
+    refuse("--shard/--merge apply to static campaigns; '" + spec_path +
+           "' is steered by strategy " + campaign.strategy->name);
   }
 
   if (!emit_repro_path.empty()) {
-    return emit_repro(std::move(sweep), !fault_filter.empty(),
-                      emit_repro_path);
+    return orchestrator::emit_repro(campaign.targets.front().sweep,
+                                    !grid.faults.empty(), emit_repro_path,
+                                    opts.dry_run);
   }
-
-  // ---------------------------------------------------------------------
-  // Adaptive (closed-loop) path: the same fault plane, but a Strategy
-  // steers the udp-interval knob through the Controller round by round.
-  if (!strategy_name.empty()) {
-    adaptive::AdaptiveSpec aspec;
-    aspec.name = sweep.name + " [" + strategy_name + "]";
-    aspec.base = sweep.base;
-    aspec.testbed = sweep.testbed;
-    aspec.faults = sweep.faults;
-    aspec.directions = sweep.directions;
-    aspec.knob = nftape::Knob::kUdpIntervalUs;
-    aspec.base_seed = seed;
-    aspec.max_rounds = max_rounds;
-    adaptive::Controller controller(aspec, {});
-
-    // The intensity axis: datagram interval from the default full-capacity
-    // pace (12 us, most intense) out to a trickle (396 us). Smaller
-    // interval = more traffic = more faults manifest.
-    const double axis_lo = 12.0, axis_hi = 396.0;
-    std::unique_ptr<adaptive::Strategy> strategy;
-    if (strategy_name == "bisect") {
-      adaptive::BisectionConfig bc;
-      bc.lo = axis_lo;
-      bc.hi = axis_hi;
-      bc.tolerance = static_cast<double>(tolerance_us);
-      bc.higher_is_more_intense = false;
-      bc.min_manifested = 3;
-      strategy = std::make_unique<adaptive::BisectionStrategy>(
-          controller.cells(), bc);
-    } else if (strategy_name == "coverage") {
-      adaptive::CoverageConfig cc;
-      cc.knob_value = axis_lo;
-      cc.target_count = target_count;
-      cc.batch_replicates = replicates;
-      strategy =
-          std::make_unique<adaptive::CoverageStrategy>(controller.cells(), cc);
-    } else {  // fixed: today's grid through the controller
-      adaptive::FixedGridConfig fc;
-      fc.knob_values = {
-          sim::to_nanoseconds(sweep.base.workload.udp_interval) / 1000.0};
-      fc.replicates = replicates;
-      strategy = std::make_unique<adaptive::FixedGridStrategy>(
-          controller.cells(), fc);
-    }
-
-    if (dry_run) {
-      const auto round0 = controller.expand_round(
-          strategy->next_round(0), 0, 0, strategy_name);
-      std::printf("dry run: %zu runs in round 0 (strategy %s)\n",
-                  round0.size(), strategy_name.c_str());
-      for (const auto& r : round0) {
-        std::printf("%zu %s seed=%llu round=%u\n", r.index,
-                    r.campaign.name.c_str(), (unsigned long long)r.seed,
-                    r.round);
-      }
-      return 0;
-    }
-
-    adaptive::ControllerConfig cc;
-    cc.runner.workers = workers;
-    cc.runner.snapshots = snapshots;
-    cc.on_round = [](const adaptive::RoundSummary& s) {
-      std::fprintf(stderr, "round %u: %zu runs (%zu failed), %zu total\n",
-                   s.round, s.runs, s.failed, s.total_runs);
-    };
-    // Streaming plane: --monitor attaches the live service behind the
-    // feed; --early-cancel alone still needs the feed (live mode), just
-    // without the table. Deterministic mode (no --early-cancel) leaves the
-    // record stream byte-identical to an unmonitored campaign.
-    monitor::MonitorService service;
-    monitor::StreamingFeed feed(monitor ? &service : nullptr);
-    std::unique_ptr<IntervalRenderer> renderer;
-    if (monitor || early_cancel) {
-      cc.feed = &feed;
-      cc.early_cancel = early_cancel;
-    }
-    if (monitor && monitor_interval_ms > 0) {
-      renderer =
-          std::make_unique<IntervalRenderer>(service, monitor_interval_ms);
-      cc.runner.sinks.push_back(renderer.get());
-    }
-    adaptive::Controller live(aspec, std::move(cc));
-
-    const auto start = std::chrono::steady_clock::now();
-    const auto outcome = live.run(*strategy);
-    const double total_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-
-    std::ostringstream lines;
-    for (const auto& r : outcome.records) {
-      lines << orchestrator::to_jsonl(r, timing) << '\n';
-    }
-    if (out_path.empty()) {
-      std::fputs(lines.str().c_str(), stdout);
-    } else {
-      std::ofstream out(out_path);
-      if (!out) {
-        std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-        return 1;
-      }
-      out << lines.str();
-    }
-    if (!bench_out_path.empty() &&
-        !write_bench_out(bench_out_path, outcome.records, total_s)) {
-      return 1;
-    }
-
-    auto report = orchestrator::summarize(aspec.name, outcome.records);
-    report.add_note(nftape::cell(
-        "%u rounds, %s; %.1f s wall", outcome.rounds,
-        outcome.converged ? "converged" : "round/run cap reached", total_s));
-    std::fprintf(stderr, "\n%s", report.render().c_str());
-    auto cells = orchestrator::cell_summary("per-cell manifestation rates",
-                                            outcome.records);
-    if (strategy_name == "bisect") {
-      const auto& bisect =
-          static_cast<const adaptive::BisectionStrategy&>(*strategy);
-      const auto cell_list = live.cells();
-      for (std::size_t i = 0; i < cell_list.size(); ++i) {
-        const auto& t = bisect.thresholds()[i];
-        if (t.found && std::isnan(t.masked_at)) {
-          cells.add_note(nftape::cell(
-              "%s: the entire axis manifests (down to udp-us = %.6g, %zu runs)",
-              live.cell_name(cell_list[i]).c_str(), t.manifested_at, t.runs));
-        } else if (t.found) {
-          cells.add_note(nftape::cell(
-              "%s: manifests at udp-us <= %.6g (bracket %.6g..%.6g, %zu runs)",
-              live.cell_name(cell_list[i]).c_str(), t.manifested_at,
-              t.manifested_at, t.masked_at, t.runs));
-        } else {
-          cells.add_note(nftape::cell("%s: no manifestation on the axis",
-                                      live.cell_name(cell_list[i]).c_str()));
-        }
-      }
-    }
-    std::fprintf(stderr, "\n%s", cells.render().c_str());
-    if (monitor) {
-      std::fprintf(stderr, "\n%s",
-                   service.table("monitor (final)").render().c_str());
-    }
-
-    for (const auto& r : outcome.records) {
-      if (r.outcome != orchestrator::RunOutcome::kOk &&
-          r.outcome != orchestrator::RunOutcome::kSkipped) {
-        return 2;
-      }
-    }
-    return 0;
-  }
-
-  // ---------------------------------------------------------------------
-  // Static path: pre-expanded grid, unchanged record format.
-  const auto runs = orchestrator::expand(sweep);
-
-  if (dry_run) {
-    std::printf("dry run: %zu runs (%zu faults x %zu directions x %zu reps)\n",
-                runs.size(), sweep.faults.size(), sweep.directions.size(),
-                sweep.replicates);
-    for (const auto& r : runs) {
-      std::printf("%zu %s seed=%llu\n", r.index, r.campaign.name.c_str(),
-                  (unsigned long long)r.seed);
-    }
-    return 0;
-  }
-
-  orchestrator::RunnerConfig rc;
-  rc.workers = workers;
-  rc.snapshots = snapshots;
-  rc.on_progress = [](const orchestrator::Progress& p) {
-    std::fprintf(stderr, "\r%zu/%zu done, %zu failed, %zu in flight   ",
-                 p.completed + p.failed, p.total, p.failed, p.in_flight);
-  };
-  monitor::MonitorService service;
-  std::unique_ptr<IntervalRenderer> renderer;
-  if (monitor) {
-    rc.sinks.push_back(&service);
-    if (monitor_interval_ms > 0) {
-      renderer =
-          std::make_unique<IntervalRenderer>(service, monitor_interval_ms);
-      rc.sinks.push_back(renderer.get());
-    }
-  }
-  orchestrator::Runner runner(rc);
-
-  std::fprintf(stderr, "%zu runs (%zu faults x %zu directions x %zu reps)\n",
-               runs.size(), sweep.faults.size(), sweep.directions.size(),
-               sweep.replicates);
-  const auto start = std::chrono::steady_clock::now();
-  const auto records = runner.run_all(runs);
-  const double total_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  std::fprintf(stderr, "\n");
-
-  // Records come back indexed by run, so the file is deterministic (and,
-  // without --timing, byte-identical for any --workers value).
-  std::ostringstream lines;
-  for (const auto& r : records) {
-    lines << orchestrator::to_jsonl(r, timing) << '\n';
-  }
-  if (out_path.empty()) {
-    std::fputs(lines.str().c_str(), stdout);
-  } else {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-      return 1;
-    }
-    out << lines.str();
-  }
-
-  if (!bench_out_path.empty() &&
-      !write_bench_out(bench_out_path, records, total_s)) {
-    return 1;
-  }
-
-  auto report = orchestrator::summarize(sweep.name, records);
-  report.add_note(nftape::cell("%.1f s wall, %.2f runs/s", total_s,
-                               static_cast<double>(records.size()) / total_s));
-  std::fprintf(stderr, "\n%s", report.render().c_str());
-  std::fprintf(stderr, "\n%s",
-               orchestrator::cell_summary("per-cell manifestation rates",
-                                          records)
-                   .render()
-                   .c_str());
-  if (monitor) {
-    std::fprintf(stderr, "\n%s",
-                 service.table("monitor (final)").render().c_str());
-  }
-
-  for (const auto& r : records) {
-    if (r.outcome != orchestrator::RunOutcome::kOk) return 2;
-  }
-  return 0;
+  return adaptive::run_campaign(campaign, opts);
 }

@@ -3,12 +3,11 @@
 // (orchestrator::to_jsonl), and a monitor on the other side of the file
 // tails it and folds each record into its streaming cells.
 //
-// Hand-rolled like the emission side (orchestrator/jsonl.hpp): records are
-// flat single-level objects with string and number values only, and the
-// container image carries no JSON library. The parser accepts exactly that
-// shape — it is not a general JSON parser — but it is strict about it:
-// malformed lines are rejected (nullopt), never half-ingested, so a torn
-// write at the tail of a live file cannot corrupt cell totals.
+// Lines go through the repo's one strict JSON reader
+// (orchestrator::parse_json), so anything it rejects — a torn write, a
+// bare word, a duplicate key, a raw control character — is rejected here
+// too (nullopt), never half-ingested: a torn line at the tail of a live
+// file cannot corrupt cell totals.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +39,9 @@ struct ParsedRecord {
 };
 
 /// Parses one JSONL record line (as produced by orchestrator::to_jsonl).
-/// Returns nullopt when the line is not a complete flat JSON object or a
-/// known field has the wrong type. Unknown fields are skipped, so the
-/// parser tolerates records from newer emitters.
+/// Returns nullopt when the line is not one valid JSON object, a known
+/// field has the wrong type, or name/outcome is missing. Unknown fields are
+/// skipped, so the parser tolerates records from newer emitters.
 [[nodiscard]] std::optional<ParsedRecord> parse_record(std::string_view line);
 
 /// Incremental reader for a live JSONL file: each poll() picks up where the

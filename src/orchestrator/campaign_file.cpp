@@ -1,5 +1,6 @@
 #include "orchestrator/campaign_file.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -17,9 +18,13 @@ namespace {
 
 using myrinet::ControlSymbol;
 
+/// Errors name the offending JSON path; the document's parse function
+/// (parse_campaign_file, parse_repro_trace) prefixes the document.
 [[noreturn]] void bail(const std::string& what) {
-  throw CampaignFileError("campaign file: " + what);
+  throw CampaignFileError(what);
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Typed field extraction with context-carrying errors.
@@ -41,13 +46,6 @@ std::uint64_t field_u64(const JsonValue& v, const std::string& ctx) {
   return out;
 }
 
-bool field_bool(const JsonValue& v, const std::string& ctx) {
-  if (v.kind != JsonValue::Kind::kBool) bail(ctx + " must be a boolean");
-  return v.boolean;
-}
-
-/// Millisecond / microsecond fields accept fractions; everything lands on
-/// the picosecond Duration grid via nanoseconds, so "0.5" ms is exact.
 sim::Duration field_ms(const JsonValue& v, const std::string& ctx) {
   const double ms = field_num(v, ctx);
   if (ms < 0) bail(ctx + " must be non-negative");
@@ -58,6 +56,13 @@ sim::Duration field_us(const JsonValue& v, const std::string& ctx) {
   const double us = field_num(v, ctx);
   if (us <= 0) bail(ctx + " must be positive");
   return sim::nanoseconds(std::llround(us * 1e3));
+}
+
+namespace {
+
+bool field_bool(const JsonValue& v, const std::string& ctx) {
+  if (v.kind != JsonValue::Kind::kBool) bail(ctx + " must be a boolean");
+  return v.boolean;
 }
 
 // ---------------------------------------------------------------------------
@@ -110,14 +115,6 @@ struct TargetSettings {
   }
 };
 
-FaultDirection parse_direction(const std::string& s, const std::string& ctx) {
-  if (s == "to-switch") return FaultDirection::kToSwitch;
-  if (s == "from-switch") return FaultDirection::kFromSwitch;
-  if (s == "both") return FaultDirection::kBoth;
-  bail(ctx + ": unknown direction '" + s +
-       "' (want to-switch, from-switch, or both)");
-}
-
 GridPoint parse_grid_point(const JsonValue& v, const std::string& ctx) {
   if (v.kind != JsonValue::Kind::kObject) bail(ctx + " must be an object");
   GridPoint p;
@@ -137,78 +134,6 @@ GridPoint parse_grid_point(const JsonValue& v, const std::string& ctx) {
   }
   if (p.name.empty()) bail(ctx + " needs a non-empty \"name\"");
   return p;
-}
-
-/// The "scenario" block: a registry name alone resolves to the built-in
-/// step program; an explicit "steps" array defines a custom one. Medium
-/// compatibility is checked at resolve_target, where the medium is known.
-scenario::ScenarioSpec parse_scenario(const JsonValue& v,
-                                      const std::string& ctx) {
-  if (v.kind != JsonValue::Kind::kObject) bail(ctx + " must be an object");
-  scenario::ScenarioSpec spec;
-  const JsonValue* steps = nullptr;
-  std::string steps_ctx;
-  for (const auto& [key, value] : v.fields) {
-    const std::string fctx = ctx + "." + key;
-    if (key == "name") {
-      spec.name = field_str(value, fctx);
-    } else if (key == "steps") {
-      if (value.kind != JsonValue::Kind::kArray) {
-        bail(fctx + " must be an array of step objects");
-      }
-      steps = &value;
-      steps_ctx = fctx;
-    } else {
-      bail("unknown key '" + fctx + "'");
-    }
-  }
-  if (spec.name.empty()) bail(ctx + " needs a non-empty \"name\"");
-  if (steps == nullptr) {
-    const auto found = scenario::find_scenario(spec.name);
-    if (!found) {
-      bail(ctx + ": unknown scenario '" + spec.name +
-           "' (run_sweep --list-scenarios prints the registry; or define "
-           "\"steps\" inline)");
-    }
-    return *found;
-  }
-  if (steps->items.empty()) bail(steps_ctx + " must not be empty");
-  for (std::size_t i = 0; i < steps->items.size(); ++i) {
-    const auto& sv = steps->items[i];
-    const std::string sctx = steps_ctx + "[" + std::to_string(i) + "]";
-    if (sv.kind != JsonValue::Kind::kObject) bail(sctx + " must be an object");
-    scenario::Step step;
-    bool have_kind = false;
-    bool have_at = false;
-    for (const auto& [key, value] : sv.fields) {
-      const std::string fctx = sctx + "." + key;
-      if (key == "kind") {
-        const std::string k = field_str(value, fctx);
-        const auto parsed = scenario::parse_step_kind(k);
-        if (!parsed) bail(fctx + ": unknown step kind '" + k + "'");
-        step.kind = *parsed;
-        have_kind = true;
-      } else if (key == "at_ms") {
-        step.at = field_ms(value, fctx);
-        // Steps are window-relative; at 0 the firing would land exactly on
-        // window_begin, which finalize's (begin, end] window excludes.
-        if (step.at <= 0) bail(fctx + " must be positive");
-        have_at = true;
-      } else if (key == "node") {
-        step.node = static_cast<std::uint32_t>(field_u64(value, fctx));
-      } else if (key == "count") {
-        const auto n = field_u64(value, fctx);
-        if (n == 0) bail(fctx + " must be positive");
-        step.count = n;
-      } else {
-        bail("unknown key '" + fctx + "'");
-      }
-    }
-    if (!have_kind) bail(sctx + " needs a \"kind\"");
-    if (!have_at) bail(sctx + " needs a positive \"at_ms\"");
-    spec.steps.push_back(step);
-  }
-  return spec;
 }
 
 TargetSettings parse_target_settings(const JsonValue& v,
@@ -240,7 +165,13 @@ TargetSettings parse_target_settings(const JsonValue& v,
       }
       std::vector<FaultDirection> dirs;
       for (const auto& item : value.items) {
-        dirs.push_back(parse_direction(field_str(item, fctx + "[]"), fctx));
+        const std::string d = field_str(item, fctx + "[]");
+        const auto parsed = parse_direction(d);
+        if (!parsed) {
+          bail(fctx + ": unknown direction '" + d +
+               "' (want to-switch, from-switch, or both)");
+        }
+        dirs.push_back(*parsed);
       }
       if (dirs.empty()) bail(fctx + " must not be empty");
       s.directions = std::move(dirs);
@@ -328,25 +259,23 @@ StrategySpec parse_strategy(const JsonValue& v, const std::string& ctx) {
   return s;
 }
 
-/// Resolves the overlaid settings into a runnable SweepSpec. The built-in
-/// base is the run_sweep CLI's long-standing sweep configuration, so a
-/// minimal spec file reproduces exactly what the flag-driven grid runs.
-CampaignTarget resolve_target(const TargetSettings& s, std::size_t ordinal,
-                              std::uint64_t file_seed) {
+/// Resolves the overlaid settings into a runnable SweepSpec. These
+/// defaults are also the run_sweep flags' (lower_grid_flags resolves
+/// through here), so a minimal spec file runs exactly the flag-driven
+/// grid.
+CampaignTarget resolve_target(const TargetSettings& s,
+                              std::uint64_t base_seed) {
   CampaignTarget target;
   const nftape::Medium medium = s.medium.value_or(nftape::Medium::kMyrinet);
-  target.name = s.name.value_or(std::string(nftape::to_string(medium)));
-  if (target.name.empty() ||
-      target.name.find_first_of("/:") != std::string::npos) {
-    bail("target name '" + target.name +
-         "' must be non-empty without '/' or ':'");
-  }
+  target.name = s.name.value_or("");
+  // A lowered flag campaign's target has no name to put in its errors.
+  const std::string where =
+      target.name.empty() ? "" : "target '" + target.name + "': ";
 
   SweepSpec& sweep = target.sweep;
   sweep.name = target.name;
   sweep.base.medium = medium;
-  // Disjoint per-target seed streams, independent of sharding.
-  sweep.base_seed = sim::derive_seed(file_seed, ordinal);
+  sweep.base_seed = base_seed;
   sweep.replicates = s.replicates.value_or(2);
   sweep.directions = s.directions.value_or(std::vector<FaultDirection>{
       FaultDirection::kFromSwitch, FaultDirection::kBoth});
@@ -372,9 +301,9 @@ CampaignTarget resolve_target(const TargetSettings& s, std::size_t ordinal,
                                      ? scenario::Medium::kFc
                                      : scenario::Medium::kMyrinet;
     if (!scenario::compatible(*s.scenario, scenario_medium)) {
-      bail("target '" + target.name + "': scenario '" + s.scenario->name +
-           "' has steps for the wrong medium (target is " +
-           std::string(nftape::to_string(medium)) + ")");
+      bail(where + "scenario '" + s.scenario->name +
+           "' drives another medium's protocol objects; it cannot arm on " +
+           std::string(nftape::to_string(medium)));
     }
     sweep.base.scenario = *s.scenario;
   }
@@ -391,8 +320,8 @@ CampaignTarget resolve_target(const TargetSettings& s, std::size_t ordinal,
         }
       }
       if (!found) {
-        bail("target '" + target.name + "': unknown fault '" + want +
-             "' for medium " + std::string(nftape::to_string(medium)));
+        bail(where + "unknown fault '" + want + "' for medium " +
+             std::string(nftape::to_string(medium)) + " (see --list)");
       }
     }
   } else {
@@ -470,7 +399,76 @@ std::uint64_t fnv1a64(std::string_view text) noexcept {
   return h;
 }
 
-CampaignFile parse_campaign_file(std::string_view text) {
+scenario::ScenarioSpec parse_scenario(const JsonValue& v,
+                                      const std::string& ctx) {
+  if (v.kind != JsonValue::Kind::kObject) bail(ctx + " must be an object");
+  scenario::ScenarioSpec spec;
+  const JsonValue* steps = nullptr;
+  std::string steps_ctx;
+  for (const auto& [key, value] : v.fields) {
+    const std::string fctx = ctx + "." + key;
+    if (key == "name") {
+      spec.name = field_str(value, fctx);
+    } else if (key == "steps") {
+      if (value.kind != JsonValue::Kind::kArray) {
+        bail(fctx + " must be an array of step objects");
+      }
+      steps = &value;
+      steps_ctx = fctx;
+    } else {
+      bail("unknown key '" + fctx + "'");
+    }
+  }
+  if (spec.name.empty()) bail(ctx + " needs a non-empty \"name\"");
+  if (steps == nullptr) {
+    const auto found = scenario::find_scenario(spec.name);
+    if (!found) {
+      bail(ctx + ": unknown scenario '" + spec.name +
+           "' (run_sweep --list-scenarios prints the registry; or define "
+           "\"steps\" inline)");
+    }
+    return *found;
+  }
+  if (steps->items.empty()) bail(steps_ctx + " must not be empty");
+  for (std::size_t i = 0; i < steps->items.size(); ++i) {
+    const auto& sv = steps->items[i];
+    const std::string sctx = steps_ctx + "[" + std::to_string(i) + "]";
+    if (sv.kind != JsonValue::Kind::kObject) bail(sctx + " must be an object");
+    scenario::Step step;
+    bool have_kind = false;
+    bool have_at = false;
+    for (const auto& [key, value] : sv.fields) {
+      const std::string fctx = sctx + "." + key;
+      if (key == "kind") {
+        const std::string k = field_str(value, fctx);
+        const auto parsed = scenario::parse_step_kind(k);
+        if (!parsed) bail(fctx + ": unknown step kind '" + k + "'");
+        step.kind = *parsed;
+        have_kind = true;
+      } else if (key == "at_ms") {
+        step.at = field_ms(value, fctx);
+        // Steps are window-relative; at 0 the firing would land exactly on
+        // window_begin, which finalize's (begin, end] window excludes.
+        if (step.at <= 0) bail(fctx + " must be positive");
+        have_at = true;
+      } else if (key == "node") {
+        step.node = static_cast<std::uint32_t>(field_u64(value, fctx));
+      } else if (key == "count") {
+        const auto n = field_u64(value, fctx);
+        if (n == 0) bail(fctx + " must be positive");
+        step.count = n;
+      } else {
+        bail("unknown key '" + fctx + "'");
+      }
+    }
+    if (!have_kind) bail(sctx + " needs a \"kind\"");
+    if (!have_at) bail(sctx + " needs a positive \"at_ms\"");
+    spec.steps.push_back(step);
+  }
+  return spec;
+}
+
+CampaignFile parse_campaign_file(std::string_view text) try {
   std::string error;
   const auto doc = parse_json(text, &error);
   if (!doc) bail(error);
@@ -516,7 +514,14 @@ CampaignFile parse_campaign_file(std::string_view text) {
     if (file.strategy.has_value() && merged.grid.has_value()) {
       bail("targets cannot carry a grid when a strategy steers the campaign");
     }
-    auto target = resolve_target(merged, i, file.base_seed);
+    const std::string name = merged.name.value_or(std::string(
+        nftape::to_string(merged.medium.value_or(nftape::Medium::kMyrinet))));
+    if (name.empty() || name.find_first_of("/:") != std::string::npos) {
+      bail("target name '" + name + "' must be non-empty without '/' or ':'");
+    }
+    merged.name = name;
+    // Disjoint per-target seed streams, independent of sharding.
+    auto target = resolve_target(merged, sim::derive_seed(file.base_seed, i));
     for (const auto& existing : file.targets) {
       if (existing.name == target.name) {
         bail("duplicate target name '" + target.name + "'");
@@ -525,14 +530,58 @@ CampaignFile parse_campaign_file(std::string_view text) {
     file.targets.push_back(std::move(target));
   }
   return file;
+} catch (const CampaignFileError& e) {
+  throw CampaignFileError(std::string("campaign file: ") + e.what());
 }
 
 CampaignFile load_campaign_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) bail("cannot open '" + path + "'");
+  if (!in) throw CampaignFileError("campaign file: cannot open '" + path + "'");
   std::ostringstream text;
   text << in.rdbuf();
   return parse_campaign_file(text.str());
+}
+
+CampaignFile lower_grid_flags(const GridFlags& flags) {
+  TargetSettings s;
+  s.medium = flags.medium;
+  if (flags.replicates) {
+    s.replicates = std::max<std::size_t>(*flags.replicates, 1);
+  }
+  s.duration = flags.duration;
+  if (!flags.faults.empty()) {
+    // --faults filters the axis, so the grid keeps axis order. A name off
+    // the axis ranks last and resolve_target refuses it.
+    const auto axis = standard_fault_axis(flags.medium);
+    const auto rank = [&](const std::string& name) {
+      return std::find_if(axis.begin(), axis.end(),
+                          [&](const FaultPoint& f) { return f.name == name; }) -
+             axis.begin();
+    };
+    std::vector<std::string> names = flags.faults;
+    std::stable_sort(names.begin(), names.end(),
+                     [&](const auto& a, const auto& b) {
+                       return rank(a) < rank(b);
+                     });
+    names.erase(std::unique(names.begin(), names.end()), names.end());
+    s.faults = std::move(names);
+  }
+  if (!flags.scenario.empty()) {
+    const auto found = scenario::find_scenario(flags.scenario);
+    if (!found) {
+      throw CampaignFileError("unknown scenario '" + flags.scenario +
+                              "' (see --list-scenarios)");
+    }
+    s.scenario = *found;
+  }
+
+  CampaignFile file;
+  file.name = flags.medium == nftape::Medium::kFc ? "fc symbol sweep"
+                                                  : "control-plane sweep";
+  file.base_seed = flags.seed;
+  file.strategy = flags.strategy;
+  file.targets.push_back(resolve_target(s, flags.seed));
+  return file;
 }
 
 std::vector<RunSpec> expand_campaign(const CampaignFile& file) {
@@ -542,7 +591,9 @@ std::vector<RunSpec> expand_campaign(const CampaignFile& file) {
     const std::size_t offset = all.size();
     for (auto& run : runs) {
       run.index += offset;
-      run.campaign.name = target.name + ":" + run.campaign.name;
+      if (!target.name.empty()) {
+        run.campaign.name = target.name + ":" + run.campaign.name;
+      }
       all.push_back(std::move(run));
     }
   }

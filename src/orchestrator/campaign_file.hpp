@@ -1,7 +1,9 @@
 // Declarative campaign files: one JSON document describing a whole
 // distributed campaign — targets (media under test), per-target workload
 // and window overrides, fault subsets, intensity grids, and an optional
-// closed-loop strategy block — loaded by `run_sweep --spec`.
+// closed-loop strategy block — loaded by `run_sweep --spec`. run_sweep's
+// grid flags lower into the same CampaignFile value (lower_grid_flags),
+// so one driver (adaptive::run_campaign) runs every campaign.
 //
 // This is the FINJ/NFTAPE campaign-config idea (see SNIPPETS: FIJ's
 // config.json with global defaults overridden per target) applied to the
@@ -9,11 +11,12 @@
 // expanded run set, so N sharded processes that load the same spec agree
 // byte-for-byte on every run they partition between themselves.
 //
-// Parsing is strict in the monitor::parse_record tradition, but louder:
-// a record tailer skips unknown fields because the emitter may be newer,
-// while a campaign file is operator input — an unknown or mistyped key
-// means the operator's intent would be silently ignored, so it throws
-// CampaignFileError naming the key instead.
+// Parsing goes through the one strict JSON reader (json_value.hpp) and is
+// louder than the record reader built on it: monitor::parse_record skips
+// unknown fields because the emitter may be newer, while a campaign file
+// is operator input — an unknown or mistyped key means the operator's
+// intent would be silently ignored, so it throws CampaignFileError naming
+// the key instead.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +50,7 @@ class CampaignFileError : public std::runtime_error {
 
 /// The optional "strategy" block: which closed-loop strategy steers the
 /// campaign and its knobs. Data only — the orchestrator does not depend on
-/// src/adaptive; run_sweep interprets it.
+/// src/adaptive; adaptive::run_campaign interprets it.
 struct StrategySpec {
   std::string name;  ///< "fixed" | "bisect" | "coverage"
   nftape::Knob knob = nftape::Knob::kUdpIntervalUs;
@@ -66,7 +69,9 @@ struct StrategySpec {
 /// derive_seed(file seed, target ordinal), so targets draw disjoint seed
 /// streams no matter how the file is sliced across processes.
 struct CampaignTarget {
-  std::string name;  ///< no '/' or ':' (prefixed onto run names)
+  /// No '/' or ':' (prefixed onto run names). Empty only for the one
+  /// target of a lowered flag campaign, whose run names carry no prefix.
+  std::string name;
   SweepSpec sweep;
 };
 
@@ -77,8 +82,34 @@ struct CampaignFile {
   std::size_t checkpoint_batch = 8;
   std::vector<CampaignTarget> targets;
   std::optional<StrategySpec> strategy;
-  std::uint64_t digest = 0;  ///< fnv1a64 of the source text
+  /// fnv1a64 of the source text. 0 for a lowered flag campaign: with no
+  /// text there is nothing for a checkpoint to bind to, so such a campaign
+  /// is never checkpointed.
+  std::uint64_t digest = 0;
 };
+
+struct JsonValue;
+
+/// Strict typed reads of one field of a parsed document, shared by
+/// campaign files and repro traces; each throws CampaignFileError naming
+/// `ctx`, the field's JSON path. Millisecond (>= 0) and microsecond (> 0)
+/// fields accept fractions and land exactly on the picosecond grid.
+[[nodiscard]] std::string field_str(const JsonValue& v, const std::string& ctx);
+[[nodiscard]] double field_num(const JsonValue& v, const std::string& ctx);
+[[nodiscard]] std::uint64_t field_u64(const JsonValue& v,
+                                      const std::string& ctx);
+[[nodiscard]] sim::Duration field_ms(const JsonValue& v,
+                                     const std::string& ctx);
+[[nodiscard]] sim::Duration field_us(const JsonValue& v,
+                                     const std::string& ctx);
+
+/// The "scenario" block of a campaign target, shared with repro traces: a
+/// registry name ({"name": "flow-liar"}) or a named program of explicit
+/// steps ({"kind", "at_ms" > 0, "node", "count" > 0}). `ctx` is the
+/// block's JSON path, which errors name. Whether the steps suit the
+/// medium is the caller's check. Throws CampaignFileError.
+[[nodiscard]] scenario::ScenarioSpec parse_scenario(const JsonValue& block,
+                                                    const std::string& ctx);
 
 /// Parses a campaign-spec document. Schema (all *_ms / *_us fields accept
 /// fractions; unknown keys anywhere are errors):
@@ -115,6 +146,27 @@ struct CampaignFile {
 /// Reads and parses `path`. Throws CampaignFileError (file missing or any
 /// parse/validation failure).
 [[nodiscard]] CampaignFile load_campaign_file(const std::string& path);
+
+/// run_sweep's grid flags, before lowering. Unset and empty fields take a
+/// spec target's defaults.
+struct GridFlags {
+  nftape::Medium medium = nftape::Medium::kMyrinet;
+  std::vector<std::string> faults;  ///< --faults names; empty = full axis
+  std::uint64_t seed = 1;
+  std::optional<std::size_t> replicates;  ///< 0 means 1
+  std::optional<sim::Duration> duration;
+  std::string scenario;  ///< --scenario registry name; empty = none
+  std::optional<StrategySpec> strategy;
+};
+
+/// Lowers run_sweep's grid flags into a campaign built from the same
+/// defaults as a spec target: one target with an empty name (its run
+/// names get no "<target>:" prefix), `seed` as its base seed verbatim and
+/// `faults` in axis order — so a flag campaign's names, seeds and records
+/// are byte-for-byte what the flags have always produced. Throws
+/// CampaignFileError naming an unknown fault or scenario, or a scenario
+/// for the other medium.
+[[nodiscard]] CampaignFile lower_grid_flags(const GridFlags& flags);
 
 /// The globally indexed run set: each target expanded in file order
 /// (orchestrator::expand), indices shifted to be campaign-global, run

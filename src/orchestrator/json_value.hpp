@@ -1,13 +1,12 @@
-// Strict document-level JSON parser for campaign-spec files and
-// checkpoint sidecars.
+// The repo's one JSON reader: campaign-spec files, checkpoint sidecars,
+// repro traces, JSONL run records (monitor::parse_record) and the bench
+// schema check (bench_json_check) all parse through it.
 //
-// The monitor's record parser (monitor/jsonl_reader.hpp) deliberately
-// accepts only flat single-line objects; campaign files are nested
-// documents (targets, grids, strategy blocks), so they need a real
-// recursive parser. Same house rules, though: hand-rolled (the container
-// image carries no JSON library), and strict — duplicate object keys,
-// trailing garbage, and truncated documents are rejected outright rather
-// than papered over, so a drifted or torn spec can never half-load.
+// Hand-rolled (the container image carries no JSON library) and strict —
+// duplicate object keys, raw control characters in strings, unknown
+// escapes, malformed numbers, trailing garbage and truncated documents are
+// rejected outright rather than papered over, so a drifted or torn
+// document can never half-load.
 #pragma once
 
 #include <cstdint>

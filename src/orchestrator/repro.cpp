@@ -1,14 +1,16 @@
 #include "orchestrator/repro.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "analysis/manifestation.hpp"
+#include "nftape/fabric.hpp"
 #include "orchestrator/campaign_file.hpp"
 #include "orchestrator/json_value.hpp"
 #include "orchestrator/jsonl.hpp"
+#include "orchestrator/runner.hpp"
+#include "scenario/minimizer.hpp"
 
 namespace hsfi::orchestrator {
 
@@ -17,30 +19,7 @@ namespace {
 constexpr std::string_view kMagic = "hsfi-repro-v1";
 
 [[noreturn]] void bail(const std::string& what) {
-  throw CampaignFileError("repro trace: " + what);
-}
-
-std::string field_str(const JsonValue& v, const std::string& ctx) {
-  if (v.kind != JsonValue::Kind::kString) bail(ctx + " must be a string");
-  return v.text;
-}
-
-std::uint64_t field_u64(const JsonValue& v, const std::string& ctx) {
-  std::uint64_t out = 0;
-  if (!v.as_u64(out)) bail(ctx + " must be a non-negative integer");
-  return out;
-}
-
-double field_num(const JsonValue& v, const std::string& ctx) {
-  double out = 0;
-  if (!v.as_double(out)) bail(ctx + " must be a number");
-  return out;
-}
-
-sim::Duration field_ms(const JsonValue& v, const std::string& ctx) {
-  const double ms = field_num(v, ctx);
-  if (ms < 0) bail(ctx + " must be non-negative");
-  return sim::nanoseconds(std::llround(ms * 1e6));
+  throw CampaignFileError(what);
 }
 
 /// Fixed-point formatting, like JsonObject::add_fixed: deterministic bytes
@@ -51,58 +30,13 @@ std::string fixed(double value, int decimals) {
   return buf;
 }
 
-scenario::ScenarioSpec parse_scenario_block(const JsonValue& v,
-                                            const std::string& ctx) {
-  if (v.kind != JsonValue::Kind::kObject) bail(ctx + " must be an object");
-  scenario::ScenarioSpec spec;
-  const JsonValue* steps = nullptr;
-  std::string steps_ctx;
-  for (const auto& [key, value] : v.fields) {
-    const std::string fctx = ctx + "." + key;
-    if (key == "name") {
-      spec.name = field_str(value, fctx);
-    } else if (key == "steps") {
-      if (value.kind != JsonValue::Kind::kArray) {
-        bail(fctx + " must be an array");
-      }
-      steps = &value;
-      steps_ctx = fctx;
-    } else {
-      bail("unknown key '" + fctx + "'");
-    }
-  }
-  if (spec.name.empty()) bail(ctx + " needs a non-empty \"name\"");
-  if (steps == nullptr || steps->items.empty()) {
-    bail(ctx + " needs a non-empty \"steps\" array");
-  }
-  for (std::size_t i = 0; i < steps->items.size(); ++i) {
-    const auto& sv = steps->items[i];
-    const std::string sctx = steps_ctx + "[" + std::to_string(i) + "]";
-    if (sv.kind != JsonValue::Kind::kObject) bail(sctx + " must be an object");
-    scenario::Step step;
-    bool have_kind = false;
-    for (const auto& [key, value] : sv.fields) {
-      const std::string fctx = sctx + "." + key;
-      if (key == "kind") {
-        const auto parsed = scenario::parse_step_kind(field_str(value, fctx));
-        if (!parsed) bail(fctx + ": unknown step kind");
-        step.kind = *parsed;
-        have_kind = true;
-      } else if (key == "at_ms") {
-        step.at = field_ms(value, fctx);
-      } else if (key == "node") {
-        step.node = static_cast<std::uint32_t>(field_u64(value, fctx));
-      } else if (key == "count") {
-        step.count = field_u64(value, fctx);
-      } else {
-        bail("unknown key '" + fctx + "'");
-      }
-    }
-    if (!have_kind) bail(sctx + " needs a \"kind\"");
-    if (step.at <= 0) bail(sctx + " needs a positive \"at_ms\"");
-    spec.steps.push_back(step);
-  }
-  return spec;
+/// Executes one expanded run through the production Runner (one worker,
+/// cold fabric) — the byte-determinism reference an emitted trace stores
+/// and a replay is compared against.
+RunRecord reference_run(const RunSpec& run) {
+  RunnerConfig rc;
+  rc.workers = 1;
+  return Runner(rc).run_all({run}).front();
 }
 
 }  // namespace
@@ -158,7 +92,7 @@ std::string to_json(const ReproTrace& trace) {
   return out.str();
 }
 
-ReproTrace parse_repro_trace(std::string_view text) {
+ReproTrace parse_repro_trace(std::string_view text) try {
   std::string error;
   const auto doc = parse_json(text, &error);
   if (!doc) bail(error);
@@ -186,15 +120,9 @@ ReproTrace parse_repro_trace(std::string_view text) {
       trace.fault = field_str(value, "fault");
     } else if (key == "direction") {
       const auto d = field_str(value, "direction");
-      if (d == "to-switch") {
-        trace.direction = FaultDirection::kToSwitch;
-      } else if (d == "from-switch") {
-        trace.direction = FaultDirection::kFromSwitch;
-      } else if (d == "both") {
-        trace.direction = FaultDirection::kBoth;
-      } else {
-        bail("direction: unknown direction '" + d + "'");
-      }
+      const auto parsed = parse_direction(d);
+      if (!parsed) bail("direction: unknown direction '" + d + "'");
+      trace.direction = *parsed;
     } else if (key == "warmup_ms") {
       trace.warmup = field_ms(value, "warmup_ms");
     } else if (key == "duration_ms") {
@@ -202,9 +130,7 @@ ReproTrace parse_repro_trace(std::string_view text) {
     } else if (key == "drain_ms") {
       trace.drain = field_ms(value, "drain_ms");
     } else if (key == "udp_interval_us") {
-      const double us = field_num(value, "udp_interval_us");
-      if (us <= 0) bail("udp_interval_us must be positive");
-      trace.udp_interval = sim::nanoseconds(std::llround(us * 1e3));
+      trace.udp_interval = field_us(value, "udp_interval_us");
     } else if (key == "payload_size") {
       trace.payload_size =
           static_cast<std::size_t>(field_u64(value, "payload_size"));
@@ -214,7 +140,7 @@ ReproTrace parse_repro_trace(std::string_view text) {
     } else if (key == "jitter") {
       trace.jitter = field_num(value, "jitter");
     } else if (key == "scenario") {
-      trace.scenario = parse_scenario_block(value, "scenario");
+      trace.scenario = parse_scenario(value, "scenario");
       have_scenario = true;
     } else if (key == "expect") {
       trace.expect = field_str(value, "expect");
@@ -229,14 +155,179 @@ ReproTrace parse_repro_trace(std::string_view text) {
   if (!have_scenario) bail("\"scenario\" is required");
   if (trace.jsonl.empty()) bail("\"jsonl\" is required");
   return trace;
+} catch (const CampaignFileError& e) {
+  throw CampaignFileError(std::string("repro trace: ") + e.what());
 }
 
 ReproTrace load_repro_trace(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) bail("cannot open '" + path + "'");
+  if (!in) throw CampaignFileError("repro trace: cannot open '" + path + "'");
   std::ostringstream text;
   text << in.rdbuf();
   return parse_repro_trace(text.str());
+}
+
+int emit_repro(SweepSpec sweep, bool fault_filtered, const std::string& path,
+               bool dry_run) {
+  // One-run grid: the first selected fault (fault-free baseline when
+  // --faults was not given — the scenario alone must manifest), one
+  // direction, one replicate.
+  if (fault_filtered) {
+    sweep.faults.resize(1);
+  } else {
+    sweep.faults = {{"baseline", std::nullopt, ""}};
+  }
+  sweep.directions = {FaultDirection::kBoth};
+  sweep.intensities.clear();
+  sweep.replicates = 1;
+  const RunSpec run = expand(sweep).front();
+  if (dry_run) {
+    std::printf("dry run: 1 reference run, then ddmin over %zu steps\n",
+                run.campaign.scenario->steps.size());
+    std::printf("%zu %s seed=%llu\n", run.index, run.campaign.name.c_str(),
+                (unsigned long long)run.seed);
+    return 0;
+  }
+
+  const auto reference = reference_run(run);
+  if (reference.outcome != RunOutcome::kOk) {
+    std::fprintf(stderr, "reference run failed (%s): %s\n",
+                 std::string(to_string(reference.outcome)).c_str(),
+                 reference.error.c_str());
+    return 1;
+  }
+  const std::string expect = dominant_class(reference.result);
+  if (expect.empty()) {
+    std::fprintf(stderr,
+                 "scenario '%s' did not manifest under %s — nothing to "
+                 "minimize\n",
+                 run.campaign.scenario->name.c_str(),
+                 run.campaign.name.c_str());
+    return 1;
+  }
+  std::fprintf(stderr, "%s manifests as %s; minimizing %zu steps\n",
+               run.campaign.name.c_str(), expect.c_str(),
+               run.campaign.scenario->steps.size());
+
+  // ddmin probes fork from one settled snapshot: boot + mapping are paid
+  // once, every candidate subset costs one measurement window.
+  const auto fabric = nftape::make_fabric(run.campaign.medium, run.testbed);
+  fabric->start();
+  fabric->settle(run.startup_settle);
+  const auto snap = fabric->capture_snapshot();
+  nftape::CampaignRunner probes(*fabric);
+  const scenario::Minimizer::Execute execute =
+      [&](const scenario::ScenarioSpec& candidate) {
+        if (snap != nullptr) fabric->restore_snapshot(*snap);
+        nftape::CampaignSpec spec = run.campaign;
+        spec.scenario = candidate;
+        return dominant_class(probes.run(spec));
+      };
+  const auto minimized =
+      scenario::Minimizer().minimize(*run.campaign.scenario, expect, execute);
+  if (!minimized.reproduced) {
+    std::fprintf(stderr,
+                 "forked re-execution did not reproduce %s; the full "
+                 "%zu-step sequence is reported irreducible\n",
+                 expect.c_str(), minimized.minimal.steps.size());
+    return 1;
+  }
+  std::fprintf(stderr,
+               "minimized %zu -> %zu steps in %zu runs (naive one-at-a-time "
+               "removal needs >= %zu)\n",
+               run.campaign.scenario->steps.size(),
+               minimized.minimal.steps.size(), minimized.runs,
+               run.campaign.scenario->steps.size() + 1);
+
+  // Verification: the minimal sequence back through the production Runner
+  // on a cold fabric — its record is what the trace stores and what a
+  // replay must reproduce byte-for-byte.
+  sweep.base.scenario = minimized.minimal;
+  const auto verify = reference_run(expand(sweep).front());
+  const std::string got = verify.outcome == RunOutcome::kOk
+                              ? dominant_class(verify.result)
+                              : std::string();
+  if (got != expect) {
+    std::fprintf(stderr,
+                 "verification run classed '%s', expected '%s' — trace not "
+                 "written\n",
+                 got.c_str(), expect.c_str());
+    return 1;
+  }
+
+  ReproTrace trace;
+  trace.name = verify.name;
+  trace.medium = sweep.base.medium;
+  trace.seed = sweep.base_seed;
+  trace.fault = sweep.faults.front().config ? sweep.faults.front().name : "";
+  trace.direction = FaultDirection::kBoth;
+  trace.warmup = sweep.base.warmup;
+  trace.duration = sweep.base.duration;
+  trace.drain = sweep.base.drain;
+  trace.udp_interval = sweep.base.workload.udp_interval;
+  trace.payload_size = sweep.base.workload.payload_size;
+  trace.burst_size = sweep.base.workload.burst_size;
+  trace.jitter = sweep.base.workload.jitter;
+  trace.scenario = minimized.minimal;
+  trace.expect = expect;
+  trace.jsonl = to_jsonl(verify, false);
+
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    return 1;
+  }
+  out << to_json(trace);
+  out.flush();
+  if (!out) {
+    std::fprintf(stderr, "write to %s failed\n", path.c_str());
+    return 1;
+  }
+  std::fprintf(stderr, "wrote %s (%zu-step reproducer for %s)\n", path.c_str(),
+               minimized.minimal.steps.size(), expect.c_str());
+  return 0;
+}
+
+int replay_repro(const std::string& path) {
+  ReproTrace trace;
+  SweepSpec sweep;
+  try {
+    trace = load_repro_trace(path);
+    // The run is rebuilt from the flags' defaults; the trace then sets
+    // every field it carries.
+    GridFlags flags;
+    flags.medium = trace.medium;
+    flags.seed = trace.seed;
+    flags.replicates = 1;
+    flags.duration = trace.duration;
+    if (!trace.fault.empty()) flags.faults = {trace.fault};
+    sweep = lower_grid_flags(flags).targets.front().sweep;
+  } catch (const CampaignFileError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
+  if (trace.fault.empty()) sweep.faults = {{"baseline", std::nullopt, ""}};
+  sweep.directions = {trace.direction};
+  sweep.base.warmup = trace.warmup;
+  sweep.base.drain = trace.drain;
+  sweep.base.workload.udp_interval = trace.udp_interval;
+  sweep.base.workload.payload_size = trace.payload_size;
+  sweep.base.workload.burst_size = trace.burst_size;
+  sweep.base.workload.jitter = trace.jitter;
+  sweep.base.scenario = trace.scenario;
+
+  const auto record = reference_run(expand(sweep).front());
+  const std::string line = to_jsonl(record, false);
+  if (line == trace.jsonl) {
+    std::printf("reproduced %s: %s, record byte-identical\n",
+                trace.name.c_str(),
+                trace.expect.empty() ? "(no class)" : trace.expect.c_str());
+    return 0;
+  }
+  std::fprintf(stderr,
+               "replay of %s DIVERGED\n  stored:   %s\n  replayed: %s\n",
+               trace.name.c_str(), trace.jsonl.c_str(), line.c_str());
+  return 2;
 }
 
 }  // namespace hsfi::orchestrator

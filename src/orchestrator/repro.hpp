@@ -7,7 +7,8 @@
 // class it must reproduce, and the exact JSONL record the emitting run
 // produced. `run_sweep --replay trace.json` rebuilds the identical RunSpec,
 // executes it, and compares its JSONL line against the stored one — a
-// byte-level equality check, not a statistical one.
+// byte-level equality check, not a statistical one. Both commands live
+// here, beside the trace they write and read.
 #pragma once
 
 #include <cstdint>
@@ -59,5 +60,21 @@ struct ReproTrace {
 
 /// Reads and parses `path`. Throws CampaignFileError.
 [[nodiscard]] ReproTrace load_repro_trace(const std::string& path);
+
+/// `run_sweep --emit-repro`: runs `sweep`'s first fault (a fault-free
+/// baseline unless `fault_filtered`) once on both directions, delta-debugs
+/// its scenario down to the smallest program that still manifests the
+/// same dominant class — probes fork from one settled snapshot — verifies
+/// that program on a cold fabric and writes the trace to `path`. With
+/// `dry_run` it prints the reference run and executes nothing. Progress
+/// goes to stderr; returns the exit code (0 = trace written).
+int emit_repro(SweepSpec sweep, bool fault_filtered, const std::string& path,
+               bool dry_run);
+
+/// `run_sweep --replay`: rebuilds the trace's run through
+/// lower_grid_flags, executes it and compares its record with the stored
+/// one byte for byte. Returns 0 when identical, 2 when it diverged and 1
+/// when the trace cannot be loaded.
+int replay_repro(const std::string& path);
 
 }  // namespace hsfi::orchestrator

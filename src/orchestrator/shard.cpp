@@ -48,74 +48,26 @@ std::string hex64(std::uint64_t v) {
 
 constexpr std::string_view kMagic = "hsfi-ckpt-v1";
 
-}  // namespace
-
-std::vector<RunSpec> shard_runs(const std::vector<RunSpec>& runs,
-                                std::uint32_t k, std::uint32_t n) {
-  if (n == 0) bail("shard count must be positive");
-  if (k >= n && !(k == 0 && n == 1)) {
-    bail("shard index " + std::to_string(k) + " out of range for " +
-         std::to_string(n) + " shards");
-  }
-  std::vector<RunSpec> mine;
-  for (const auto& run : runs) {
-    if (shard_of(run.seed, n) == k) mine.push_back(run);
-  }
-  return mine;
-}
-
-std::string shard_path(const std::string& out, std::uint32_t k,
-                       std::uint32_t n) {
-  if (n <= 1) return out;
-  return out + ".shard" + std::to_string(k) + "of" + std::to_string(n);
-}
-
-std::string checkpoint_path(const std::string& shard_file) {
-  return shard_file + ".ckpt";
-}
-
-std::optional<Checkpoint> read_checkpoint(const std::string& path) {
+/// A sidecar document; nullopt when the file is absent (a fresh start).
+/// A present sidecar that is not valid JSON with our magic throws: a
+/// corrupt cursor must never silently restart a campaign from zero.
+std::optional<JsonValue> read_sidecar(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
   std::ostringstream text;
   text << in.rdbuf();
-
   std::string error;
-  const auto doc = parse_json(text.str(), &error);
+  auto doc = parse_json(text.str(), &error);
   if (!doc) bail("corrupt checkpoint " + path + " (" + error + ")");
   const auto* magic = doc->find("magic");
   if (magic == nullptr || magic->text != kMagic) {
     bail("checkpoint " + path + " has wrong magic");
   }
-  Checkpoint ckpt;
-  const auto u64 = [&](const char* key, std::uint64_t& out) {
-    const auto* v = doc->find(key);
-    if (v == nullptr || !v->as_u64(out)) {
-      bail("checkpoint " + path + " missing/bad field '" + key + "'");
-    }
-  };
-  const auto* spec = doc->find("spec");
-  if (spec == nullptr || spec->kind != JsonValue::Kind::kString ||
-      spec->text.size() != 16) {
-    bail("checkpoint " + path + " missing/bad field 'spec'");
-  }
-  ckpt.spec_digest = std::strtoull(spec->text.c_str(), nullptr, 16);
-  std::uint64_t shard = 0, of = 0;
-  u64("shard", shard);
-  u64("of", of);
-  ckpt.shard = static_cast<std::uint32_t>(shard);
-  ckpt.of = static_cast<std::uint32_t>(of);
-  u64("batches", ckpt.batches);
-  u64("runs", ckpt.runs);
-  u64("bytes", ckpt.bytes);
-  const auto* done = doc->find("done");
-  if (done == nullptr || done->kind != JsonValue::Kind::kBool) {
-    bail("checkpoint " + path + " missing/bad field 'done'");
-  }
-  ckpt.done = done->boolean;
-  return ckpt;
+  return doc;
 }
 
+/// Atomic replacement: write "<path>.tmp", fsync, rename over, fsync the
+/// directory. Every sidecar goes through here.
 void write_text_durable(const std::string& path, std::string_view text) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -145,6 +97,64 @@ void write_text_durable(const std::string& path, std::string_view text) {
   sync_parent_dir(path);
 }
 
+}  // namespace
+
+std::vector<RunSpec> shard_runs(const std::vector<RunSpec>& runs,
+                                std::uint32_t k, std::uint32_t n) {
+  if (n == 0) bail("shard count must be positive");
+  if (k >= n && !(k == 0 && n == 1)) {
+    bail("shard index " + std::to_string(k) + " out of range for " +
+         std::to_string(n) + " shards");
+  }
+  std::vector<RunSpec> mine;
+  for (const auto& run : runs) {
+    if (shard_of(run.seed, n) == k) mine.push_back(run);
+  }
+  return mine;
+}
+
+std::string shard_path(const std::string& out, std::uint32_t k,
+                       std::uint32_t n) {
+  if (n <= 1) return out;
+  return out + ".shard" + std::to_string(k) + "of" + std::to_string(n);
+}
+
+std::string checkpoint_path(const std::string& shard_file) {
+  return shard_file + ".ckpt";
+}
+
+std::optional<Checkpoint> read_checkpoint(const std::string& path) {
+  const auto doc = read_sidecar(path);
+  if (!doc) return std::nullopt;
+  Checkpoint ckpt;
+  const auto u64 = [&](const char* key, std::uint64_t& out) {
+    const auto* v = doc->find(key);
+    if (v == nullptr || !v->as_u64(out)) {
+      bail("checkpoint " + path + " missing/bad field '" + key + "'");
+    }
+  };
+  const auto* spec = doc->find("spec");
+  if (spec == nullptr || spec->kind != JsonValue::Kind::kString ||
+      spec->text.size() != 16) {
+    bail("checkpoint " + path + " missing/bad field 'spec'");
+  }
+  ckpt.spec_digest = std::strtoull(spec->text.c_str(), nullptr, 16);
+  std::uint64_t shard = 0, of = 0;
+  u64("shard", shard);
+  u64("of", of);
+  ckpt.shard = static_cast<std::uint32_t>(shard);
+  ckpt.of = static_cast<std::uint32_t>(of);
+  u64("batches", ckpt.batches);
+  u64("runs", ckpt.runs);
+  u64("bytes", ckpt.bytes);
+  const auto* done = doc->find("done");
+  if (done == nullptr || done->kind != JsonValue::Kind::kBool) {
+    bail("checkpoint " + path + " missing/bad field 'done'");
+  }
+  ckpt.done = done->boolean;
+  return ckpt;
+}
+
 void write_checkpoint(const std::string& path, const Checkpoint& ckpt) {
   JsonObject o;
   o.add("magic", kMagic);
@@ -156,6 +166,59 @@ void write_checkpoint(const std::string& path, const Checkpoint& ckpt) {
   o.add_u64("bytes", ckpt.bytes);
   o.add_bool("done", ckpt.done);
   write_text_durable(path, o.str() + "\n");
+}
+
+std::optional<RoundCheckpoint> read_round_checkpoint(
+    const std::string& path, std::uint64_t spec_digest, std::size_t targets) {
+  const auto doc = read_sidecar(path);
+  if (!doc) return std::nullopt;
+  const auto* mode = doc->find("mode");
+  const auto* spec = doc->find("spec");
+  if (mode == nullptr || mode->text != "adaptive" || spec == nullptr ||
+      spec->text != hex64(spec_digest)) {
+    bail("checkpoint " + path +
+         " does not match this campaign spec — refusing to splice");
+  }
+  RoundCheckpoint ckpt;
+  ckpt.spec_digest = spec_digest;
+  const auto* bytes = doc->find("bytes");
+  const auto* list = doc->find("targets");
+  if (bytes == nullptr || !bytes->as_u64(ckpt.bytes) || list == nullptr ||
+      list->items.size() != targets) {
+    bail("checkpoint " + path + " is malformed");
+  }
+  for (const auto& item : list->items) {
+    RoundCheckpoint::Target t;
+    const auto* rounds = item.find("rounds");
+    const auto* records = item.find("records");
+    const auto* done = item.find("done");
+    if (rounds == nullptr || !rounds->as_u64(t.rounds) || records == nullptr ||
+        !records->as_u64(t.records) || done == nullptr ||
+        done->kind != JsonValue::Kind::kBool) {
+      bail("checkpoint " + path + " is malformed");
+    }
+    t.done = done->boolean;
+    ckpt.targets.push_back(t);
+  }
+  return ckpt;
+}
+
+void write_round_checkpoint(const std::string& path,
+                            const RoundCheckpoint& ckpt) {
+  std::string targets = "[";
+  for (const auto& t : ckpt.targets) {
+    JsonObject o;
+    o.add_u64("rounds", t.rounds);
+    o.add_u64("records", t.records);
+    o.add_bool("done", t.done);
+    if (targets.size() > 1) targets += ',';
+    targets += o.str();
+  }
+  write_text_durable(path, "{\"magic\":\"" + std::string(kMagic) +
+                               "\",\"mode\":\"adaptive\",\"spec\":\"" +
+                               hex64(ckpt.spec_digest) + "\",\"bytes\":" +
+                               std::to_string(ckpt.bytes) +
+                               ",\"targets\":" + targets + "]}\n");
 }
 
 DurableAppender::DurableAppender(const std::string& path,

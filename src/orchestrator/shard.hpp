@@ -82,10 +82,32 @@ struct Checkpoint {
 /// "<path>.tmp", fsync, rename over, fsync the directory.
 void write_checkpoint(const std::string& path, const Checkpoint& ckpt);
 
-/// The same atomic tmp+fsync+rename replacement for arbitrary text —
-/// non-shard sidecars (the adaptive round checkpoint) share the durability
-/// path instead of reinventing it.
-void write_text_durable(const std::string& path, std::string_view text);
+/// The strategy-campaign sidecar, kept beside the data file like
+/// Checkpoint. A strategy campaign runs one Controller per target, round
+/// by round, so its cursor is per target: rounds completed and the JSONL
+/// lines the target owns (emission is target-major, then round-major).
+/// `bytes` is the data-file size at the last durable round barrier.
+struct RoundCheckpoint {
+  struct Target {
+    std::uint64_t rounds = 0;
+    std::uint64_t records = 0;
+    bool done = false;
+  };
+  std::uint64_t spec_digest = 0;
+  std::uint64_t bytes = 0;
+  std::vector<Target> targets;
+};
+
+/// Reads a round sidecar. nullopt = file absent (fresh start); throws
+/// ShardError when it is unreadable, or belongs to another spec digest or
+/// target count — resuming it would splice two different campaigns.
+[[nodiscard]] std::optional<RoundCheckpoint> read_round_checkpoint(
+    const std::string& path, std::uint64_t spec_digest, std::size_t targets);
+
+/// Atomically replaces `path` with the round sidecar (same tmp + fsync +
+/// rename path as write_checkpoint).
+void write_round_checkpoint(const std::string& path,
+                            const RoundCheckpoint& ckpt);
 
 /// Append-only writer over a POSIX fd with explicit durability. Opening
 /// truncates to `keep_bytes` first (crash recovery: everything past the

@@ -13,6 +13,14 @@ std::string_view to_string(FaultDirection d) noexcept {
   return "?";
 }
 
+std::optional<FaultDirection> parse_direction(std::string_view text) noexcept {
+  for (const auto d : {FaultDirection::kToSwitch, FaultDirection::kFromSwitch,
+                       FaultDirection::kBoth}) {
+    if (text == to_string(d)) return d;
+  }
+  return std::nullopt;
+}
+
 std::vector<RunSpec> expand(const SweepSpec& sweep) {
   // Empty axes collapse to one neutral point so the nest below is uniform.
   const std::vector<FaultPoint> faults =

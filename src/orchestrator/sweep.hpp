@@ -43,6 +43,9 @@ enum class FaultDirection : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(FaultDirection d) noexcept;
+/// Inverse of to_string; nullopt for any other text.
+[[nodiscard]] std::optional<FaultDirection> parse_direction(
+    std::string_view text) noexcept;
 
 /// One point on the workload-intensity axis.
 struct IntensityPoint {

@@ -377,6 +377,75 @@ TEST(CampaignFileTest, ExpansionIsDeterministic) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// run_sweep's grid flags, lowered into a campaign (lower_grid_flags)
+
+TEST(CampaignFileTest, GridFlagsLowerToOneUnnamedTarget) {
+  GridFlags flags;
+  flags.seed = 17;
+  flags.replicates = 0;  // the flag's 0 means one replicate
+  flags.duration = milliseconds(2);
+  flags.faults = {"seu-00FF", "gap-go", "gap-go"};
+  const auto file = lower_grid_flags(flags);
+  EXPECT_EQ(file.name, "control-plane sweep");
+  EXPECT_EQ(file.digest, 0u) << "no source text: never checkpointed";
+  EXPECT_FALSE(file.strategy.has_value());
+  ASSERT_EQ(file.targets.size(), 1u);
+  const auto& sweep = file.targets[0].sweep;
+  EXPECT_TRUE(file.targets[0].name.empty());
+  EXPECT_EQ(sweep.base_seed, 17u) << "--seed is the base seed verbatim";
+  EXPECT_EQ(sweep.replicates, 1u);
+  EXPECT_EQ(sweep.base.duration, milliseconds(2));
+  // --faults filters the axis: axis order, each name once.
+  ASSERT_EQ(sweep.faults.size(), 2u);
+  EXPECT_EQ(sweep.faults[0].name, "gap-go");
+  EXPECT_EQ(sweep.faults[1].name, "seu-00FF");
+
+  // Unnamed target: no "<target>:" prefix, seeds straight from --seed.
+  const auto runs = expand_campaign(file);
+  const auto grid = expand(sweep);
+  ASSERT_EQ(runs.size(), grid.size());
+  EXPECT_EQ(runs[0].campaign.name, "gap-go/from-switch/base/r0");
+  EXPECT_EQ(runs[0].seed, sim::derive_seed(17, 0));
+
+  // Every other setting is a spec target's default.
+  const auto spec = parse_campaign_file(
+      R"({"name": "x", "seed": 17, "targets": [{"duration_ms": 2}]})");
+  const auto& def = spec.targets[0].sweep;
+  EXPECT_EQ(sweep.testbed.map_period, def.testbed.map_period);
+  EXPECT_EQ(sweep.base.warmup, def.base.warmup);
+  EXPECT_EQ(sweep.base.drain, def.base.drain);
+  EXPECT_EQ(sweep.base.workload.udp_interval, def.base.workload.udp_interval);
+  EXPECT_EQ(sweep.base.workload.burst_size, def.base.workload.burst_size);
+  EXPECT_EQ(sweep.directions, def.directions);
+}
+
+TEST(CampaignFileTest, GridFlagsRefuseWhatTheyCannotRun) {
+  const auto message = [](const GridFlags& flags) {
+    try {
+      (void)lower_grid_flags(flags);
+    } catch (const CampaignFileError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  GridFlags bogus;
+  bogus.faults = {"gap-go", "bogus"};
+  EXPECT_NE(message(bogus).find("unknown fault 'bogus'"), std::string::npos)
+      << message(bogus);
+  GridFlags fc_only;
+  fc_only.faults = {"fill-flip"};  // on the FC axis, not Myrinet's
+  EXPECT_NE(message(fc_only).find("unknown fault 'fill-flip'"),
+            std::string::npos);
+  GridFlags ghost;
+  ghost.scenario = "ghost";
+  EXPECT_NE(message(ghost).find("unknown scenario 'ghost'"), std::string::npos);
+  GridFlags wrong_medium;
+  wrong_medium.scenario = "rrdy-storm";
+  EXPECT_NE(message(wrong_medium).find("drives another medium"),
+            std::string::npos);
+}
+
 TEST(CampaignFileTest, StandardFaultAxesStayNamedAndDistinct) {
   for (const auto medium :
        {nftape::Medium::kMyrinet, nftape::Medium::kFc}) {

@@ -537,6 +537,12 @@ TEST(JsonlReader, ParsesEmittedRecords) {
       monitor::parse_record(orchestrator::to_jsonl(quoted));
   ASSERT_TRUE(parsed_quoted.has_value());
   EXPECT_EQ(parsed_quoted->name, quoted.name);
+
+  // Unknown fields are skipped, nested ones included.
+  const auto extra = monitor::parse_record(
+      R"({"name":"a","outcome":"ok","extra":{"x":[1,null]},"injections":2})");
+  ASSERT_TRUE(extra.has_value());
+  EXPECT_EQ(extra->injections, 2u);
 }
 
 TEST(JsonlReader, RejectsMalformedLines) {
@@ -553,6 +559,21 @@ TEST(JsonlReader, RejectsMalformedLines) {
           "{\"name\":\"a\",\"outcome\":\"ok\",\"injections\":\"abc\"}")
           .has_value())
       << "non-numeric token in a folded u64 field";
+  // Lines parse with orchestrator::parse_json, so a bare word, a duplicate
+  // key and a raw control character fail even where the monitor would
+  // skip the field or overwrite it.
+  EXPECT_FALSE(
+      monitor::parse_record(R"({"name":"a","outcome":"ok","sent":nope})")
+          .has_value());
+  EXPECT_FALSE(monitor::parse_record(R"({"name":"a","outcome":"ok",)"
+                                     R"("injections":1,"injections":2})")
+                   .has_value());
+  EXPECT_FALSE(monitor::parse_record("{\"name\":\"a\tb\",\"outcome\":\"ok\"}")
+                   .has_value());
+  EXPECT_FALSE(monitor::parse_record(
+                   R"({"name":"a","outcome":"ok","injections":1.5})")
+                   .has_value())
+      << "a fraction in a folded u64 field";
 }
 
 TEST(JsonlReader, TailerFollowsAGrowingShardFile) {

@@ -184,6 +184,37 @@ TEST(ShardTest, CheckpointAbsentIsFreshStartButCorruptIsFatal) {
   EXPECT_THROW((void)read_checkpoint(path), ShardError);
 }
 
+TEST(ShardTest, RoundCheckpointRoundTripsAndBindsToItsSpec) {
+  const std::string path = scratch("round_ckpt") + ".ckpt";
+  RoundCheckpoint ckpt;
+  ckpt.spec_digest = 0x0123456789ABCDEFull;
+  ckpt.bytes = 4096;
+  ckpt.targets = {{3, 12, true}, {1, 4, false}};
+  write_round_checkpoint(path, ckpt);
+  const auto back = read_round_checkpoint(path, ckpt.spec_digest, 2);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->bytes, 4096u);
+  ASSERT_EQ(back->targets.size(), 2u);
+  EXPECT_EQ(back->targets[0].rounds, 3u);
+  EXPECT_EQ(back->targets[0].records, 12u);
+  EXPECT_TRUE(back->targets[0].done);
+  EXPECT_EQ(back->targets[1].records, 4u);
+  EXPECT_FALSE(back->targets[1].done);
+
+  EXPECT_FALSE(read_round_checkpoint(testing::TempDir() + "hsfi_no_round",
+                                     ckpt.spec_digest, 2)
+                   .has_value());
+  // Another spec, another target count, or a static sidecar: refused.
+  EXPECT_THROW((void)read_round_checkpoint(path, 42, 2), ShardError);
+  EXPECT_THROW((void)read_round_checkpoint(path, ckpt.spec_digest, 3),
+               ShardError);
+  Checkpoint static_ckpt;
+  static_ckpt.spec_digest = ckpt.spec_digest;
+  write_checkpoint(path, static_ckpt);
+  EXPECT_THROW((void)read_round_checkpoint(path, ckpt.spec_digest, 2),
+               ShardError);
+}
+
 // ---------------------------------------------------------------------------
 // Execution: merge byte-identity, resume, crash recovery
 
