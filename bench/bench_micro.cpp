@@ -1,9 +1,12 @@
 // Google-benchmark microbenchmarks for the hot datapath pieces: the
 // Myrinet CRC-8 (recomputed per hop per byte), the FC CRC-32, the 8b/10b
 // codec (one invocation per transmitted character), the FIFO injector's
-// per-character clock, and the UDP one's-complement checksum.
+// per-character clock, the UDP one's-complement checksum, and the event
+// kernel's queue on its campaign operation mix.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <random>
 #include <vector>
 
 #include "core/fifo_injector.hpp"
@@ -11,6 +14,7 @@
 #include "fc/enc8b10b.hpp"
 #include "host/udp.hpp"
 #include "myrinet/crc8.hpp"
+#include "sim/event_queue.hpp"
 
 namespace {
 
@@ -103,6 +107,69 @@ void BM_UdpChecksum(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_UdpChecksum)->Arg(64)->Arg(1472);
+
+// The event queue alone, on the operation mix a saturated myrinet_grid run
+// gives it: about 125 events pending at each pop, schedule delays drawn
+// from that run's histogram, and 8% of schedules cancelled one schedule
+// later. One iteration is one schedule plus the pops that keep the queue
+// at its pending level (about one), so time per iteration is the kernel
+// queue's cost per event. The draws are made before timing starts, so the
+// random number generator's cost stays out of the figure.
+void BM_EventQueueMix(benchmark::State& state) {
+  using hsfi::sim::SimTime;
+  constexpr std::size_t kPending = 125;
+  constexpr SimTime kLongTimeout = 50'000'000'000;  // 50 ms
+  struct Draw {
+    SimTime delay;
+    bool cancel_next;  ///< cancel this event at the next schedule
+  };
+  std::mt19937_64 rng(0x5C4ED);
+  const auto in = [&rng](SimTime lo, SimTime hi) {
+    return lo +
+           static_cast<SimTime>(rng() % static_cast<std::uint64_t>(hi - lo));
+  };
+  // Delay histogram in permille: 5% at 0, 33% up to 12.5 ns, 9% in
+  // 12.5-25 ns, 0.8% in 25-50 ns, 32% in 50-200 ns, 20% in 0.2-1 us, and
+  // 0.2% beyond 1 us, modelled as the switch's per-packet long timeout,
+  // which is always cancelled (a far event that fired would instead sit
+  // in the queue for millions of pops and skew the pending mix).
+  std::vector<Draw> draws(1 << 16);
+  for (Draw& d : draws) {
+    const auto p = rng() % 1000;
+    d.delay = p < 50    ? 0
+              : p < 380 ? in(1, 12'500)
+              : p < 470 ? in(12'500, 25'000)
+              : p < 478 ? in(25'000, 50'000)
+              : p < 798 ? in(50'000, 200'000)
+              : p < 998 ? in(200'000, 1'000'000)
+                        : kLongTimeout;
+    d.cancel_next = d.delay == kLongTimeout || rng() % 1000 < 78;
+  }
+  hsfi::sim::EventQueue queue;
+  std::uint64_t fired = 0;
+  SimTime now = 0;
+  std::size_t next = 0;
+  hsfi::sim::EventId victim = hsfi::sim::kInvalidEventId;
+  const auto schedule = [&] {
+    queue.cancel(victim);  // a no-op if none, or if it already fired
+    const Draw& d = draws[next++ & (draws.size() - 1)];
+    const hsfi::sim::EventId id =
+        queue.schedule(now + d.delay, [&fired] { ++fired; });
+    victim = d.cancel_next ? id : hsfi::sim::kInvalidEventId;
+  };
+  while (queue.size() < kPending) schedule();
+  for (auto _ : state) {
+    schedule();
+    while (queue.size() > kPending) {
+      auto event = queue.pop();
+      now = event.when;
+      event.action();
+    }
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueMix);
 
 }  // namespace
 

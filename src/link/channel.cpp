@@ -35,7 +35,6 @@ Channel::Channel(sim::Simulator& simulator, std::string name,
                  sim::Duration character_period,
                  sim::Duration propagation_delay)
     : simulator_(simulator),
-      lane_(simulator.add_lane()),
       name_(std::move(name)),
       character_period_(character_period),
       propagation_delay_(propagation_delay) {}
@@ -67,8 +66,8 @@ sim::SimTime Channel::transmit(std::span<const Symbol> symbols) {
   // Burst lifetime contract in channel.hpp).
   SymbolSink* sink = sink_;
   const sim::SimTime arrive = start + propagation_delay_;
-  simulator_.schedule_lane_at(
-      lane_, arrive + character_period_,
+  simulator_.schedule_at(
+      arrive + character_period_,
       [this, sink, arrive, buf = std::move(buffer)]() mutable {
         deliver(sink, arrive, std::move(buf));
       });

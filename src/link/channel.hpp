@@ -152,9 +152,6 @@ class Channel {
                std::vector<Symbol>&& symbols);
 
   sim::Simulator& simulator_;
-  /// Deliveries leave in transmit order at a fixed delay after the
-  /// serializer, which never runs backwards, so they form one lane.
-  sim::Simulator::LaneId lane_;
   std::string name_;
   sim::Duration character_period_;
   sim::Duration propagation_delay_;

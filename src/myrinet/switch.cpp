@@ -10,7 +10,6 @@ namespace hsfi::myrinet {
 
 Switch::Switch(sim::Simulator& simulator, std::string name, Config config)
     : simulator_(simulator),
-      forward_lane_(simulator.add_lane()),
       name_(std::move(name)),
       config_(config) {
   ports_.reserve(config_.num_ports);
@@ -271,8 +270,8 @@ void Switch::pump(std::size_t port) {
     Port& o = *ports_[batch_out];
     if (o.tx != nullptr) {
       o.pending_chars += batch.size();
-      simulator_.schedule_lane_at(
-          forward_lane_, simulator_.now() + config_.forwarding_latency,
+      simulator_.schedule_in(
+          config_.forwarding_latency,
           [this, out = batch_out, b = std::move(batch)]() mutable {
             Port& q = *ports_[out];
             q.pending_chars -= b.size() < q.pending_chars ? b.size()

@@ -194,9 +194,6 @@ class Switch {
                     std::size_t queued_chars);
 
   sim::Simulator& simulator_;
-  /// Forwarding-latency events: every one is scheduled a constant delay
-  /// after the current time, so they form one time-ordered lane.
-  sim::Simulator::LaneId forward_lane_;
   std::string name_;
   Config config_;
   std::vector<std::unique_ptr<Port>> ports_;

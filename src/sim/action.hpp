@@ -3,7 +3,7 @@
 // Every scheduled event used to carry a std::function<void()>, whose copyable
 // type-erasure forces a heap allocation for anything bigger than two words.
 // The kernel's common case — a lambda capturing `this` plus a handful of
-// pointers or a pooled Burst — fits comfortably in a fixed inline buffer, so
+// pointers or a pooled symbol vector — fits in a fixed inline buffer, so
 // Action stores callables up to kInlineSize bytes in place and only falls
 // back to the heap for oversized or throwing-move captures. Actions are
 // move-only (an event fires exactly once; nothing ever needs to copy one),
@@ -19,8 +19,10 @@ namespace hsfi::sim {
 
 class Action {
  public:
-  /// Sized for the largest hot-path capture: a Channel burst-delivery lambda
-  /// (this + sink + a 40-byte Burst = 56 bytes). Total Action = 64 bytes.
+  /// Sized for the hot-path captures: the Channel delivery lambda (this +
+  /// sink + arrival time + a 24-byte symbol vector = 48 bytes) and the
+  /// switch forwarding lambda (this + output port + a 24-byte batch = 40
+  /// bytes) fit, with room to spare. Total Action = 64 bytes.
   static constexpr std::size_t kInlineSize = 56;
 
   Action() noexcept = default;

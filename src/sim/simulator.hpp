@@ -40,22 +40,10 @@ class Simulator {
 
   void cancel(EventId id) { queue_.cancel(id); }
 
-  /// A FIFO lane for a time-ordered stream of events (EventQueue::add_lane).
-  using LaneId = EventQueue::LaneId;
-  [[nodiscard]] LaneId add_lane() { return queue_.add_lane(); }
-
-  /// Schedules `action` on `lane` at absolute time `when` (clamped to
-  /// now()). Fires in the order schedule_at would give it; cannot be
-  /// cancelled. Cheapest when each lane is fed in non-decreasing time.
-  void schedule_lane_at(LaneId lane, SimTime when, EventQueue::Action action) {
-    queue_.schedule_lane(lane, when > now_ ? when : now_, std::move(action));
-  }
-
   /// Schedules `action` at now(), after everything already pending at
-  /// now(): the order schedule_in(0, action) gives, on the kernel's own
-  /// lane. Cannot be cancelled.
-  void schedule_now(EventQueue::Action action) {
-    queue_.schedule_lane(now_lane_, now_, std::move(action));
+  /// now(): the order schedule_in(0, action) gives.
+  EventId schedule_now(EventQueue::Action action) {
+    return queue_.schedule(now_, std::move(action));
   }
 
   /// Runs until the queue drains or the clock passes `until`.
@@ -117,9 +105,6 @@ class Simulator {
 
  private:
   EventQueue queue_;
-  /// Zero-delay events are appended at the current time, which never
-  /// decreases, so they form one time-ordered stream.
-  LaneId now_lane_ = queue_.add_lane();
   SimTime now_ = 0;
   std::uint64_t executed_ = 0;
   bool stop_requested_ = false;

@@ -1,15 +1,18 @@
-// Property test: the slot/generation EventQueue against a naive reference.
+// Property test: the calendar-queue EventQueue against a naive reference.
 //
 // The reference is a std::multimap<(when, schedule order), token> — the
 // obviously-correct encoding of the queue's contract: events fire in time
 // order, ties in scheduling order, cancellation removes exactly the one
 // event named by the id. A seeded generator drives ~10k random
 // schedule/cancel/fire operations through both implementations and checks
-// they agree step for step, across several seeds (one of which stays on a
-// single timestamp, the pure tie-break regime, and one of which cancels
-// aggressively enough to churn the freelist hard). Lanes get the same
-// treatment, mixed with plain events, and across snapshot/restore; a
-// far-future cancel churn pins the bound on stale heap entries.
+// they agree step for step, across several regimes: a single timestamp
+// (pure tie-breaking), aggressive cancellation (freelist churn), time
+// spans that straddle the wheel's bucket edges and horizon, time-ordered
+// streams mixed with out-of-order schedules, and peeks at next_time()
+// that skip cancelled fronts before scheduling at a stopped clock.
+// Snapshot/restore must replay the identical pop order, ids included;
+// events scheduled before the cursor must not move it; and a far-future
+// cancel churn pins the bound on stale overflow entries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,6 +56,9 @@ class ReferenceQueue {
   [[nodiscard]] SimTime next_time() const {
     return pending_.begin()->first.first;
   }
+  [[nodiscard]] std::uint64_t front_token() const {
+    return pending_.begin()->second;
+  }
 
   /// Pops the earliest event, returning (when, token).
   std::pair<SimTime, std::uint64_t> pop() {
@@ -73,8 +79,58 @@ class ReferenceQueue {
 struct Scenario {
   std::uint64_t seed;
   int ops;
-  SimTime time_span;   ///< timestamps drawn from [now, now + span]
+  /// Time-ordered streams fed alongside the plain draws (0: none), the way
+  /// a channel's deliveries or a switch's forwarding events arrive.
+  int streams;
+  SimTime time_span;   ///< timestamps drawn from [now, now + span)
   int cancel_percent;  ///< weight of cancel ops (fires get the remainder)
+  /// Weight of peek ops: read next_time() without popping and cancel the
+  /// front events; half the time, peek again, let the clock stop short of
+  /// the new front and schedule at the new now (what Simulator::run_until
+  /// does when it stops at `until`).
+  int peek_percent;
+};
+
+/// Draws schedule times in a scenario's regime. A quarter of the plain
+/// draws land exactly on `now`, so the tie-break path is exercised
+/// constantly, not incidentally. With streams, 45% of the draws append to
+/// a random stream at or after its last append, ties included, and one in
+/// ten of those lands earlier instead, out of stream order.
+class Timeline {
+ public:
+  explicit Timeline(const Scenario& scenario)
+      : span_(scenario.time_span),
+        tails_(static_cast<std::size_t>(scenario.streams), 0) {}
+
+  SimTime draw(std::mt19937_64& rng, SimTime now) {
+    SimTime when = now;
+    if (!tails_.empty() && rng() % 100 < 45) {
+      SimTime& tail = tails_[rng() % tails_.size()];
+      when = std::max(now, tail) + offset(rng);
+      if (rng() % 10 == 0) {
+        when = now + offset(rng);
+      } else {
+        tail = when;
+      }
+    } else if (span_ != 0 && rng() % 4 != 0) {
+      when = now + offset(rng);
+    }
+    latest_ = std::max(latest_, when);
+    return when;
+  }
+
+  /// The latest time drawn so far.
+  [[nodiscard]] SimTime latest() const { return latest_; }
+
+ private:
+  SimTime offset(std::mt19937_64& rng) const {
+    if (span_ == 0) return 0;
+    return static_cast<SimTime>(rng() % static_cast<std::uint64_t>(span_));
+  }
+
+  SimTime span_;
+  std::vector<SimTime> tails_;
+  SimTime latest_ = 0;
 };
 
 class SimQueuePropertyTest : public ::testing::TestWithParam<Scenario> {};
@@ -82,6 +138,7 @@ class SimQueuePropertyTest : public ::testing::TestWithParam<Scenario> {};
 TEST_P(SimQueuePropertyTest, AgreesWithNaiveMultimapReference) {
   const Scenario scenario = GetParam();
   std::mt19937_64 rng(scenario.seed);
+  Timeline timeline(scenario);
 
   EventQueue queue;
   ReferenceQueue reference;
@@ -98,38 +155,66 @@ TEST_P(SimQueuePropertyTest, AgreesWithNaiveMultimapReference) {
   std::uint64_t next_token = 1;
   SimTime now = 0;
 
+  const auto schedule = [&](SimTime when) {
+    const std::uint64_t token = next_token++;
+    const EventId id = queue.schedule(
+        when, [token, &fired_log] { fired_log.push_back(token); });
+    const std::uint64_t ref_id = reference.schedule(when, token);
+    EXPECT_NE(id, hsfi::sim::kInvalidEventId);
+    EXPECT_TRUE(ids_seen.insert(id).second)
+        << "EventId " << id << " handed out twice while the first holder "
+        << "could still cancel it";
+    live.push_back({id, ref_id, token});
+  };
+  const auto cancel = [&](std::size_t pick) {
+    // Both sides must drop exactly the picked event.
+    const Live victim = live[pick];
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+    queue.cancel(victim.id);
+    EXPECT_TRUE(reference.cancel(victim.ref_id));
+    queue.cancel(victim.id);  // double-cancel must be a no-op
+    EXPECT_EQ(queue.size(), reference.size());
+  };
+
   for (int op = 0; op < scenario.ops; ++op) {
     const auto roll = static_cast<int>(rng() % 100);
     if (roll < 50 || live.empty()) {
-      // Schedule. A quarter of the draws land exactly on `now`, so the
-      // tie-break path is exercised constantly, not incidentally.
-      const SimTime when =
-          scenario.time_span == 0 || rng() % 4 == 0
-              ? now
-              : now + static_cast<SimTime>(
-                          rng() % static_cast<std::uint64_t>(scenario.time_span));
-      const std::uint64_t token = next_token++;
-      const EventId id = queue.schedule(
-          when, [token, &fired_log] { fired_log.push_back(token); });
-      const std::uint64_t ref_id = reference.schedule(when, token);
-      EXPECT_NE(id, hsfi::sim::kInvalidEventId);
-      EXPECT_TRUE(ids_seen.insert(id).second)
-          << "EventId " << id << " handed out twice while the first holder "
-          << "could still cancel it";
-      live.push_back({id, ref_id, token});
+      schedule(timeline.draw(rng, now));
     } else if (roll < 50 + scenario.cancel_percent) {
-      // Cancel a random live event; both sides must drop exactly it.
-      const std::size_t pick = rng() % live.size();
-      const Live victim = live[pick];
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-      queue.cancel(victim.id);
-      EXPECT_TRUE(reference.cancel(victim.ref_id));
-      queue.cancel(victim.id);  // double-cancel must be a no-op
-      EXPECT_EQ(queue.size(), reference.size());
+      cancel(rng() % live.size());
+    } else if (roll < 50 + scenario.cancel_percent + scenario.peek_percent) {
+      // Peek without popping, then cancel one or two front events: a
+      // later pop must not trust the front the peek found.
+      ASSERT_EQ(queue.next_time(), reference.next_time());
+      for (int n = 1 + static_cast<int>(rng() % 2); n > 0 && !live.empty();
+           --n) {
+        const std::uint64_t front = reference.front_token();
+        cancel(static_cast<std::size_t>(
+            std::find_if(live.begin(), live.end(),
+                         [front](const Live& l) { return l.token == front; }) -
+            live.begin()));
+      }
+      if (rng() % 2 == 0) {
+        if (!reference.empty()) {
+          // Peek past the cancelled fronts, then stop the clock anywhere
+          // short of the live front, as run_until does at `until`.
+          const SimTime next = queue.next_time();
+          ASSERT_EQ(next, reference.next_time());
+          now += static_cast<SimTime>(
+              rng() % static_cast<std::uint64_t>(next - now + 1));
+        }
+        // An event at the stopped clock must fire ahead of everything
+        // later (the queue must not file it one wheel revolution late).
+        schedule(now);
+      }
     } else {
       // Fire the front event; time, token, and fire order must agree.
+      // Every other pop skips next_time(), so a pop after a peek, then a
+      // schedule or cancel, must not trust the front the peek found.
       ASSERT_FALSE(queue.empty());
-      ASSERT_EQ(queue.next_time(), reference.next_time());
+      if (op % 2 == 0) {
+        ASSERT_EQ(queue.next_time(), reference.next_time());
+      }
       auto fired = queue.pop();
       const auto expected = reference.pop();
       EXPECT_EQ(fired.when, expected.first);
@@ -165,13 +250,23 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, SimQueuePropertyTest,
     ::testing::Values(
         // The workhorse: mixed times, moderate cancellation.
-        Scenario{0xA11CE, 10'000, 1'000'000, 20},
+        Scenario{0xA11CE, 10'000, 0, 1'000'000, 20, 0},
         // Single-timestamp regime: every comparison is a tie-break.
-        Scenario{0xB0B, 10'000, 0, 20},
+        Scenario{0xB0B, 10'000, 0, 0, 20, 0},
         // Cancel-heavy: churns generations and the slot freelist.
-        Scenario{0xC0FFEE, 10'000, 1'000, 45},
-        // Long horizon, rare cancels: deep heaps.
-        Scenario{0xD15EA5E, 10'000, 1'000'000'000, 5}),
+        Scenario{0xC0FFEE, 10'000, 0, 1'000, 45, 0},
+        // Long horizon, rare cancels: most events wait in the overflow heap.
+        Scenario{0xD15EA5E, 10'000, 0, 1'000'000'000, 5, 0},
+        // Time-ordered streams mixed with out-of-order schedules, cancels
+        // and pops.
+        Scenario{0x1A7E5, 20'000, 4, 1'000, 10, 0},
+        // Spans that straddle bucket edges (one bucket, 2048 ps; FC's
+        // 9412 ps character period) and the wheel's 8.4 µs horizon, with
+        // peeks that skip cancelled fronts and schedule at a stopped clock.
+        Scenario{2'048, 10'000, 0, 2'048, 20, 10},
+        Scenario{9'412, 10'000, 4, 9'412, 20, 10},
+        Scenario{8'388'608, 10'000, 0, 8'388'608, 20, 10},
+        Scenario{16'777'216, 10'000, 4, 16'777'216, 30, 10}),
     [](const ::testing::TestParamInfo<Scenario>& param_info) {
       return "seed" + std::to_string(param_info.param.seed);
     });
@@ -213,31 +308,22 @@ std::vector<PopRecord> drain(EventQueue& queue,
   return out;
 }
 
-class SimQueueSnapshotTest : public ::testing::TestWithParam<Scenario> {};
-
-TEST_P(SimQueueSnapshotTest, RestoreReplaysIdenticalPopOrder) {
-  const Scenario scenario = GetParam();
-  std::mt19937_64 rng(scenario.seed);
-
-  // Churn the queue with the scenario's op mix (schedule/cancel/pop) so
-  // the snapshot lands on a non-trivial slot/generation/freelist state,
-  // then capture mid-scenario.
-  EventQueue queue;
-  std::vector<std::uint64_t> log;  // actions append here when fired
+/// Churns `queue` with `scenario`'s op mix (schedule/cancel/pop) so a
+/// snapshot lands on a non-trivial slot/generation/freelist state. Fired
+/// actions append their tokens to `log`. Returns the clock: the time of
+/// the last pop.
+SimTime churn(EventQueue& queue, const Scenario& scenario,
+              std::mt19937_64& rng, Timeline& timeline,
+              std::vector<std::uint64_t>& log) {
   std::vector<EventId> live;
   std::uint64_t next_token = 1;
   SimTime now = 0;
   for (int op = 0; op < scenario.ops; ++op) {
     const auto roll = static_cast<int>(rng() % 100);
     if (roll < 50 || live.empty()) {
-      const SimTime when =
-          scenario.time_span == 0 || rng() % 4 == 0
-              ? now
-              : now + static_cast<SimTime>(
-                          rng() % static_cast<std::uint64_t>(scenario.time_span));
       const std::uint64_t token = next_token++;
-      live.push_back(
-          queue.schedule(when, [token, &log] { log.push_back(token); }));
+      live.push_back(queue.schedule(timeline.draw(rng, now),
+                                    [token, &log] { log.push_back(token); }));
     } else if (roll < 50 + scenario.cancel_percent) {
       const std::size_t pick = rng() % live.size();
       queue.cancel(live[pick]);
@@ -249,6 +335,19 @@ TEST_P(SimQueueSnapshotTest, RestoreReplaysIdenticalPopOrder) {
       std::erase(live, fired.id);
     }
   }
+  return now;
+}
+
+class SimQueueSnapshotTest : public ::testing::TestWithParam<Scenario> {};
+
+TEST_P(SimQueueSnapshotTest, RestoreReplaysIdenticalPopOrder) {
+  const Scenario scenario = GetParam();
+  std::mt19937_64 rng(scenario.seed);
+  Timeline timeline(scenario);
+
+  EventQueue queue;
+  std::vector<std::uint64_t> log;  // actions append here when fired
+  churn(queue, scenario, rng, timeline, log);
   ASSERT_FALSE(queue.empty()) << "scenario must leave pending events";
 
   const EventQueue::Snapshot snap = queue.snapshot();
@@ -269,6 +368,44 @@ TEST_P(SimQueueSnapshotTest, RestoreReplaysIdenticalPopOrder) {
     EXPECT_EQ(replay, original)
         << "fork " << fork << " diverged in (when, seq, slot, gen) order";
     EXPECT_EQ(log, original_log);
+  }
+}
+
+TEST_P(SimQueueSnapshotTest, RestoreInPlaceTwiceWithPendingStreams) {
+  // A forked run restores into the queue that ran on. After the capture
+  // each timeline schedules the same events (one at the clock, three tied
+  // after everything pending), so the cursor and the seq counter must come
+  // back intact, twice from one snapshot.
+  const Scenario scenario = GetParam();
+  std::mt19937_64 rng(scenario.seed ^ 0x1ACEULL);
+  Timeline timeline(scenario);
+
+  EventQueue queue;
+  std::vector<std::uint64_t> log;
+  const SimTime now = churn(queue, scenario, rng, timeline, log);
+  ASSERT_FALSE(queue.empty()) << "scenario must leave pending events";
+  const EventQueue::Snapshot snap = queue.snapshot();
+
+  const SimTime later = timeline.latest() + 1;
+  const auto extend = [&](EventQueue& q) {
+    q.schedule(now, [&log] { log.push_back(1'000'000); });
+    for (std::uint64_t t = 1; t <= 3; ++t) {
+      q.schedule(later, [t, &log] { log.push_back(1'000'000 + t); });
+    }
+  };
+  extend(queue);
+  log.clear();
+  const auto original = drain(queue, log);
+  const auto original_log = log;
+  ASSERT_EQ(original_log.back(), 1'000'003u);
+
+  for (int fork = 0; fork < 2; ++fork) {
+    queue.restore(snap);
+    ASSERT_EQ(queue.size(), snap.live);
+    extend(queue);
+    log.clear();
+    EXPECT_EQ(drain(queue, log), original) << "fork " << fork;
+    EXPECT_EQ(log, original_log) << "fork " << fork;
   }
 }
 
@@ -316,167 +453,64 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // Cancel-heavy: the snapshot carries a churned freelist and many
         // retired generations.
-        Scenario{0xC0FFEE, 10'000, 1'000, 45},
+        Scenario{0xC0FFEE, 10'000, 0, 1'000, 45, 0},
         // Single-timestamp: restored order is pure seq tie-breaking.
-        Scenario{0xB0B, 10'000, 0, 20}),
+        Scenario{0xB0B, 10'000, 0, 0, 20, 0},
+        // Two time-ordered streams pending at the capture.
+        Scenario{0x5AFE, 4'000, 2, 600, 20, 0}),
     [](const ::testing::TestParamInfo<Scenario>& param_info) {
       return "seed" + std::to_string(param_info.param.seed);
     });
 
 // ---------------------------------------------------------------------------
-// Lanes: FIFO streams whose heads alone sit in the heap. Mixed with plain
-// schedules, cancels and pops, lane events must still fire in the
-// reference's exact (when, schedule order), since every event draws its
-// seq from the one counter.
+// Events before the cursor: the Simulator never schedules before now(), but
+// the raw queue takes any time. Events earlier than the last pop (negative
+// times included) go to the overflow heap and must still fire in (when,
+// seq) order. The cursor must stay the furthest bucket popped so far: an
+// event popped from before it must not move it, or every wheel entry would
+// sit outside [cursor, cursor + kBuckets).
 
-TEST(SimQueueLaneTest, LanesAgreeWithNaiveMultimapReference) {
-  std::mt19937_64 rng(0x1A7E5);
+TEST(SimQueueCursorTest, EventsBeforeTheCursorFireInOrder) {
+  std::mt19937_64 rng(0xBAC4);
   EventQueue queue;
   ReferenceQueue reference;
-  constexpr std::size_t kLanes = 4;
-  std::vector<EventQueue::LaneId> lanes;
-  std::vector<SimTime> lane_tail(kLanes, 0);
-  for (std::size_t l = 0; l < kLanes; ++l) lanes.push_back(queue.add_lane());
-  struct Live {
-    EventId id;
-    std::uint64_t ref_id;
-  };
-  std::vector<Live> live;  // plain events: lane events cannot be cancelled
-  std::vector<std::uint64_t> fired_log;
-  std::uint64_t next_token = 1;
+  std::vector<std::uint64_t> log;
   SimTime now = 0;
-
-  for (int op = 0; op < 20'000; ++op) {
-    const auto roll = static_cast<int>(rng() % 100);
-    const std::uint64_t token = next_token;
-    auto record = [token, &fired_log] { fired_log.push_back(token); };
-    if (roll < 45) {
-      // Lane append, at or after the lane's last append (the stream lanes
-      // exist for), ties included. One in ten lands earlier instead, which
-      // the queue must route through the heap without reordering anything.
-      const std::size_t l = rng() % kLanes;
-      SimTime when = std::max(now, lane_tail[l]) +
-                     static_cast<SimTime>(rng() % 400);
-      if (rng() % 10 == 0) {
-        when = now + static_cast<SimTime>(rng() % 400);
-      } else {
-        lane_tail[l] = when;
-      }
-      queue.schedule_lane(lanes[l], when, record);
-      reference.schedule(when, token);
-      ++next_token;
-    } else if (roll < 70 || reference.empty()) {
+  std::int64_t furthest = 0;  // bucket of the latest event popped so far
+  for (std::uint64_t token = 1; token <= 20'000; ++token) {
+    if (rng() % 2 == 0 || reference.empty()) {
+      // Anywhere from 10 µs before the last pop to 10 µs after it.
       const SimTime when =
-          rng() % 4 == 0 ? now : now + static_cast<SimTime>(rng() % 1'000);
-      live.push_back({queue.schedule(when, record),
-                      reference.schedule(when, token)});
-      ++next_token;
-    } else if (roll < 80 && !live.empty()) {
-      const std::size_t pick = rng() % live.size();
-      queue.cancel(live[pick].id);
-      reference.cancel(live[pick].ref_id);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+          now - 10'000'000 + static_cast<SimTime>(rng() % 20'000'000);
+      queue.schedule(when, [token, &log] { log.push_back(token); });
+      reference.schedule(when, token);
     } else {
-      ASSERT_EQ(queue.next_time(), reference.next_time());
       auto fired = queue.pop();
       const auto expected = reference.pop();
-      EXPECT_EQ(fired.when, expected.first);
-      now = fired.when;
+      ASSERT_EQ(fired.when, expected.first);
       fired.action();
-      ASSERT_EQ(fired_log.back(), expected.second)
-          << "front events disagree at op " << op;
-      std::erase_if(live, [&](const Live& l) { return l.id == fired.id; });
+      ASSERT_EQ(log.back(), expected.second);
+      now = fired.when;
+      furthest = std::max(furthest, now >> EventQueue::kBucketBits);
+      ASSERT_EQ(queue.snapshot().cursor, furthest) << "after token " << token;
     }
-    ASSERT_EQ(queue.size(), reference.size());
   }
-
   while (!reference.empty()) {
     auto fired = queue.pop();
     const auto expected = reference.pop();
     ASSERT_EQ(fired.when, expected.first);
     fired.action();
-    ASSERT_EQ(fired_log.back(), expected.second);
+    ASSERT_EQ(log.back(), expected.second);
   }
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(SimQueueLaneTest, RestoreReplaysNonEmptyLanesTwice) {
-  std::mt19937_64 rng(0x5AFE);
-  EventQueue queue;
-  std::vector<std::uint64_t> log;
-  const EventQueue::LaneId lane_a = queue.add_lane();
-  const EventQueue::LaneId lane_b = queue.add_lane();
-  SimTime tail_a = 0;
-  SimTime tail_b = 0;
-  SimTime now = 0;
-  std::uint64_t next_token = 1;
-  std::vector<EventId> plain;
-  for (int op = 0; op < 4'000; ++op) {
-    const std::uint64_t token = next_token++;
-    auto record = [token, &log] { log.push_back(token); };
-    switch (rng() % 5) {
-      case 0:
-        tail_a = std::max(now, tail_a) + static_cast<SimTime>(rng() % 300);
-        queue.schedule_lane(lane_a, tail_a, record);
-        break;
-      case 1:
-        tail_b = std::max(now, tail_b) + static_cast<SimTime>(rng() % 300);
-        queue.schedule_lane(lane_b, tail_b, record);
-        break;
-      case 2:
-        plain.push_back(
-            queue.schedule(now + static_cast<SimTime>(rng() % 600), record));
-        break;
-      case 3:
-        if (!plain.empty()) {
-          queue.cancel(plain[rng() % plain.size()]);
-          break;
-        }
-        [[fallthrough]];
-      default:
-        if (!queue.empty()) {
-          auto fired = queue.pop();
-          now = fired.when;
-          fired.action();
-        }
-    }
-  }
-  const EventQueue::Snapshot snap = queue.snapshot();
-  ASSERT_GE(snap.lanes.size(), 2u);
-  ASSERT_FALSE(snap.lanes[lane_a].empty());
-  ASSERT_FALSE(snap.lanes[lane_b].empty());
-
-  // After the capture each timeline appends the same events (a lane tail,
-  // a tie with it on the other lane, a plain event at the same time), so
-  // lanes must stay usable across restore with the seq counter intact.
-  const SimTime later = std::max(tail_a, tail_b) + 1;
-  const auto extend = [&](EventQueue& q) {
-    q.schedule_lane(lane_a, later, [&log] { log.push_back(1'000'001); });
-    q.schedule_lane(lane_b, later, [&log] { log.push_back(1'000'002); });
-    q.schedule(later, [&log] { log.push_back(1'000'003); });
-  };
-  extend(queue);
-  log.clear();
-  const auto original = drain(queue, log);
-  const auto original_log = log;
-  ASSERT_EQ(original_log.back(), 1'000'003u);
-
-  // Restore in place, as a forked run does, twice from one snapshot.
-  for (int fork = 0; fork < 2; ++fork) {
-    queue.restore(snap);
-    ASSERT_EQ(queue.size(), snap.live);
-    extend(queue);
-    log.clear();
-    EXPECT_EQ(drain(queue, log), original) << "fork " << fork;
-    EXPECT_EQ(log, original_log) << "fork " << fork;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Stale entries: a switch arms a far-future long timeout per packet and
-// cancels it when the packet closes. Lazy deletion alone would keep every
-// cancelled entry in the heap until its (distant) time surfaced; the queue
-// must compact so cancelled entries never outnumber live ones.
+// cancels it when the packet closes. Those land in the overflow heap, where
+// lazy deletion alone would keep every cancelled entry until its (distant)
+// time surfaced; the queue must compact so cancelled entries never
+// outnumber live ones.
 
 TEST(SimQueueCompactionTest, FarFutureCancelChurnKeepsHeapBounded) {
   constexpr SimTime kLongTimeout = 50'000'000'000;  // 50 ms in ps
@@ -496,8 +530,9 @@ TEST(SimQueueCompactionTest, FarFutureCancelChurnKeepsHeapBounded) {
     ASSERT_EQ(fired.when, now + 100);
     now = fired.when;
     fired.action();
-    // No lanes here, so every live event sits in the heap.
-    ASSERT_LE(queue.snapshot().heap.size(), 2 * queue.size())
+    // Every queued entry counts, stale ones included: the heap's timers
+    // and cancelled timeouts, and the wheel's near events.
+    ASSERT_LE(queue.snapshot().entries(), 2 * queue.size())
         << "after " << i + 1 << " cancelled timeouts";
   }
   drain(queue, log);
