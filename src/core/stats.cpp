@@ -1,56 +1,39 @@
 #include "core/stats.hpp"
 
-#include <bit>
 #include <cstdio>
 
 #include "myrinet/control.hpp"
 
 namespace hsfi::core {
 
-StreamStats::StreamStats() {
-  deframer_.on_frame([this](std::vector<std::uint8_t> frame, sim::SimTime) {
-    on_frame(frame);
-  });
-  deframer_.on_flow([this](myrinet::ControlSymbol c, sim::SimTime) {
-    if (c == myrinet::ControlSymbol::kStop) ++counters_.stops;
-    if (c == myrinet::ControlSymbol::kGo) ++counters_.gos;
-  });
-}
-
-void StreamStats::feed(link::Symbol s, sim::SimTime when) {
-  ++counters_.characters;
-  if (s.control) {
-    ++counters_.control_symbols;
-    if (myrinet::decode_control(s.data) == myrinet::ControlSymbol::kGap) {
-      ++counters_.gaps;
-    }
-  }
-  deframer_.feed(s, when);
-}
-
 void StreamStats::feed_burst(const link::Burst& burst) {
   const std::size_t n = burst.symbols.size();
-  if (!burst.has_view()) {
-    for (std::size_t i = 0; i < n; ++i) feed(burst.symbols[i], burst.arrival(i));
-    return;
-  }
   counters_.characters += n;
-  std::uint64_t ctl_count = 0;
-  for (std::size_t w = 0; w < burst.ctl.size(); ++w) {
-    std::uint64_t word = burst.ctl[w];
-    ctl_count += static_cast<std::uint64_t>(std::popcount(word));
-    while (word != 0) {
-      const auto bit = static_cast<std::size_t>(std::countr_zero(word));
-      word &= word - 1;
-      const std::size_t j = (w << 6) + bit;
-      if (myrinet::decode_control(burst.data[j]) ==
-          myrinet::ControlSymbol::kGap) {
-        ++counters_.gaps;
-      }
+  std::size_t i = 0;
+  while (i < n) {
+    const std::size_t c = link::find_next_control(burst, i);
+    if (!discarding_ && c - i > kMaxOpenFrame - frame_.size()) {
+      // Past the bound: drop the frame and skip to the next GAP.
+      frame_.clear();
+      discarding_ = true;
+      ++counters_.oversize;
     }
+    if (!discarding_) link::append_data(burst, i, c, frame_);
+    if (c == n) break;
+    ++counters_.control_symbols;
+    const auto decoded = myrinet::decode_control(burst.symbols[c].data);
+    if (decoded == myrinet::ControlSymbol::kGap) {
+      ++counters_.gaps;
+      if (!frame_.empty()) on_frame(frame_);
+      frame_.clear();
+      discarding_ = false;
+    } else if (decoded == myrinet::ControlSymbol::kStop) {
+      ++counters_.stops;
+    } else if (decoded == myrinet::ControlSymbol::kGo) {
+      ++counters_.gos;
+    }
+    i = c + 1;
   }
-  counters_.control_symbols += ctl_count;
-  deframer_.feed_burst(burst);
 }
 
 void StreamStats::on_frame(const std::vector<std::uint8_t>& frame) {
@@ -109,15 +92,17 @@ void StreamStats::on_frame(const std::vector<std::uint8_t>& frame) {
 void StreamStats::clear() {
   counters_ = Counters{};
   pairs_.clear();
-  deframer_.abort_frame();
+  frame_.clear();
+  discarding_ = false;
 }
 
 std::string StreamStats::render() const {
-  char buf[256];
+  char buf[320];
   std::string out;
   std::snprintf(buf, sizeof buf,
                 "chars=%llu ctl=%llu gaps=%llu stop=%llu go=%llu frames=%llu "
-                "(data=%llu map=%llu other=%llu crc-bad=%llu)\n",
+                "(data=%llu map=%llu other=%llu crc-bad=%llu) "
+                "oversize=%llu\n",
                 static_cast<unsigned long long>(counters_.characters),
                 static_cast<unsigned long long>(counters_.control_symbols),
                 static_cast<unsigned long long>(counters_.gaps),
@@ -127,7 +112,8 @@ std::string StreamStats::render() const {
                 static_cast<unsigned long long>(counters_.data_frames),
                 static_cast<unsigned long long>(counters_.mapping_frames),
                 static_cast<unsigned long long>(counters_.other_frames),
-                static_cast<unsigned long long>(counters_.crc_bad_frames));
+                static_cast<unsigned long long>(counters_.crc_bad_frames),
+                static_cast<unsigned long long>(counters_.oversize));
   out += buf;
   for (const auto& [key, count] : pairs_) {
     std::snprintf(buf, sizeof buf, "  dst=%s src=%s packets=%llu\n",

@@ -9,16 +9,24 @@
 // payload is long enough to carry the host stack's destination/source
 // identifiers (two 48-bit physical addresses, as in §4.3.3), counts packets
 // per (src, dst) pair. Control symbols and packet types are counted too.
+//
+// Deframing follows Fig. 8 (a GAP closes a non-empty frame; GO/STOP are
+// counted, not framed) with one monitor-only bound: a partial frame that
+// grows past kMaxOpenFrame bytes is dropped and counted as oversize, and
+// bytes are discarded until the next GAP. A stream with no GAP at all —
+// Fibre Channel traffic seen through Myrinet eyes — therefore holds at most
+// kMaxOpenFrame bytes. The bound is per symbol, so counts do not depend on
+// how the stream is split into bursts.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
-#include "link/symbol.hpp"
+#include "link/channel.hpp"
 #include "myrinet/addr.hpp"
-#include "myrinet/framing.hpp"
 #include "myrinet/packet.hpp"
 #include "sim/time.hpp"
 
@@ -37,15 +45,15 @@ class StreamStats {
     std::uint64_t mapping_frames = 0;
     std::uint64_t other_frames = 0;
     std::uint64_t crc_bad_frames = 0;
+    std::uint64_t oversize = 0;  ///< partial frames dropped past kMaxOpenFrame
   };
 
-  StreamStats();
+  /// Largest partial frame the monitor holds (bytes). Myrinet frames,
+  /// merged ones included, stay far below it.
+  static constexpr std::size_t kMaxOpenFrame = 64 * 1024;
 
-  void feed(link::Symbol s, sim::SimTime when);
-
-  /// Whole-burst feed: counters advance arithmetically (control symbols by
-  /// bitmask popcount, gaps by scanning only the control positions) and the
-  /// deframer consumes data runs in bulk. Equivalent to per-symbol feed().
+  /// Feeds a received burst: counts every symbol and deframes data runs
+  /// in bulk, control symbols one at a time.
   void feed_burst(const link::Burst& burst);
 
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
@@ -62,20 +70,25 @@ class StreamStats {
   /// Serial "STAT" readout.
   [[nodiscard]] std::string render() const;
 
-  /// Data-only snapshot state. The deframer's handlers bind `this` in the
-  /// constructor and must never be copied between instances, so the state
-  /// carries the deframer's data, not the deframer.
+  /// Bytes held in the current partial frame.
+  [[nodiscard]] std::size_t open_frame_size() const noexcept {
+    return frame_.size();
+  }
+
+  /// Snapshot state.
   struct State {
-    myrinet::Deframer::State deframer;
+    std::vector<std::uint8_t> frame;
+    bool discarding = false;
     Counters counters;
     std::map<PairKey, std::uint64_t> pairs;
   };
 
   [[nodiscard]] State capture_state() const {
-    return State{deframer_.capture_state(), counters_, pairs_};
+    return State{frame_, discarding_, counters_, pairs_};
   }
   void restore_state(const State& state) {
-    deframer_.restore_state(state.deframer);
+    frame_ = state.frame;
+    discarding_ = state.discarding;
     counters_ = state.counters;
     pairs_ = state.pairs;
   }
@@ -83,7 +96,8 @@ class StreamStats {
  private:
   void on_frame(const std::vector<std::uint8_t>& frame);
 
-  myrinet::Deframer deframer_;
+  std::vector<std::uint8_t> frame_;  ///< partial frame since the last GAP
+  bool discarding_ = false;          ///< dropping an oversize frame's tail
   Counters counters_;
   std::map<PairKey, std::uint64_t> pairs_;
 };

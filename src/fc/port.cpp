@@ -93,15 +93,9 @@ void FcPort::pump_tx() {
 }
 
 void FcPort::on_burst(const link::Burst& burst) {
-  if (!burst.has_view()) {
-    for (std::size_t i = 0; i < burst.symbols.size(); ++i) {
-      feed(burst.symbols[i], burst.arrival(i));
-    }
-    return;
-  }
-  // Batched scan over the SoA view: control symbols and partial ordered
-  // sets go through the per-symbol feed (they carry all the protocol state
-  // transitions); pure data runs inside a frame body append in bulk.
+  // Control symbols and partial ordered sets go through the per-symbol feed
+  // (they carry all the protocol state transitions); a data run between
+  // them lands in the open frame body, or counts as stray data outside one.
   const std::size_t n = burst.symbols.size();
   std::size_t i = 0;
   while (i < n) {
@@ -110,20 +104,16 @@ void FcPort::on_burst(const link::Burst& burst) {
       ++i;
       continue;
     }
-    std::size_t run_end = link::find_next_control(burst, i);
+    const std::size_t run_end = link::find_next_control(burst, i);
     if (in_frame_) {
-      // Stop the bulk append where an ordered set could begin; between
-      // control symbols every data character lands in the open body.
-      body_.insert(body_.end(), burst.data.begin() + static_cast<std::ptrdiff_t>(i),
-                   burst.data.begin() + static_cast<std::ptrdiff_t>(run_end));
-      i = run_end;
+      link::append_data(burst, i, run_end, body_);
     } else {
       for (std::size_t j = i; j < run_end; ++j) {
         ++stats_.stray_data;
         emit_event(Event::kStrayData, burst.arrival(j));
       }
-      i = run_end;
     }
+    i = run_end;
   }
 }
 

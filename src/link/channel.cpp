@@ -1,35 +1,8 @@
 #include "link/channel.hpp"
 
-#include <bit>
 #include <utility>
 
 namespace hsfi::link {
-
-void Burst::build_view() {
-  const std::size_t n = symbols.size();
-  data.resize(n);
-  ctl.assign((n + 63) / 64, 0);
-  const Symbol* s = symbols.data();
-  std::uint8_t* d = data.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    d[i] = s[i].data;
-    ctl[i >> 6] |= static_cast<std::uint64_t>(s[i].control) << (i & 63);
-  }
-}
-
-std::size_t find_next_control(const Burst& burst, std::size_t from) noexcept {
-  const std::size_t n = burst.symbols.size();
-  if (from >= n) return n;
-  std::size_t w = from >> 6;
-  // Bits above n - 1 in the last word are never set (build_view zeroes the
-  // mask first), so a hit is always a valid index.
-  std::uint64_t word = burst.ctl[w] & (~std::uint64_t{0} << (from & 63));
-  while (word == 0) {
-    if (++w == burst.ctl.size()) return n;
-    word = burst.ctl[w];
-  }
-  return (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-}
 
 Channel::Channel(sim::Simulator& simulator, std::string name,
                  sim::Duration character_period,
@@ -59,11 +32,10 @@ sim::SimTime Channel::transmit(std::span<const Symbol> symbols) {
   // Deliver when the *first* symbol's trailing edge arrives; the sink uses
   // Burst::arrival() for per-symbol times within the burst. The closure owns
   // the symbol payload by value (snapshots deep-copy pending actions, so a
-  // forked run replays the delivery from its own copy); the SoA view is
-  // derived at fire time in deliver() from channel-owned scratch, keeping
-  // the capture small enough for the Action's inline buffer. The symbol
-  // buffer goes back on the freelist as soon as on_burst returns (see the
-  // Burst lifetime contract in channel.hpp).
+  // forked run replays the delivery from its own copy); the capture stays
+  // small enough for the Action's inline buffer. The symbol buffer goes
+  // back on the freelist as soon as on_burst returns (see the Burst
+  // lifetime contract in channel.hpp).
   SymbolSink* sink = sink_;
   const sim::SimTime arrive = start + propagation_delay_;
   simulator_.schedule_at(
@@ -80,15 +52,7 @@ void Channel::deliver(SymbolSink* sink, sim::SimTime start,
   burst.start = start;
   burst.period = character_period_;
   burst.symbols = std::move(symbols);
-  // Reuse the channel's scratch so steady-state traffic builds the view
-  // without allocating. Delivery never nests (on_burst runs from the event
-  // loop and only *schedules* follow-on work), so one scratch pair is safe.
-  burst.data = std::move(view_data_);
-  burst.ctl = std::move(view_ctl_);
-  burst.build_view();
   sink->on_burst(burst);
-  view_data_ = std::move(burst.data);
-  view_ctl_ = std::move(burst.ctl);
   pool_.release(std::move(burst.symbols));
 }
 

@@ -8,6 +8,7 @@
 // DESIGN.md section 4.1).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -24,25 +25,18 @@ namespace hsfi::link {
 /// at `start + (i + 1) * period`.
 ///
 /// Lifetime: a Burst delivered to SymbolSink::on_burst — including its
-/// `symbols` storage and the SoA view — is owned by the channel and valid
-/// only until on_burst returns; the buffers are then recycled for later
-/// bursts. Sinks that need the data longer must copy it. Under
-/// AddressSanitizer the recycled `symbols` storage is poisoned, so use past
-/// the lifetime faults in CI.
+/// `symbols` storage — is owned by the channel and valid only until
+/// on_burst returns; the buffer is then recycled for later bursts. Sinks
+/// that need the data longer must copy it. Under AddressSanitizer the
+/// recycled storage is poisoned, so use past the lifetime faults in CI.
 ///
-/// Structure-of-arrays view: channels deliver bursts with `data` (the data
-/// byte of every symbol, contiguous) and `ctl` (a bitmask, bit (i % 64) of
-/// ctl[i / 64] set when symbols[i] is a control character) filled, so batch
-/// consumers can scan control positions word-at-a-time and bulk-copy data
-/// runs without re-touching Symbol structs. Hand-built bursts (tests, ad
-/// hoc producers) may omit the view — sinks check has_view() and fall back
-/// to the AoS `symbols` path, which stays authoritative either way.
+/// `symbols` is the one representation: every producer emits it, and every
+/// sink scans it with one loop that takes the data runs between control
+/// symbols run by run (see DESIGN.md, "Batched symbol path").
 struct Burst {
   sim::SimTime start = 0;      ///< arrival time of the first symbol's leading edge
   sim::Duration period = 0;    ///< character period
   std::vector<Symbol> symbols;
-  std::vector<std::uint8_t> data;   ///< SoA: data[i] == symbols[i].data
-  std::vector<std::uint64_t> ctl;   ///< SoA: control-flag bitmask words
 
   [[nodiscard]] sim::SimTime end() const noexcept {
     return start + period * static_cast<sim::Duration>(symbols.size());
@@ -51,19 +45,27 @@ struct Burst {
   [[nodiscard]] sim::SimTime arrival(std::size_t i) const noexcept {
     return start + period * static_cast<sim::Duration>(i + 1);
   }
-
-  [[nodiscard]] bool has_view() const noexcept {
-    return data.size() == symbols.size() &&
-           ctl.size() == (symbols.size() + 63) / 64;
-  }
-  /// (Re)derives the SoA view from `symbols` — for hand-built bursts.
-  void build_view();
 };
 
 /// Index of the first control symbol at or after `from`, or symbols.size()
-/// when the rest of the burst is all data. Precondition: burst.has_view().
-[[nodiscard]] std::size_t find_next_control(const Burst& burst,
-                                            std::size_t from) noexcept;
+/// when the rest of the burst is all data.
+[[nodiscard]] inline std::size_t find_next_control(const Burst& burst,
+                                                   std::size_t from) noexcept {
+  const std::size_t n = burst.symbols.size();
+  while (from < n && !burst.symbols[from].control) ++from;
+  return from < n ? from : n;
+}
+
+/// Appends the data bytes of symbols [from, to) to `out` — one resize and
+/// a plain copy, where a push_back per byte would recheck capacity each time.
+inline void append_data(const Burst& burst, std::size_t from, std::size_t to,
+                        std::vector<std::uint8_t>& out) {
+  const std::size_t at = out.size();
+  out.resize(at + (to - from));
+  const Symbol* s = burst.symbols.data();
+  std::transform(s + from, s + to, out.begin() + static_cast<std::ptrdiff_t>(at),
+                 [](Symbol symbol) { return symbol.data; });
+}
 
 /// Receiver interface for one channel direction.
 class SymbolSink {
@@ -146,8 +148,8 @@ class Channel {
   }
 
  private:
-  /// Fire-time half of transmit(): assembles the Burst (SoA view from the
-  /// channel scratch), invokes the sink, and recycles the buffers.
+  /// Fire-time half of transmit(): assembles the Burst, invokes the sink,
+  /// and recycles the symbol buffer.
   void deliver(SymbolSink* sink, sim::SimTime start,
                std::vector<Symbol>&& symbols);
 
@@ -161,8 +163,6 @@ class Channel {
   bool connected_ = true;
   SymbolSink* sink_ = nullptr;
   SymbolBufferPool pool_;
-  std::vector<std::uint8_t> view_data_;   ///< SoA scratch, reused per delivery
-  std::vector<std::uint64_t> view_ctl_;   ///< SoA scratch, reused per delivery
 };
 
 /// A full-duplex cable: two channels with shared parameters. End A transmits

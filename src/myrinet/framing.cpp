@@ -33,22 +33,13 @@ void Deframer::feed(link::Symbol symbol, sim::SimTime when) {
 
 void Deframer::feed_burst(const link::Burst& burst) {
   const std::size_t n = burst.symbols.size();
-  if (!burst.has_view()) {
-    for (std::size_t i = 0; i < n; ++i) feed(burst.symbols[i], burst.arrival(i));
-    return;
-  }
   std::size_t i = 0;
   while (i < n) {
     const std::size_t c = link::find_next_control(burst, i);
-    if (c > i) {
-      current_.insert(current_.end(),
-                      burst.data.begin() + static_cast<std::ptrdiff_t>(i),
-                      burst.data.begin() + static_cast<std::ptrdiff_t>(c));
-      i = c;
-    }
-    if (i == n) break;
-    feed(burst.symbols[i], burst.arrival(i));
-    ++i;
+    link::append_data(burst, i, c, current_);
+    if (c == n) break;
+    feed(burst.symbols[c], burst.arrival(c));
+    i = c + 1;
   }
 }
 

@@ -37,10 +37,9 @@ class Deframer {
   /// Feeds one received symbol with its arrival time.
   void feed(link::Symbol symbol, sim::SimTime when);
 
-  /// Feeds a whole burst. With the SoA view present, data runs between
-  /// control symbols are appended to the open frame with one bulk insert
-  /// per run; control symbols go through feed() with their exact arrival
-  /// times. Equivalent to feeding every symbol individually.
+  /// Feeds a whole burst: data runs between control symbols are appended
+  /// to the open frame, and control symbols go through feed() with their
+  /// exact arrival times. Equivalent to feeding every symbol individually.
   void feed_burst(const link::Burst& burst);
 
   /// Bytes accumulated in the (unterminated) current frame.

@@ -30,6 +30,10 @@ std::size_t SlackBuffer::push_run(std::span<const link::Symbol> symbols) {
   const std::size_t free =
       config_.capacity > queue_.size() ? config_.capacity - queue_.size() : 0;
   const std::size_t accepted = symbols.size() < free ? symbols.size() : free;
+  if (probe_) {
+    for (std::size_t i = 0; i < accepted; ++i) push(symbols[i]);
+    return accepted;
+  }
   if (accepted == 0) return 0;
   queue_.insert(queue_.end(), symbols.begin(),
                 symbols.begin() + static_cast<std::ptrdiff_t>(accepted));

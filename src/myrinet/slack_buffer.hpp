@@ -50,16 +50,12 @@ class SlackBuffer {
   /// Appends a symbol. Returns false (and counts a drop) on overflow.
   bool push(link::Symbol symbol);
 
-  /// Bulk append: inserts as many leading symbols as capacity allows with a
-  /// single occupancy-change evaluation, and returns how many were taken.
-  /// The caller pushes the rejected tail through push() so overflow drops
-  /// keep their per-symbol accounting. Only valid without a probe attached
-  /// (the probe samples every individual occupancy change).
+  /// Bulk append: inserts as many leading symbols as capacity allows and
+  /// returns how many were taken. The caller pushes the rejected tail
+  /// through push() so overflow drops keep their per-symbol accounting.
+  /// Without a probe the run costs one occupancy-change evaluation; with a
+  /// probe attached every push is evaluated, so the probe sees each change.
   std::size_t push_run(std::span<const link::Symbol> symbols);
-
-  [[nodiscard]] bool has_probe() const noexcept {
-    return static_cast<bool>(probe_);
-  }
 
   /// Removes the oldest symbol, or nullopt when empty.
   std::optional<link::Symbol> pop();

@@ -61,55 +61,32 @@ void Switch::send_flow(std::size_t port, ControlSymbol c) {
 void Switch::on_burst(std::size_t port, const link::Burst& burst) {
   Port& p = *ports_[port];
   const std::size_t n = burst.symbols.size();
-
-  // Batched ingress: data runs between control symbols go into the slack
-  // with one bulk insert each (the occupancy probe needs per-push samples,
-  // so its presence forces the per-symbol path).
-  if (burst.has_view() && !p.slack->has_probe()) {
-    std::size_t i = 0;
-    while (i < n) {
-      const std::size_t c = link::find_next_control(burst, i);
-      if (c > i) {
-        const std::span<const link::Symbol> run(burst.symbols.data() + i,
-                                                c - i);
-        const std::size_t accepted = p.slack->push_run(run);
-        // Rejected tail: per-symbol pushes keep exact drop accounting and
-        // per-symbol overflow event timestamps.
-        for (std::size_t j = i + accepted; j < c; ++j) {
-          if (!p.slack->push(burst.symbols[j]) && port_event_) {
-            port_event_(port, PortEvent::kSlackOverflow, burst.arrival(j));
-          }
+  // Data runs between control symbols go into the slack with one bulk
+  // insert each. Flow-control symbols received on this port steer this
+  // port's *output* gate; they never enter the forwarding path.
+  std::size_t i = 0;
+  while (i < n) {
+    const std::size_t c = link::find_next_control(burst, i);
+    if (c > i) {
+      const std::size_t accepted =
+          p.slack->push_run({burst.symbols.data() + i, c - i});
+      // Rejected tail: per-symbol pushes keep exact drop accounting and
+      // per-symbol overflow event timestamps.
+      for (std::size_t j = i + accepted; j < c; ++j) {
+        if (!p.slack->push(burst.symbols[j]) && port_event_) {
+          port_event_(port, PortEvent::kSlackOverflow, burst.arrival(j));
         }
-        i = c;
-      }
-      if (i == n) break;
-      const auto symbol = burst.symbols[i];
-      const auto decoded = decode_control(symbol.data);
-      if (decoded == ControlSymbol::kStop || decoded == ControlSymbol::kGo) {
-        p.gate->on_flow(*decoded);
-      } else if (!p.slack->push(symbol) && port_event_) {
-        port_event_(port, PortEvent::kSlackOverflow, burst.arrival(i));
-      }
-      ++i;
-    }
-    schedule_pump(port);
-    return;
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto symbol = burst.symbols[i];
-    // Flow-control symbols received on this port steer this port's *output*
-    // gate; they never enter the forwarding path.
-    if (symbol.control) {
-      const auto decoded = decode_control(symbol.data);
-      if (decoded == ControlSymbol::kStop || decoded == ControlSymbol::kGo) {
-        p.gate->on_flow(*decoded);
-        continue;
       }
     }
-    if (!p.slack->push(symbol) && port_event_) {
-      port_event_(port, PortEvent::kSlackOverflow, burst.arrival(i));
+    if (c == n) break;
+    const auto symbol = burst.symbols[c];
+    const auto decoded = decode_control(symbol.data);
+    if (decoded == ControlSymbol::kStop || decoded == ControlSymbol::kGo) {
+      p.gate->on_flow(*decoded);
+    } else if (!p.slack->push(symbol) && port_event_) {
+      port_event_(port, PortEvent::kSlackOverflow, burst.arrival(c));
     }
+    i = c + 1;
   }
   schedule_pump(port);
 }
@@ -232,40 +209,7 @@ void Switch::pump(std::size_t port) {
   batch.clear();
   std::size_t batch_out = Port::kFree;  // output the batch belongs to
 
-  // Cached wire-readiness horizon: output_ready()'s arithmetic reduces to
-  // "batch.size() <= cap" while its inputs hold still. Simulated time is
-  // frozen for the whole pump pass, so the cache only invalidates when
-  // pending_chars moves (flush), when a slack pop emits flow control (a GO
-  // on this port's reverse channel shifts the shared transmitter horizon
-  // if a port routes to itself), or when a new connection is acquired. On
-  // a cache miss or failure, output_ready() itself is the authority — it
-  // re-evaluates fresh and schedules the wake-up exactly as the
-  // per-symbol path did.
-  std::ptrdiff_t cap = -1;
-  bool cap_valid = false;
-  const auto recompute_cap = [&](const Port& o) {
-    const auto ahead =
-        config_.character_period *
-        static_cast<sim::Duration>(config_.max_tx_ahead_chars);
-    const sim::SimTime now = simulator_.now();
-    const sim::SimTime channel_free = o.tx->transmitter_free_at();
-    const sim::SimTime base = channel_free > now ? channel_free : now;
-    const sim::Duration headroom = now + ahead - base;
-    cap = headroom < 0
-              ? std::ptrdiff_t{-1}
-              : static_cast<std::ptrdiff_t>(headroom /
-                                            config_.character_period) -
-                    static_cast<std::ptrdiff_t>(o.pending_chars);
-    cap_valid = true;
-  };
-  const auto pop_slack = [&] {
-    const bool was_stopping = p.slack->stopping();
-    p.slack->pop();
-    if (p.slack->stopping() != was_stopping) cap_valid = false;
-  };
-
   const auto flush = [&] {
-    cap_valid = false;
     if (batch.empty() || batch_out == Port::kFree) return;
     Port& o = *ports_[batch_out];
     if (o.tx != nullptr) {
@@ -290,7 +234,7 @@ void Switch::pump(std::size_t port) {
     switch (p.state) {
       case InState::kIdle: {
         if (front->control) {
-          pop_slack();  // GAP/IDLE/noise between packets: transparent
+          p.slack->pop();  // GAP/IDLE/noise between packets: transparent
           break;
         }
         const std::uint8_t head = front->data;
@@ -300,12 +244,12 @@ void Switch::pump(std::size_t port) {
           if (port_event_) {
             port_event_(port, PortEvent::kInvalidRoute, simulator_.now());
           }
-          pop_slack();
+          p.slack->pop();
           p.state = InState::kConsuming;
           break;
         }
         if (!acquire_output(out, port)) return;  // blocked: destination busy
-        pop_slack();
+        p.slack->pop();
         p.state = InState::kConnected;
         p.out_port = out;
         p.crc_in.reset();
@@ -313,24 +257,18 @@ void Switch::pump(std::size_t port) {
         p.crc_out.reset();
         p.held.reset();
         batch_out = out;
-        cap_valid = false;
         arm_long_timeout(port);
         break;
       }
       case InState::kConnected: {
-        Port& o = *ports_[p.out_port];
-        if (!cap_valid || static_cast<std::ptrdiff_t>(batch.size()) > cap ||
-            !o.gate->open()) {
-          if (!output_ready(p.out_port, port, batch.size())) {
-            flush();
-            return;  // blocked: STOP from downstream or wire backlog
-          }
-          recompute_cap(o);
+        if (!output_ready(p.out_port, port, batch.size())) {
+          flush();
+          return;  // blocked: STOP from downstream or wire backlog
         }
         batch_out = p.out_port;
         if (!front->control) {
           const std::uint8_t b = front->data;
-          pop_slack();
+          p.slack->pop();
           if (p.held) {
             batch.push_back(link::data_symbol(*p.held));
             p.crc_in.update(*p.held);
@@ -340,7 +278,7 @@ void Switch::pump(std::size_t port) {
           break;
         }
         const auto decoded = decode_control(front->data);
-        pop_slack();
+        p.slack->pop();
         if (decoded == ControlSymbol::kGap) {
           // End of packet: the held byte is the incoming CRC; rewrite it
           // syndrome-preservingly for the shortened packet.
@@ -361,7 +299,7 @@ void Switch::pump(std::size_t port) {
         const bool is_gap =
             front->control &&
             decode_control(front->data) == ControlSymbol::kGap;
-        pop_slack();
+        p.slack->pop();
         if (is_gap) {
           ++p.stats.packets_consumed;
           p.state = InState::kIdle;

@@ -8,9 +8,9 @@
 // output with identical Stats and compare-register state.
 //
 // Also pinned: the fixed-capacity ring honors Params::fifo_capacity at its
-// tightest legal setting, the Burst SoA view matches its AoS source, and
-// the FcSerdes reusable-buffer overloads reproduce the allocating ones
-// while actually reusing storage.
+// tightest legal setting, find_next_control stops at every control symbol
+// (including across 64-symbol boundaries), and the FcSerdes reusable-buffer
+// overloads reproduce the allocating ones while actually reusing storage.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -287,34 +287,14 @@ TEST(FifoRingTest, OccupancySurvivesWrapAround) {
 }
 
 // ---------------------------------------------------------------------------
-// Burst SoA view.
+// Burst control scan.
 
-TEST(BurstViewTest, BuildViewMatchesSymbols) {
-  link::Burst burst;
-  std::mt19937 rng(7);
-  for (int i = 0; i < 300; ++i) {
-    burst.symbols.push_back(Symbol{static_cast<std::uint8_t>(rng() & 0xFF),
-                                   (rng() & 7) == 0});
-  }
-  EXPECT_FALSE(burst.has_view());
-  burst.build_view();
-  ASSERT_TRUE(burst.has_view());
-  ASSERT_EQ(burst.data.size(), burst.symbols.size());
-  ASSERT_EQ(burst.ctl.size(), (burst.symbols.size() + 63) / 64);
-  for (std::size_t i = 0; i < burst.symbols.size(); ++i) {
-    EXPECT_EQ(burst.data[i], burst.symbols[i].data);
-    EXPECT_EQ((burst.ctl[i / 64] >> (i % 64)) & 1u,
-              burst.symbols[i].control ? 1u : 0u);
-  }
-}
-
-TEST(BurstViewTest, FindNextControlScansWordAtATime) {
+TEST(BurstTest, FindNextControlStopsAtEachControlSymbol) {
   link::Burst burst;
   for (int i = 0; i < 200; ++i) {
     burst.symbols.push_back(Symbol{0x42, i == 0 || i == 63 || i == 64 ||
                                              i == 130 || i == 199});
   }
-  burst.build_view();
   EXPECT_EQ(link::find_next_control(burst, 0), 0u);
   EXPECT_EQ(link::find_next_control(burst, 1), 63u);
   EXPECT_EQ(link::find_next_control(burst, 64), 64u);
@@ -324,7 +304,6 @@ TEST(BurstViewTest, FindNextControlScansWordAtATime) {
 
   link::Burst all_data;
   all_data.symbols.assign(100, Symbol{0x11, false});
-  all_data.build_view();
   EXPECT_EQ(link::find_next_control(all_data, 0), 100u);
 }
 

@@ -4,10 +4,14 @@
 // serdes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <random>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "burst_split.hpp"
 #include "fc/crc32.hpp"
 #include "fc/enc8b10b.hpp"
 #include "fc/frame.hpp"
@@ -290,6 +294,111 @@ TEST(FcPortTest, FullDuplexTrafficIndependent) {
   net.sim.run();
   EXPECT_EQ(net.at_b.size(), 10u);
   EXPECT_EQ(net.at_a.size(), 10u);
+}
+
+/// Everything a receiving port reports for one stream: delivered frames
+/// (re-serialized, so delimiters and CRC compare too) and their delivery
+/// times, timestamped events, and the final stats.
+struct FcRxLog {
+  std::vector<std::pair<std::vector<link::Symbol>, sim::SimTime>> frames;
+  std::vector<std::pair<FcPort::Event, sim::SimTime>> events;
+  std::vector<std::uint64_t> stats;
+  bool operator==(const FcRxLog&) const = default;
+};
+
+/// Feeds `stream` to a fresh receive-only port in consecutive bursts of the
+/// sizes `next_size()` returns, all before the simulator runs (so delivery
+/// times cannot depend on the split), then drains it.
+template <typename NextSize>
+FcRxLog receive_in_bursts(const std::vector<link::Symbol>& stream,
+                          NextSize next_size) {
+  constexpr sim::Duration kPeriod = sim::picoseconds(9'412);
+  sim::Simulator simulator;
+  FcPort::Config config;
+  config.rx_buffers = 6;
+  FcPort port(simulator, "rx", config);
+  FcRxLog log;
+  port.on_frame([&log](FcFrame f, sim::SimTime when) {
+    log.frames.emplace_back(frame_to_symbols(f), when);
+  });
+  port.on_event([&log](FcPort::Event e, sim::SimTime when) {
+    log.events.emplace_back(e, when);
+  });
+  testutil::split_into_bursts(
+      stream, kPeriod, next_size,
+      [&port](const link::Burst& burst) { port.on_burst(burst); });
+  simulator.run();
+  const auto& st = port.stats();
+  log.stats = {st.frames_sent,       st.frames_received,
+               st.crc_errors,        st.rrdy_sent,
+               st.rrdy_received,     st.credit_stall_events,
+               st.credit_recoveries, st.rx_overflows,
+               st.malformed_sets,    st.stray_data,
+               st.tx_queue_drops};
+  return log;
+}
+
+TEST(FcPortTest, BurstSplitsDoNotChangeFramesEventsOrStats) {
+  // Good and CRC-corrupted frames, R_RDYs and IDLEs, K28.5 sets that parse
+  // to nothing, truncated frames and stray data, received as one burst, as
+  // one-symbol bursts and in random splits.
+  std::mt19937 rng(5);
+  std::vector<link::Symbol> stream;
+  const auto append = [&stream](const auto& more) {
+    stream.insert(stream.end(), more.begin(), more.end());
+  };
+  for (int k = 0; k < 120; ++k) {
+    switch (rng() % 6) {
+      case 0:
+      case 1:
+        append(frame_to_symbols(
+            FcPair::frame(static_cast<std::uint8_t>(k), 1 + rng() % 300)));
+        for (std::size_t n = rng() % 3; n > 0; --n) {  // stray after EOF
+          stream.push_back(link::data_symbol(static_cast<std::uint8_t>(rng())));
+        }
+        break;
+      case 2: {
+        auto symbols = frame_to_symbols(FcPair::frame(7, 40));
+        symbols[4 + rng() % 60].data ^= 0x04;  // body byte: CRC error
+        append(symbols);
+        break;
+      }
+      case 3:
+        append(ordered_set_symbol_array(rng() % 2 == 0 ? OrderedSet::kRRdy
+                                                       : OrderedSet::kIdle));
+        break;
+      case 4: {
+        auto set = ordered_set_symbol_array(OrderedSet::kEofT);
+        set[1] = link::data_symbol(static_cast<std::uint8_t>(rng()));
+        append(set);  // K28.5-led set that parses to nothing
+        break;
+      }
+      default: {
+        auto symbols = frame_to_symbols(FcPair::frame(9, 100));
+        symbols.resize(4 + rng() % 100);  // truncated: no EOF
+        append(symbols);
+        for (std::size_t n = rng() % 20; n > 0; --n) {
+          stream.push_back(link::data_symbol(static_cast<std::uint8_t>(rng())));
+        }
+        break;
+      }
+    }
+  }
+  const auto whole = receive_in_bursts(stream, [&stream] { return stream.size(); });
+  const auto singles = receive_in_bursts(stream, [] { return std::size_t{1}; });
+  const auto random = receive_in_bursts(stream, [&rng] { return 1 + rng() % 90; });
+  EXPECT_EQ(singles, whole);
+  EXPECT_EQ(random, whole);
+  // The stream reaches every receive path the comparison covers.
+  EXPECT_GT(whole.frames.size(), 0u);
+  const auto seen = [&whole](FcPort::Event e) {
+    return std::count_if(whole.events.begin(), whole.events.end(),
+                         [e](const auto& ev) { return ev.first == e; });
+  };
+  EXPECT_GT(seen(FcPort::Event::kCrcError), 0);
+  EXPECT_GT(seen(FcPort::Event::kMalformedSet), 0);
+  EXPECT_GT(seen(FcPort::Event::kStrayData), 0);
+  EXPECT_GT(seen(FcPort::Event::kRxOverflow), 0);
 }
 
 // ------------------------------------------------------------- serdes

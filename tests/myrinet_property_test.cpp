@@ -1,11 +1,17 @@
 // Property-based tests for the Myrinet substrate: packet/framing round
 // trips over a size sweep, CRC hop-rewrite algebra under random corruption,
-// exhaustive control-code decoding, slack-buffer invariants, and deframer
-// robustness against random noise.
+// exhaustive control-code decoding, slack-buffer invariants (bulk and
+// per-symbol pushes alike), and deframer robustness against random noise
+// however the stream is split into bursts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <utility>
 #include <vector>
 
+#include "burst_split.hpp"
+#include "link/channel.hpp"
 #include "myrinet/control.hpp"
 #include "myrinet/crc8.hpp"
 #include "myrinet/framing.hpp"
@@ -190,6 +196,76 @@ TEST_P(SlackSweep, FifoOrderPreserved) {
   EXPECT_EQ(in, out);
 }
 
+/// One slack buffer with a probe and a flow sink that record everything it
+/// reports, on its own simulator.
+struct ProbedSlack {
+  struct Sample {
+    sim::SimTime when;
+    std::size_t occupancy;
+    std::optional<ControlSymbol> emitted;
+    bool operator==(const Sample&) const = default;
+  };
+
+  sim::Simulator simulator;
+  std::vector<Sample> samples;
+  std::vector<ControlSymbol> flow;
+  SlackBuffer slack;
+
+  explicit ProbedSlack(SlackBuffer::Config config)
+      : slack(simulator, config,
+              [this](ControlSymbol c) { flow.push_back(c); }) {
+    slack.set_probe([this](sim::SimTime when, std::size_t occupancy,
+                           std::optional<ControlSymbol> emitted) {
+      samples.push_back({when, occupancy, emitted});
+    });
+  }
+};
+
+TEST_P(SlackSweep, PushRunWithProbeMatchesPerSymbolPush) {
+  // With a probe attached, push_run() must look exactly like one push() per
+  // symbol: the same samples, STOP/GO emissions (refreshes included) and
+  // drops, across the high watermark and into overflow.
+  SlackBuffer::Config cfg;
+  cfg.capacity = 64;
+  cfg.high_watermark = 40;
+  cfg.low_watermark = 8;
+  ProbedSlack run(cfg);
+  ProbedSlack each(cfg);
+  sim::Rng rng(static_cast<std::uint64_t>(GetParam()) + 200);
+  sim::SimTime now = 0;
+  for (int step = 0; step < 400; ++step) {
+    now += sim::nanoseconds(rng.below(300));
+    run.simulator.run_until(now);
+    each.simulator.run_until(now);
+    if (rng.chance(0.6)) {
+      std::vector<link::Symbol> symbols(1 + rng.below(48));
+      for (auto& s : symbols) {
+        s = link::data_symbol(static_cast<std::uint8_t>(rng.next_u32()));
+      }
+      const std::size_t accepted = run.slack.push_run(symbols);
+      for (std::size_t j = accepted; j < symbols.size(); ++j) {
+        EXPECT_FALSE(run.slack.push(symbols[j]));
+      }
+      for (const auto s : symbols) each.slack.push(s);
+    } else {
+      for (std::uint32_t k = rng.below(40); k > 0; --k) {
+        (void)run.slack.pop();
+        (void)each.slack.pop();
+      }
+    }
+    ASSERT_EQ(run.slack.size(), each.slack.size());
+  }
+  EXPECT_EQ(run.samples, each.samples);
+  EXPECT_EQ(run.flow, each.flow);
+  EXPECT_EQ(run.slack.overflow_drops(), each.slack.overflow_drops());
+  // The schedule crosses both watermarks and overflows.
+  EXPECT_GT(run.slack.overflow_drops(), 0u);
+  EXPECT_GT(std::count(run.flow.begin(), run.flow.end(), ControlSymbol::kStop),
+            0);
+  EXPECT_GT(std::count(run.flow.begin(), run.flow.end(), ControlSymbol::kGo),
+            0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SlackSweep, ::testing::Range(1, 9));
 
 // ------------------------------------------------ deframer fuzz
@@ -219,6 +295,59 @@ TEST_P(DeframerFuzz, RandomSymbolStreamsNeverWedgeAccounting) {
   EXPECT_EQ(fed_data, frame_bytes + d.open_frame_size());
   EXPECT_EQ(frames, d.frames_emitted());
   EXPECT_GT(flow, 0u);
+}
+
+/// Everything a deframer reports for one stream.
+struct DeframerLog {
+  std::vector<std::pair<std::vector<std::uint8_t>, sim::SimTime>> frames;
+  std::vector<std::pair<ControlSymbol, sim::SimTime>> flow;
+  std::uint64_t frames_emitted = 0;
+  std::uint64_t ignored = 0;
+  std::size_t open = 0;
+  bool operator==(const DeframerLog&) const = default;
+};
+
+/// Feeds `stream` to a fresh deframer in consecutive bursts of the sizes
+/// `next_size()` returns.
+template <typename NextSize>
+DeframerLog deframe_in_bursts(const std::vector<link::Symbol>& stream,
+                              NextSize next_size) {
+  constexpr sim::Duration kPeriod = sim::picoseconds(12'500);
+  Deframer d;
+  DeframerLog log;
+  d.on_frame([&log](std::vector<std::uint8_t> f, sim::SimTime when) {
+    log.frames.emplace_back(std::move(f), when);
+  });
+  d.on_flow([&log](ControlSymbol c, sim::SimTime when) {
+    log.flow.emplace_back(c, when);
+  });
+  testutil::split_into_bursts(
+      stream, kPeriod, next_size,
+      [&d](const link::Burst& burst) { d.feed_burst(burst); });
+  log.frames_emitted = d.frames_emitted();
+  log.ignored = d.ignored_control_codes();
+  log.open = d.open_frame_size();
+  return log;
+}
+
+TEST_P(DeframerFuzz, BurstSplitsDoNotChangeFramesFlowOrCounters) {
+  sim::Rng rng(static_cast<std::uint64_t>(GetParam()) + 59);
+  std::vector<link::Symbol> stream;
+  for (int i = 0; i < 20000; ++i) {
+    // Long data runs between control symbols, like framed traffic.
+    const bool control = rng.chance(0.08);
+    stream.push_back(link::Symbol{
+        static_cast<std::uint8_t>(rng.next_u32() & 0x1F), control});
+  }
+  const auto whole = deframe_in_bursts(stream, [&stream] { return stream.size(); });
+  const auto singles = deframe_in_bursts(stream, [] { return std::size_t{1}; });
+  const auto random =
+      deframe_in_bursts(stream, [&rng] { return 1 + rng.below(150); });
+  EXPECT_EQ(singles, whole);
+  EXPECT_EQ(random, whole);
+  EXPECT_GT(whole.frames.size(), 0u);
+  EXPECT_GT(whole.flow.size(), 0u);
+  EXPECT_GT(whole.ignored, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeframerFuzz, ::testing::Range(1, 7));
