@@ -86,9 +86,9 @@ BenchResult run_once(std::size_t cell_count, double tolerance) {
         sim::to_microseconds(run.campaign.workload.udp_interval);
     nftape::CampaignResult r;
     r.name = name;
-    r.injections = 40;
+    r.counters.injections = 40;
     r.events_executed = 1000;
-    r.messages_sent = r.messages_received = 100;
+    r.counters.messages_sent = r.counters.messages_received = 100;
     if (interval_us <= kThresholds[cell]) {
       r.manifestations[analysis::Manifestation::kCrcDropped] = 30;
       r.manifestations[analysis::Manifestation::kMasked] = 10;

@@ -100,7 +100,8 @@ int main() {
     const auto r = runner.run(spec);
 
     std::vector<std::string> cells = {
-        row.name, nftape::cell("%llu", (unsigned long long)r.injections)};
+        row.name,
+        nftape::cell("%llu", (unsigned long long)r.counters.injections)};
     for (const auto m : analysis::all_manifestations()) {
       cells.push_back(
           nftape::cell("%llu", (unsigned long long)r.manifestations[m]));
@@ -109,10 +110,10 @@ int main() {
         nftape::cell("%llu", (unsigned long long)r.secondary_effects));
     report.add_row(cells);
 
-    if (r.manifestations.total() != r.injections) {
+    if (r.manifestations.total() != r.counters.injections) {
       std::printf("BUG: %s breakdown sums to %llu, injections %llu\n",
                   row.name, (unsigned long long)r.manifestations.total(),
-                  (unsigned long long)r.injections);
+                  (unsigned long long)r.counters.injections);
       return 1;
     }
   }

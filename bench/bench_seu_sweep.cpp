@@ -71,18 +71,19 @@ int main() {
     // corrupted payload handed to the application. The checksum layers
     // make these effectively impossible; anything not accounted to a
     // detector below is ordinary loss, not dirt, but we report the bound.
-    const std::uint64_t detected = r.link_crc_errors + r.udp_checksum_drops +
-                                   r.marker_errors + r.unknown_type_drops;
+    const auto& c = r.counters;
+    const std::uint64_t detected = c.crc_errors + c.checksum_drops +
+                                   c.marker_errors + c.unknown_type;
     report.add_row({nftape::cell("0x%04X", points[i].mask), points[i].rate,
-                    nftape::cell("%llu", (unsigned long long)r.injections),
-                    nftape::cell("%llu", (unsigned long long)r.messages_sent),
-                    nftape::cell("%llu", (unsigned long long)r.messages_received),
+                    nftape::cell("%llu", (unsigned long long)c.injections),
+                    nftape::cell("%llu", (unsigned long long)c.messages_sent),
+                    nftape::cell("%llu", (unsigned long long)c.messages_received),
                     nftape::cell("%.2f%%", 100.0 * r.loss_rate()),
-                    nftape::cell("%llu", (unsigned long long)r.link_crc_errors),
-                    detected >= r.injections
+                    nftape::cell("%llu", (unsigned long long)c.crc_errors),
+                    detected >= c.injections
                         ? "0 (all detected)"
                         : nftape::cell("<= %llu",
-                                       (unsigned long long)(r.injections -
+                                       (unsigned long long)(c.injections -
                                                             detected))});
   }
   report.add_note("all faults observed were passive (paper 4.4): \"Data "

@@ -84,9 +84,10 @@ void run_table(GateSemantics semantics, nftape::Report& report) {
 
   std::printf("running baseline...\n");
   const auto baseline = runner.run(make_spec("baseline"));
+  const auto& base = baseline.counters;
   report.add_row({"(none)", "(none)",
-                  nftape::cell("%llu", (unsigned long long)baseline.messages_sent),
-                  nftape::cell("%llu", (unsigned long long)baseline.messages_received),
+                  nftape::cell("%llu", (unsigned long long)base.messages_sent),
+                  nftape::cell("%llu", (unsigned long long)base.messages_received),
                   nftape::cell("%.1f%%", 100.0 * baseline.loss_rate()), "-", "-"});
 
   for (const auto& row : kPaper) {
@@ -106,18 +107,19 @@ void run_table(GateSemantics semantics, nftape::Report& report) {
         dominant = what;
       }
     };
-    consider(r.udp_checksum_drops, "merged frames (UDP length/checksum)");
-    consider(r.link_crc_errors, "slack overflow -> CRC-8");
-    consider(r.unroutable_drops / 10, "mapping damage (unroutable)");
-    consider(r.nic_tx_drops, "sender stalls (tx queue)");
+    const auto& c = r.counters;
+    consider(c.checksum_drops, "merged frames (UDP length/checksum)");
+    consider(c.crc_errors, "slack overflow -> CRC-8");
+    consider(c.unroutable / 10, "mapping damage (unroutable)");
+    consider(c.tx_drops, "sender stalls (tx queue)");
 
     const double paper_loss =
         100.0 * (1.0 - static_cast<double>(row.received) /
                            static_cast<double>(row.sent));
     report.add_row({std::string(to_string(row.mask)),
                     std::string(to_string(row.replacement)),
-                    nftape::cell("%llu", (unsigned long long)r.messages_sent),
-                    nftape::cell("%llu", (unsigned long long)r.messages_received),
+                    nftape::cell("%llu", (unsigned long long)c.messages_sent),
+                    nftape::cell("%llu", (unsigned long long)c.messages_received),
                     nftape::cell("%.1f%%", 100.0 * r.loss_rate()),
                     nftape::cell("%.0f%%", paper_loss), dominant});
   }

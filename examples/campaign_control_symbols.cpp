@@ -46,10 +46,11 @@ int main() {
     spec.workload.udp_interval = sim::microseconds(150);
     std::printf("running %s ...\n", spec.name.c_str());
     const auto r = runner.run(spec);
+    const auto& c = r.counters;
     report.add_row({std::string(to_string(row.from)),
                     std::string(to_string(row.to)),
-                    nftape::cell("%llu", (unsigned long long)r.messages_sent),
-                    nftape::cell("%llu", (unsigned long long)r.messages_received),
+                    nftape::cell("%llu", (unsigned long long)c.messages_sent),
+                    nftape::cell("%llu", (unsigned long long)c.messages_received),
                     nftape::cell("%.0f%%", 100.0 * r.loss_rate())});
   }
   report.add_note("every node floods UDP; injector corrupts both directions "

@@ -47,9 +47,9 @@ nftape::CampaignResult run_on(nftape::Medium medium,
 void report(const char* banner, const nftape::CampaignResult& r) {
   std::printf("=== %s ===\n", banner);
   std::printf("sent=%llu received=%llu loss=%.1f%% injections=%llu\n",
-              (unsigned long long)r.messages_sent,
-              (unsigned long long)r.messages_received, 100.0 * r.loss_rate(),
-              (unsigned long long)r.injections);
+              (unsigned long long)r.counters.messages_sent,
+              (unsigned long long)r.counters.messages_received,
+              100.0 * r.loss_rate(), (unsigned long long)r.counters.injections);
   std::printf("manifestations:");
   for (const auto m : analysis::all_manifestations()) {
     if (r.manifestations[m] == 0) continue;
@@ -59,8 +59,8 @@ void report(const char* banner, const nftape::CampaignResult& r) {
   std::printf("\n");
   if (r.medium == nftape::Medium::kFc) {
     std::printf("credit stalls=%llu sequence aborts=%llu\n",
-                (unsigned long long)r.fc_credit_stalls,
-                (unsigned long long)r.fc_sequences_aborted);
+                (unsigned long long)r.counters.credit_stalls,
+                (unsigned long long)r.counters.sequences_aborted);
     std::printf("(a corrupted frame is dropped by CRC-32 before a receive "
                 "buffer frees, so\n its R_RDY never returns: BB credit leaks "
                 "until the recovery timeout —\n a failure mode specific to "

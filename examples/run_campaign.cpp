@@ -131,19 +131,19 @@ int main(int argc, char** argv) {
   const auto row = [&report](const char* k, std::uint64_t v) {
     report.add_row({k, nftape::cell("%llu", (unsigned long long)v)});
   };
-  row("messages sent", r.messages_sent);
-  row("messages received", r.messages_received);
+  row("messages sent", r.counters.messages_sent);
+  row("messages received", r.counters.messages_received);
   report.add_row({"loss", nftape::cell("%.2f%%", 100.0 * r.loss_rate())});
-  row("injections", r.injections);
-  row("link CRC-8 drops", r.link_crc_errors);
-  row("UDP checksum/length drops", r.udp_checksum_drops);
-  row("marker errors", r.marker_errors);
-  row("unknown-type drops", r.unknown_type_drops);
-  row("unroutable (mapping damage)", r.unroutable_drops);
-  row("rx ring overflows", r.ring_overflows);
-  row("tx queue drops", r.nic_tx_drops);
-  row("switch slack overflow", r.slack_overflow);
-  row("switch long timeouts", r.long_timeouts);
+  row("injections", r.counters.injections);
+  row("link CRC-8 drops", r.counters.crc_errors);
+  row("UDP checksum/length drops", r.counters.checksum_drops);
+  row("marker errors", r.counters.marker_errors);
+  row("unknown-type drops", r.counters.unknown_type);
+  row("unroutable (mapping damage)", r.counters.unroutable);
+  row("rx ring overflows", r.counters.ring_overflows);
+  row("tx queue drops", r.counters.tx_drops);
+  row("switch slack overflow", r.counters.slack_overflow);
+  row("switch long timeouts", r.counters.long_timeouts);
   std::printf("\n%s", report.render().c_str());
   return 0;
 }

@@ -84,7 +84,7 @@ void usage(std::FILE* to = stdout) {
       "                   with --monitor: also re-render the table at most\n"
       "                   every N ms while the campaign runs (default: final\n"
       "                   table only)\n"
-      "  --early-cancel   with a strategy: live mode — the streaming feed\n"
+      "  --early-cancel   with a strategy: live mode — the controller\n"
       "                   cancels a cell's remaining runs in a round once\n"
       "                   the strategy declares them redundant (records\n"
       "                   become outcome=skipped, so the JSONL is neither\n"

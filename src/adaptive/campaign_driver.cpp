@@ -16,8 +16,6 @@
 
 #include "adaptive/controller.hpp"
 #include "adaptive/strategy.hpp"
-#include "monitor/feed.hpp"
-#include "monitor/jsonl_reader.hpp"
 #include "monitor/service.hpp"
 #include "nftape/report.hpp"
 #include "orchestrator/jsonl.hpp"
@@ -303,38 +301,65 @@ Executed run_static(const CampaignFile& file, const CampaignOptions& o,
 
 /// Per target, per round: the durable records a resume feeds back to
 /// Controller::run instead of executing them again.
-using Replay = std::vector<std::vector<ReplayRecord>>;
+using Replay = std::vector<std::vector<RunRecord>>;
 
 /// Reads back the JSONL prefix a round checkpoint vouches for, with the
 /// strict record reader, grouped by target and round (emission is
-/// target-major, then round-major).
+/// target-major, then round-major). The sidecar's byte count must fit the
+/// file, a record's round must lie below its target's checkpointed round
+/// count and never step back, and the round count itself must respect the
+/// spec's max_rounds. Anything else is a tampered or foreign file, refused
+/// before any round is replayed.
 std::vector<Replay> read_replays(const std::string& data_file,
-                                 const orchestrator::RoundCheckpoint& ckpt) {
-  std::ifstream data(data_file, std::ios::binary);
+                                 const orchestrator::RoundCheckpoint& ckpt,
+                                 std::uint32_t max_rounds) {
+  const std::string sidecar = orchestrator::checkpoint_path(data_file);
+  const auto shorter = [&] {
+    return std::runtime_error(data_file +
+                              " is missing or shorter than its checkpoint (" +
+                              std::to_string(ckpt.bytes) + " bytes)");
+  };
+  // The sidecar's byte count sizes the read: check it against the file
+  // before allocating for it.
+  std::ifstream data(data_file, std::ios::binary | std::ios::ate);
+  if (!data || static_cast<std::uint64_t>(data.tellg()) < ckpt.bytes) {
+    throw shorter();
+  }
   std::string prefix(ckpt.bytes, '\0');
-  if (!data.read(prefix.data(), static_cast<std::streamsize>(ckpt.bytes))) {
-    throw std::runtime_error(data_file +
-                             " is missing or shorter than its checkpoint (" +
-                             std::to_string(ckpt.bytes) + " bytes)");
+  if (!data.seekg(0).read(prefix.data(),
+                          static_cast<std::streamsize>(ckpt.bytes))) {
+    throw shorter();
   }
   std::istringstream lines(prefix);
   std::string line;
   std::vector<Replay> replays(ckpt.targets.size());
   for (std::size_t ti = 0; ti < ckpt.targets.size(); ++ti) {
+    const std::uint64_t rounds = ckpt.targets[ti].rounds;
+    if (rounds > max_rounds) {
+      throw std::runtime_error(
+          sidecar + ": target " + std::to_string(ti) + " claims " +
+          std::to_string(rounds) + " rounds but the spec allows " +
+          std::to_string(max_rounds));
+    }
+    Replay& replay = replays[ti];
     for (std::uint64_t n = 0; n < ckpt.targets[ti].records; ++n) {
       if (!std::getline(lines, line)) {
         throw std::runtime_error(data_file +
                                  " has fewer records than its checkpoint");
       }
-      const auto rec = monitor::parse_record(line);
+      const auto rec = orchestrator::parse_jsonl(line);
       if (!rec) {
         throw std::runtime_error("unparseable record in " + data_file + ": " +
                                  line);
       }
-      Replay& rounds = replays[ti];
-      if (rec->round >= rounds.size()) rounds.resize(rec->round + 1);
-      rounds[rec->round].push_back({rec->name, rec->ok(), rec->injections,
-                                    rec->duplicates, rec->manifestations});
+      if (rec->round >= rounds || rec->round + 1 < replay.size()) {
+        throw std::runtime_error(
+            "record out of round order in " + data_file + " (round " +
+            std::to_string(rec->round) + ", target " + std::to_string(ti) +
+            " has " + std::to_string(rounds) + " durable rounds): " + line);
+      }
+      replay.resize(rec->round + 1);
+      replay[rec->round].push_back(std::move(*rec));
     }
   }
   return replays;
@@ -346,8 +371,7 @@ std::vector<Replay> read_replays(const std::string& data_file,
 /// rounds through the strategy, which re-derives and verifies each one
 /// before new rounds execute.
 Executed run_steered(const CampaignFile& file, const CampaignOptions& o,
-                     const orchestrator::RunnerConfig& rc,
-                     monitor::MonitorService& service, bool durable,
+                     const orchestrator::RunnerConfig& rc, bool durable,
                      JsonlOut& out) {
   const orchestrator::StrategySpec& strat = *file.strategy;
   const std::string sidecar = orchestrator::checkpoint_path(o.out_path);
@@ -359,7 +383,7 @@ Executed run_steered(const CampaignFile& file, const CampaignOptions& o,
     if (auto existing = orchestrator::read_round_checkpoint(
             sidecar, file.digest, file.targets.size())) {
       ckpt = std::move(*existing);
-      replays = read_replays(o.out_path, ckpt);
+      replays = read_replays(o.out_path, ckpt, strat.max_rounds);
       std::fprintf(stderr, "resuming %s: %llu durable bytes restored\n",
                    o.out_path.c_str(), (unsigned long long)ckpt.bytes);
     }
@@ -374,10 +398,6 @@ Executed run_steered(const CampaignFile& file, const CampaignOptions& o,
     orchestrator::write_round_checkpoint(sidecar, ckpt);
   };
 
-  // --monitor attaches the service behind the feed; --early-cancel alone
-  // still needs the feed (live mode), just without the table. Without
-  // --early-cancel the feed only observes: the records stay byte-identical.
-  monitor::StreamingFeed feed(o.monitor ? &service : nullptr);
   Executed done;
   std::size_t index_base = 0;
   std::uint64_t rounds_run = 0;  // across targets, for crash_after
@@ -400,10 +420,7 @@ Executed run_steered(const CampaignFile& file, const CampaignOptions& o,
       }
     };
     cc.on_record = [&](const RunRecord& r) { out.add(r); };
-    if (o.monitor || o.early_cancel) {
-      cc.feed = &feed;
-      cc.early_cancel = o.early_cancel;
-    }
+    cc.early_cancel = o.early_cancel;
     AdaptiveSpec spec = steered_spec(file, target, index_base);
     const std::string prefix = spec.name_prefix;
     Controller controller(std::move(spec), std::move(cc));
@@ -471,8 +488,8 @@ int run_campaign(const CampaignFile& file, const CampaignOptions& o) {
     orchestrator::RunnerConfig rc;
     rc.workers = o.workers;
     rc.snapshots = o.snapshots;
-    // A strategy campaign feeds the service through its controller.
-    if (o.monitor && !file.strategy) rc.sinks.push_back(&service);
+    // The service folds each record before the renderer shows it.
+    if (o.monitor) rc.sinks.push_back(&service);
     if (o.monitor && o.monitor_interval_ms > 0) {
       renderer = std::make_unique<IntervalRenderer>(service,
                                                     o.monitor_interval_ms);
@@ -483,7 +500,7 @@ int run_campaign(const CampaignFile& file, const CampaignOptions& o) {
     out.timing = o.timing;
     const auto start = std::chrono::steady_clock::now();
     Executed done = file.strategy
-                        ? run_steered(file, o, rc, service, durable, out)
+                        ? run_steered(file, o, rc, durable, out)
                         : run_static(file, o, rc, durable, out);
     const double total_s = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - start)

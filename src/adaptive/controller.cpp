@@ -6,11 +6,22 @@
 #include <memory>
 #include <utility>
 
-#include "monitor/feed.hpp"
-
 namespace hsfi::adaptive {
 
 namespace {
+
+/// What a strategy learns from one finished (or replayed) run.
+Observation observation(const RunRequest& request, std::uint32_t round,
+                        const orchestrator::RunRecord& rec) {
+  Observation obs;
+  obs.request = request;
+  obs.round = round;
+  obs.ok = rec.outcome == orchestrator::RunOutcome::kOk;
+  obs.injections = rec.result.counters.injections;
+  obs.duplicates = rec.result.duplicates();
+  obs.manifestations = rec.result.manifestations;
+  return obs;
+}
 
 /// Shared state the streaming callbacks read for the round in flight.
 /// Mutated only at batch barriers (no workers running), read by workers
@@ -21,49 +32,34 @@ struct RoundStream {
   std::size_t first_index = 0;
 };
 
-/// The RecordSink the controller installs when a feed is attached:
-/// publishes each completed record mid-batch and relays the strategy's
-/// streaming verdict into the per-cell skip flags (live mode only).
+/// The RecordSink the controller installs in live mode (early_cancel):
+/// hands each completed record to the strategy mid-batch and relays its
+/// streaming verdict into the per-cell skip flags.
 class StreamBridge final : public orchestrator::RecordSink {
  public:
-  StreamBridge(monitor::StreamingFeed& feed, Strategy& strategy,
-               const RoundStream& stream, std::vector<std::atomic<bool>>& skip,
-               std::size_t directions, bool early_cancel)
-      : feed_(feed),
-        strategy_(strategy),
+  StreamBridge(Strategy& strategy, const RoundStream& stream,
+               std::vector<std::atomic<bool>>& skip, std::size_t directions)
+      : strategy_(strategy),
         stream_(stream),
         skip_(skip),
-        directions_(directions),
-        early_cancel_(early_cancel) {}
+        directions_(directions) {}
 
   void on_record(const orchestrator::RunRecord& rec) override {
-    feed_.publish(rec);
     if (stream_.requests == nullptr) return;
     const std::size_t i = rec.index - stream_.first_index;
     if (i >= stream_.requests->size()) return;
     const RunRequest& req = (*stream_.requests)[i];
-
-    Observation obs;
-    obs.request = req;
-    obs.round = rec.round;
-    obs.ok = rec.outcome == orchestrator::RunOutcome::kOk;
-    obs.injections = rec.result.injections;
-    obs.duplicates = rec.result.duplicates();
-    obs.manifestations = rec.result.manifestations;
-    const bool redundant = strategy_.observe_streaming(obs);
-    if (early_cancel_ && redundant) {
+    if (strategy_.observe_streaming(observation(req, rec.round, rec))) {
       skip_[req.cell.fault * directions_ + req.cell.direction].store(
           true, std::memory_order_relaxed);
     }
   }
 
  private:
-  monitor::StreamingFeed& feed_;
   Strategy& strategy_;
   const RoundStream& stream_;
   std::vector<std::atomic<bool>>& skip_;
   std::size_t directions_;
-  bool early_cancel_;
 };
 
 /// Deterministic short rendering of a knob value for run names ("112.5",
@@ -172,36 +168,34 @@ CampaignOutcome Controller::run(Strategy& strategy) {
 }
 
 CampaignOutcome Controller::run(
-    Strategy& strategy, const std::vector<std::vector<ReplayRecord>>& replay) {
+    Strategy& strategy,
+    const std::vector<std::vector<orchestrator::RunRecord>>& replay) {
   CampaignOutcome outcome;
   // Runs accounted so far — replayed and executed. Replayed rounds are not
   // re-materialized in outcome.records, so indices/caps track this instead.
   std::size_t emitted = 0;
 
-  // Streaming plane: state shared with the runner callbacks for the round
-  // in flight. Skip flags are per cell (fault-major, like cells()).
+  // Live mode: state shared with the runner callbacks for the round in
+  // flight. Skip flags are per cell (fault-major, like cells()).
   RoundStream stream;
   std::vector<std::atomic<bool>> skip(spec_.faults.size() *
                                       spec_.directions.size());
   orchestrator::RunnerConfig runner_config = config_.runner;
   std::unique_ptr<StreamBridge> bridge;
-  if (config_.feed != nullptr) {
-    bridge = std::make_unique<StreamBridge>(*config_.feed, strategy, stream,
-                                            skip, spec_.directions.size(),
-                                            config_.early_cancel);
+  if (config_.early_cancel) {
+    const std::size_t directions = spec_.directions.size();
+    bridge =
+        std::make_unique<StreamBridge>(strategy, stream, skip, directions);
     runner_config.sinks.push_back(bridge.get());
-    if (config_.early_cancel) {
-      const std::size_t directions = spec_.directions.size();
-      runner_config.should_skip =
-          [&stream, &skip, directions](const orchestrator::RunSpec& spec) {
-            if (stream.requests == nullptr) return false;
-            const std::size_t i = spec.index - stream.first_index;
-            if (i >= stream.requests->size()) return false;
-            const Cell& cell = (*stream.requests)[i].cell;
-            return skip[cell.fault * directions + cell.direction].load(
-                std::memory_order_relaxed);
-          };
-    }
+    runner_config.should_skip =
+        [&stream, &skip, directions](const orchestrator::RunSpec& spec) {
+          if (stream.requests == nullptr) return false;
+          const std::size_t i = spec.index - stream.first_index;
+          if (i >= stream.requests->size()) return false;
+          const Cell& cell = (*stream.requests)[i].cell;
+          return skip[cell.fault * directions + cell.direction].load(
+              std::memory_order_relaxed);
+        };
   }
   orchestrator::Runner runner(runner_config);
 
@@ -224,9 +218,11 @@ CampaignOutcome Controller::run(
     const auto runs =
         expand_round(requests, round, emitted, strategy.name());
 
-    if (round < replay.size()) {
-      // Restored round: verify the recorded runs are exactly what the
-      // strategy re-derives, then feed them back without executing.
+    const bool replayed = round < replay.size();
+    std::vector<orchestrator::RunRecord> executed;
+    if (replayed) {
+      // Restored round: the recorded runs must be exactly what the
+      // strategy re-derives; they are fed back without executing.
       const auto& recorded = replay[round];
       if (recorded.size() != requests.size()) {
         throw ReplayMismatch(
@@ -234,11 +230,6 @@ CampaignOutcome Controller::run(
             std::to_string(recorded.size()) + " records but the strategy " +
             "requests " + std::to_string(requests.size()) + " — spec drift");
       }
-      std::vector<Observation> observations;
-      observations.reserve(recorded.size());
-      RoundSummary summary;
-      summary.round = round;
-      summary.runs = recorded.size();
       for (std::size_t i = 0; i < recorded.size(); ++i) {
         if (recorded[i].name != runs[i].campaign.name) {
           throw ReplayMismatch("adaptive resume: round " +
@@ -248,39 +239,21 @@ CampaignOutcome Controller::run(
                                "re-derives '" + runs[i].campaign.name +
                                "' — spec drift");
         }
-        if (!recorded[i].ok) ++summary.failed;
-        Observation obs;
-        obs.request = requests[i];
-        obs.round = round;
-        obs.ok = recorded[i].ok;
-        obs.injections = recorded[i].injections;
-        obs.duplicates = recorded[i].duplicates;
-        obs.manifestations = recorded[i].manifestations;
-        observations.push_back(obs);
-        outcome.cells.add_run(cell_name(requests[i].cell), recorded[i].ok,
-                              recorded[i].manifestations,
-                              recorded[i].injections, recorded[i].duplicates);
       }
-      strategy.observe(observations);
-      emitted += recorded.size();
-      outcome.replayed += recorded.size();
-      outcome.rounds = round + 1;
-      summary.total_runs = emitted;
-      if (config_.on_round) config_.on_round(summary);
-      continue;
+    } else {
+      // Arm the streaming callbacks for this round (no workers are running
+      // between barriers, so plain writes are safe). first_index must
+      // match the indices expand_round stamped, including index_base.
+      stream.requests = &requests;
+      stream.first_index = spec_.index_base + emitted;
+      for (auto& flag : skip) flag.store(false, std::memory_order_relaxed);
+      // Batch barrier: run_batch returns only when the whole round
+      // finished. Records come back positional (= request order), so
+      // emission below is deterministic no matter how workers interleaved.
+      executed = runner.run_batch(runs);
+      stream.requests = nullptr;  // `requests` dies with this iteration
     }
-
-    // Arm the streaming callbacks for this round (no workers are running
-    // between barriers, so plain writes are safe). first_index must match
-    // the indices expand_round stamped, including index_base.
-    stream.requests = &requests;
-    stream.first_index = spec_.index_base + emitted;
-    for (auto& flag : skip) flag.store(false, std::memory_order_relaxed);
-    // Batch barrier: run_batch returns only when the whole round finished.
-    // Records come back positional (= request order), so emission below is
-    // deterministic no matter how workers interleaved.
-    auto records = runner.run_batch(runs);
-    stream.requests = nullptr;  // `requests` dies with this iteration
+    const auto& records = replayed ? replay[round] : executed;
 
     std::vector<Observation> observations;
     observations.reserve(records.size());
@@ -288,29 +261,17 @@ CampaignOutcome Controller::run(
     summary.round = round;
     summary.runs = records.size();
     for (std::size_t i = 0; i < records.size(); ++i) {
-      const orchestrator::RunRecord& rec = records[i];
-      const bool ok = rec.outcome == orchestrator::RunOutcome::kOk;
-      if (!ok) ++summary.failed;
-
-      Observation obs;
-      obs.request = requests[i];
-      obs.round = round;
-      obs.ok = ok;
-      obs.injections = rec.result.injections;
-      obs.duplicates = rec.result.duplicates();
-      obs.manifestations = rec.result.manifestations;
-      observations.push_back(obs);
-
-      outcome.cells.add_run(cell_name(requests[i].cell), ok,
-                            rec.result.manifestations, rec.result.injections,
-                            rec.result.duplicates(),
-                            &rec.result.manifestation_latency);
-      if (config_.on_record) config_.on_record(rec);
-      outcome.records.push_back(std::move(records[i]));
+      observations.push_back(observation(requests[i], round, records[i]));
+      if (!observations.back().ok) ++summary.failed;
+      if (!replayed && config_.on_record) config_.on_record(records[i]);
     }
-
     strategy.observe(observations);
     emitted += records.size();
+    if (replayed) {
+      outcome.replayed += records.size();
+    } else {
+      for (auto& r : executed) outcome.records.push_back(std::move(r));
+    }
     outcome.rounds = round + 1;
     summary.total_runs = emitted;
     if (config_.on_round) config_.on_round(summary);

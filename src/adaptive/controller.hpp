@@ -30,17 +30,12 @@
 #include <vector>
 
 #include "adaptive/strategy.hpp"
-#include "analysis/accumulator.hpp"
 #include "nftape/campaign.hpp"
 #include "nftape/testbed.hpp"
 #include "orchestrator/runner.hpp"
 #include "orchestrator/sweep.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
-
-namespace hsfi::monitor {
-class StreamingFeed;
-}  // namespace hsfi::monitor
 
 namespace hsfi::adaptive {
 
@@ -117,19 +112,15 @@ struct ControllerConfig {
   std::function<void(const orchestrator::RunRecord&)> on_record;
   std::function<void(const RoundSummary&)> on_round;
 
-  /// Optional streaming analysis plane (not owned; must outlive run()).
-  /// Every finished run of a round is published to the feed the moment it
-  /// completes — in completion order, mid-batch — and the strategy's
-  /// observe_streaming() is consulted on the same record. With
-  /// early_cancel off this observes without steering: the batch path is
-  /// untouched and the emitted JSONL stays byte-identical to an unfed
-  /// campaign (deterministic mode).
-  monitor::StreamingFeed* feed = nullptr;
-  /// Live mode: a true observe_streaming() verdict cancels the rest of
-  /// the cell's round — still-queued runs come back RunOutcome::kSkipped.
-  /// Which replicates get skipped depends on completion order, so records
-  /// (and downstream strategy state fed by fewer ok runs) are no longer
-  /// byte-stable across worker counts. Requires `feed`.
+  /// Live mode: every finished run of a round is handed to the strategy's
+  /// observe_streaming() the moment it completes — in completion order,
+  /// mid-batch — and a true verdict cancels the rest of the cell's round:
+  /// still-queued runs come back RunOutcome::kSkipped. Which replicates get
+  /// skipped depends on completion order, so records (and downstream
+  /// strategy state fed by fewer ok runs) are no longer byte-stable across
+  /// worker counts. Off (deterministic mode), the strategy sees results
+  /// only at round barriers. A live monitor needs neither: it is a sink in
+  /// `runner.sinks`, like on any campaign.
   bool early_cancel = false;
 };
 
@@ -137,28 +128,14 @@ struct ControllerConfig {
 struct CampaignOutcome {
   /// Records EXECUTED by this invocation, in emission order (round-major,
   /// request order within). Rounds restored from a checkpoint replay are
-  /// folded into `cells` and the strategy but not re-materialized here —
-  /// their records already live in the durable JSONL.
+  /// fed to the strategy but not re-materialized here — their records
+  /// already live in the durable JSONL.
   std::vector<orchestrator::RunRecord> records;
   std::uint32_t rounds = 0;
   std::size_t replayed = 0;  ///< runs restored from replay, not re-executed
-  /// Cumulative per-cell totals, keyed "<fault>/<direction>" (replayed
-  /// rounds included).
-  analysis::CellAccumulator cells;
   /// True when the strategy declared convergence (returned an empty
   /// round) rather than hitting max_rounds / max_total_runs.
   bool converged = false;
-};
-
-/// One previously executed run fed back on resume: just the fields a
-/// Strategy's Observation needs, plus the full run name for drift
-/// detection (monitor::parse_record recovers exactly these from JSONL).
-struct ReplayRecord {
-  std::string name;  ///< full run name, including any name_prefix
-  bool ok = false;
-  std::uint64_t injections = 0;
-  std::uint64_t duplicates = 0;
-  analysis::ManifestationBreakdown manifestations;
 };
 
 /// Thrown when a replay does not match what the strategy re-derives —
@@ -181,11 +158,14 @@ class Controller {
   /// Resume: round `r` < replay.size() is NOT executed — the strategy's
   /// requests are re-derived, verified name-by-name against replay[r]
   /// (ReplayMismatch on any drift), and fed to observe() as if the round
-  /// had just run; execution picks up at round replay.size(). Because
-  /// strategies are pure functions of their observation history, the
-  /// continuation is byte-identical to the uninterrupted campaign.
-  CampaignOutcome run(Strategy& strategy,
-                      const std::vector<std::vector<ReplayRecord>>& replay);
+  /// had just run; execution picks up at round replay.size(). Replayed
+  /// records are read back from JSONL (orchestrator::parse_jsonl), which
+  /// carries every field an Observation needs. Because strategies are pure
+  /// functions of their observation history, the continuation is
+  /// byte-identical to the uninterrupted campaign.
+  CampaignOutcome run(
+      Strategy& strategy,
+      const std::vector<std::vector<orchestrator::RunRecord>>& replay);
 
   /// All fault × direction cells of the spec's plane, in the order
   /// strategies index them (fault-major).

@@ -76,20 +76,18 @@ class Strategy {
   /// once per non-empty next_round(), after the batch barrier.
   virtual void observe(const std::vector<Observation>& results) = 0;
 
-  /// Mid-batch streaming feedback: one finished run of the current round,
-  /// delivered in *completion* order while the round is still executing
-  /// (via monitor::StreamingFeed — see ControllerConfig::feed). Returns
-  /// true when the remaining runs of the observation's cell this round
-  /// have become redundant; with ControllerConfig::early_cancel the
-  /// controller then skips them at dequeue.
+  /// Mid-batch streaming feedback in live mode
+  /// (ControllerConfig::early_cancel): one finished run of the current
+  /// round, delivered in *completion* order while the round is still
+  /// executing. Returns true when the remaining runs of the observation's
+  /// cell this round have become redundant; the controller then skips
+  /// them at dequeue.
   ///
   /// Determinism contract: implementations keep their streaming scratch
   /// separate from the observe() history — next_round() resets it and the
-  /// barrier-path state never reads it — so with early_cancel off a
-  /// streaming-fed campaign is byte-identical to the batch-barrier path,
-  /// and a true verdict must never change the decision observe() would
-  /// reach at the barrier (cancel only what is already resolved).
-  /// Default: no opinion.
+  /// barrier-path state never reads it — and a true verdict must never
+  /// change the decision observe() would reach at the barrier (cancel only
+  /// what is already resolved). Default: no opinion.
   [[nodiscard]] virtual bool observe_streaming(const Observation& obs) {
     (void)obs;
     return false;

@@ -24,17 +24,4 @@ void CellStats::merge(const CellStats& other) {
   latency.merge(other.latency);
 }
 
-void CellAccumulator::add_run(const std::string& cell, bool ok,
-                              const ManifestationBreakdown& manifestations,
-                              std::uint64_t injections,
-                              std::uint64_t duplicates,
-                              const Histogram* latency) {
-  cells_[cell].fold(ok, manifestations, injections, duplicates, latency);
-}
-
-const CellStats* CellAccumulator::find(const std::string& cell) const {
-  const auto it = cells_.find(cell);
-  return it == cells_.end() ? nullptr : &it->second;
-}
-
 }  // namespace hsfi::analysis

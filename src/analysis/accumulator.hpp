@@ -1,19 +1,13 @@
-// Cheap per-cell accumulation of campaign results for closed-loop
-// controllers.
+// Cheap per-cell accumulation of campaign results.
 //
-// The adaptive round barrier folds every finished run into its
-// fault × direction cell; strategies then read the cumulative breakdown to
-// decide the next batch (which cells still need replicates, where the
-// masked → manifested transition sits). Deliberately minimal — a
-// name-keyed map of plain counters plus the merged latency histogram — so
-// reading it between rounds costs nothing next to a single run. Keys are a
-// std::map, so iteration (and therefore every report built from it) is
-// name-sorted and deterministic.
+// Every finished run folds into its fault × direction cell: the per-cell
+// report (orchestrator::cell_summary) and the live monitor
+// (monitor::MonitorService) both keep one CellStats per cell, folded by
+// orchestrator::fold_run. Deliberately minimal — plain counters plus the
+// merged latency histogram — so a fold costs nothing next to a single run.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 
 #include "analysis/manifestation.hpp"
 #include "analysis/metrics.hpp"
@@ -24,7 +18,7 @@ namespace hsfi::analysis {
 /// (plain counter sums plus a bucket-wise histogram merge), so a cell built
 /// record-by-record, in any order, or merged from per-shard partials is
 /// bit-identical to one folded in a single batch — the property the
-/// streaming monitor (monitor::StreamingCell) relies on.
+/// streaming monitor relies on.
 struct CellStats {
   std::uint64_t runs = 0;        ///< runs folded in
   std::uint64_t ok_runs = 0;     ///< runs that completed (outcome ok)
@@ -53,28 +47,6 @@ struct CellStats {
   }
 
   friend bool operator==(const CellStats&, const CellStats&) = default;
-};
-
-/// Name-keyed per-cell totals. The caller picks the key (the adaptive
-/// controller uses the "<fault>/<direction>" prefix of the run name).
-class CellAccumulator {
- public:
-  /// Folds one run into `cell` (see CellStats::fold for the ok-run rule).
-  void add_run(const std::string& cell, bool ok,
-               const ManifestationBreakdown& manifestations,
-               std::uint64_t injections, std::uint64_t duplicates,
-               const Histogram* latency = nullptr);
-
-  [[nodiscard]] const CellStats* find(const std::string& cell) const;
-  [[nodiscard]] const std::map<std::string, CellStats>& cells()
-      const noexcept {
-    return cells_;
-  }
-  [[nodiscard]] bool empty() const noexcept { return cells_.empty(); }
-  void clear() { cells_.clear(); }
-
- private:
-  std::map<std::string, CellStats> cells_;
 };
 
 }  // namespace hsfi::analysis

@@ -2,61 +2,10 @@
 
 #include <fstream>
 
-#include "orchestrator/json_value.hpp"
-
 namespace hsfi::monitor {
 
-namespace {
-
-/// The u64 counter a record key folds into; nullptr for every other key.
-std::uint64_t* counter(ParsedRecord& rec, const std::string& key) {
-  if (key == "run") return &rec.run;
-  if (key == "seed") return &rec.seed;
-  if (key == "round") return &rec.round;
-  if (key == "injections") return &rec.injections;
-  if (key == "duplicates") return &rec.duplicates;
-  for (const auto m : analysis::all_manifestations()) {
-    if (key == analysis::jsonl_key(m)) return &rec.manifestations[m];
-  }
-  return nullptr;
-}
-
-/// The string field a record key fills; nullptr for every other key.
-std::string* text(ParsedRecord& rec, const std::string& key) {
-  if (key == "name") return &rec.name;
-  if (key == "outcome") return &rec.outcome;
-  if (key == "medium") return &rec.medium;
-  if (key == "strategy") return &rec.strategy;
-  return nullptr;
-}
-
-}  // namespace
-
-std::optional<ParsedRecord> parse_record(std::string_view line) {
-  const auto doc = orchestrator::parse_json(line);
-  if (!doc || doc->kind != orchestrator::JsonValue::Kind::kObject) {
-    return std::nullopt;
-  }
-  ParsedRecord rec;
-  for (const auto& [key, value] : doc->fields) {
-    // A string or a fraction where a folded counter belongs is schema
-    // drift, not an ignorable extra: reject the line rather than guess.
-    if (auto* dst = counter(rec, key)) {
-      if (!value.as_u64(*dst)) return std::nullopt;
-    } else if (auto* dst_text = text(rec, key)) {
-      if (value.kind != orchestrator::JsonValue::Kind::kString) {
-        return std::nullopt;
-      }
-      *dst_text = value.text;
-    }
-    // other fields (sent, loss_pct, error, wall_ms, ...) are skipped
-  }
-  if (rec.name.empty() || rec.outcome.empty()) return std::nullopt;
-  return rec;
-}
-
 std::size_t JsonlTailer::poll(
-    const std::function<void(const ParsedRecord&)>& deliver) {
+    const std::function<void(const orchestrator::RunRecord&)>& deliver) {
   std::ifstream in(path_, std::ios::binary);
   if (!in) return 0;  // shard not started yet
 
@@ -91,7 +40,7 @@ std::size_t JsonlTailer::poll(
     partial_.append(chunk, start, nl - start);
     start = nl + 1;
     if (!partial_.empty()) {
-      if (const auto rec = parse_record(partial_)) {
+      if (const auto rec = orchestrator::parse_jsonl(partial_)) {
         deliver(*rec);
         ++delivered;
       } else {

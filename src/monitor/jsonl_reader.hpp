@@ -1,65 +1,39 @@
-// The parsing half of the orchestrator's JSONL record contract, for
-// out-of-process shards: a campaign shard writes one record per line
-// (orchestrator::to_jsonl), and a monitor on the other side of the file
-// tails it and folds each record into its streaming cells.
+// The out-of-process leg of the streaming analysis plane: a campaign shard
+// writes one record per line (orchestrator::to_jsonl), and a monitor on the
+// other side of the file tails it and folds each record into its cells.
 //
-// Lines go through the repo's one strict JSON reader
-// (orchestrator::parse_json), so anything it rejects — a torn write, a
-// bare word, a duplicate key, a raw control character — is rejected here
-// too (nullopt), never half-ingested: a torn line at the tail of a live
-// file cannot corrupt cell totals.
+// Lines are read back by orchestrator::parse_jsonl, the same field list
+// that wrote them, so anything it rejects — a torn write, a bare word, a
+// duplicate key, a raw control character, an unknown outcome — is rejected
+// here too, never half-ingested: a torn line at the tail of a live file
+// cannot corrupt cell totals.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
-#include <string_view>
 
-#include "analysis/manifestation.hpp"
+#include "orchestrator/runner.hpp"
 
 namespace hsfi::monitor {
 
-/// The fields of one parsed run record that the streaming cells fold.
-/// Latency histograms are not serialized in JSONL, so tail-mode cells carry
-/// empty latency sketches — documented limitation of out-of-process feeds.
-struct ParsedRecord {
-  std::string name;
-  std::string outcome;
-  std::string medium = "myrinet";  ///< emitted only when not the default
-  std::string strategy;            ///< empty for static sweeps
-  std::uint64_t run = 0;
-  std::uint64_t seed = 0;
-  std::uint64_t round = 0;
-  std::uint64_t injections = 0;
-  std::uint64_t duplicates = 0;
-  analysis::ManifestationBreakdown manifestations;
-
-  [[nodiscard]] bool ok() const noexcept { return outcome == "ok"; }
-};
-
-/// Parses one JSONL record line (as produced by orchestrator::to_jsonl).
-/// Returns nullopt when the line is not one valid JSON object, a known
-/// field has the wrong type, or name/outcome is missing. Unknown fields are
-/// skipped, so the parser tolerates records from newer emitters.
-[[nodiscard]] std::optional<ParsedRecord> parse_record(std::string_view line);
-
 /// Incremental reader for a live JSONL file: each poll() picks up where the
 /// last one stopped, delivers every newly completed line's record, and
-/// holds any trailing partial line until the writer finishes it. The
-/// out-of-process leg of the streaming analysis plane.
+/// holds any trailing partial line until the writer finishes it.
 class JsonlTailer {
  public:
   explicit JsonlTailer(std::string path) : path_(std::move(path)) {}
 
   /// Reads newly appended complete lines and invokes `deliver` per parsed
-  /// record, in file order. Returns the number delivered. Lines that fail
-  /// to parse are counted in malformed() and dropped. A missing file is
+  /// record, in file order (latency histograms empty: JSONL has none).
+  /// Returns the number delivered. Lines that fail to parse are counted in
+  /// malformed() and dropped. A missing file is
   /// not an error (the shard may not have started yet) — returns 0.
   /// A file shorter than the saved offset means the writer truncated or
   /// rotated it: the tailer restarts from byte 0, drops the torn-line
   /// carry from the old incarnation, and counts it in truncations().
-  std::size_t poll(const std::function<void(const ParsedRecord&)>& deliver);
+  std::size_t poll(
+      const std::function<void(const orchestrator::RunRecord&)>& deliver);
 
   [[nodiscard]] std::uint64_t malformed() const noexcept { return malformed_; }
   /// Times the file shrank under the tailer (truncation or rotation-in-

@@ -13,8 +13,8 @@ MonitorService::Entry& MonitorService::entry_locked(const std::string& group,
   const auto it = cells_.find(Key{group, cell});
   if (it != cells_.end()) return it->second;
   return cells_
-      .emplace(Key{group, cell}, Entry{StreamingCell{},
-                                       LatencyDrift{config_.drift}})
+      .emplace(Key{group, cell},
+               Entry{analysis::CellStats{}, LatencyDrift{config_.drift}})
       .first->second;
 }
 
@@ -22,19 +22,10 @@ void MonitorService::on_record(const orchestrator::RunRecord& record) {
   const std::lock_guard<std::mutex> lock(mu_);
   Entry& e = entry_locked(std::string(nftape::to_string(record.medium)),
                           orchestrator::cell_key(record.name));
-  e.cell.fold(record);
+  orchestrator::fold_run(e.cell, record);
   if (record.outcome == orchestrator::RunOutcome::kOk) {
     e.latency.add(record.result.manifestation_latency);
   }
-  ++records_;
-}
-
-void MonitorService::ingest(const ParsedRecord& record) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  Entry& e =
-      entry_locked(record.medium, orchestrator::cell_key(record.name));
-  e.cell.fold(record.ok(), record.manifestations, record.injections,
-              record.duplicates, nullptr);
   ++records_;
 }
 
@@ -47,8 +38,8 @@ std::size_t MonitorService::ingest_jsonl(std::string_view chunk) {
     const std::string_view line = chunk.substr(start, nl - start);
     start = nl + 1;
     if (line.empty()) continue;
-    if (const auto rec = parse_record(line)) {
-      ingest(*rec);
+    if (const auto rec = orchestrator::parse_jsonl(line)) {
+      on_record(*rec);
       ++accepted;
     } else {
       const std::lock_guard<std::mutex> lock(mu_);
@@ -68,11 +59,11 @@ std::uint64_t MonitorService::malformed_lines() const {
   return malformed_;
 }
 
-StreamingCell MonitorService::cell(const std::string& cell_name,
-                                   const std::string& group) const {
+analysis::CellStats MonitorService::cell(const std::string& cell_name,
+                                         const std::string& group) const {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = cells_.find(Key{group, cell_name});
-  return it == cells_.end() ? StreamingCell{} : it->second.cell;
+  return it == cells_.end() ? analysis::CellStats{} : it->second.cell;
 }
 
 std::vector<CellView> MonitorService::cells() const {
@@ -98,8 +89,8 @@ std::vector<DriftFlag> MonitorService::drift_flags_locked() const {
   for (const auto& [cell_name, keys] : by_cell) {
     for (std::size_t a = 0; a < keys.size(); ++a) {
       for (std::size_t b = a + 1; b < keys.size(); ++b) {
-        const auto& sa = cells_.at(*keys[a]).cell.stats();
-        const auto& sb = cells_.at(*keys[b]).cell.stats();
+        const auto& sa = cells_.at(*keys[a]).cell;
+        const auto& sb = cells_.at(*keys[b]).cell;
         const auto gap =
             rate_divergence(sa.manifested(), sa.injections, sb.manifested(),
                             sb.injections, config_.drift);
@@ -130,7 +121,7 @@ nftape::Report MonitorService::table(const std::string& title) const {
                      "manifested (Wilson 95%)", "classes", "drift"});
   const auto flags = drift_flags_locked();
   for (const auto& [key, entry] : cells_) {
-    const auto& s = entry.cell.stats();
+    const auto& s = entry.cell;
     std::string drift;
     for (const auto& f : flags) {
       if (f.cell != key.second) continue;

@@ -6,8 +6,10 @@
 // completed run, or out-of-process by tailing a shard's JSONL file — and
 // maintains, per (group, cell):
 //
-//  * a monitor::StreamingCell (incremental Wilson 95% interval and 8-class
-//    manifestation breakdown, bit-identical to the batch accumulator), and
+//  * an analysis::CellStats (8-class manifestation breakdown and the
+//    counts behind the Wilson 95% interval), folded by the same
+//    orchestrator::fold_run as the per-cell report, so the live and the
+//    final numbers agree bit for bit, and
 //  * a monitor::LatencyDrift tracker (rolling latency window vs baseline),
 //
 // where group is the fabric medium ("myrinet"/"fc") and cell the
@@ -30,9 +32,8 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/accumulator.hpp"
 #include "monitor/drift.hpp"
-#include "monitor/jsonl_reader.hpp"
-#include "monitor/streaming_cell.hpp"
 #include "nftape/report.hpp"
 #include "orchestrator/runner.hpp"
 
@@ -46,7 +47,7 @@ struct MonitorConfig {
 struct CellView {
   std::string group;
   std::string cell;
-  StreamingCell stats;
+  analysis::CellStats stats;
 };
 
 class MonitorService final : public orchestrator::RecordSink {
@@ -57,12 +58,10 @@ class MonitorService final : public orchestrator::RecordSink {
   /// plug into orchestrator::RunnerConfig::sinks).
   void on_record(const orchestrator::RunRecord& record) override;
 
-  /// Tail-mode fold (no latency histogram in JSONL records).
-  void ingest(const ParsedRecord& record);
-
-  /// Splits a chunk of JSONL text into lines and ingests each complete
-  /// parsed record; malformed lines are counted and dropped. Returns the
-  /// number of records accepted.
+  /// Tail mode: splits a chunk of JSONL text into lines and folds each one
+  /// orchestrator::parse_jsonl accepts through on_record (its latency
+  /// histogram is empty, so only the counters move); malformed lines are
+  /// counted and dropped. Returns the number of records accepted.
   std::size_t ingest_jsonl(std::string_view chunk);
 
   /// Records folded so far (ok or not, both count).
@@ -71,8 +70,9 @@ class MonitorService final : public orchestrator::RecordSink {
 
   /// Snapshot of one cell's streaming stats (default group = "myrinet").
   /// Returns an empty cell when nothing has been folded for the key.
-  [[nodiscard]] StreamingCell cell(const std::string& cell_name,
-                                   const std::string& group = "myrinet") const;
+  [[nodiscard]] analysis::CellStats cell(
+      const std::string& cell_name,
+      const std::string& group = "myrinet") const;
 
   /// Snapshot of every (group, cell), key-sorted — deterministic given the
   /// folded record multiset.
@@ -90,7 +90,7 @@ class MonitorService final : public orchestrator::RecordSink {
 
  private:
   struct Entry {
-    StreamingCell cell;
+    analysis::CellStats cell;
     LatencyDrift latency;
   };
   using Key = std::pair<std::string, std::string>;  ///< (group, cell)

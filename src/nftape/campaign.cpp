@@ -113,28 +113,12 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec,
   r.name = spec.name;
   r.medium = fabric_.medium();
   r.window = spec.duration + spec.drain;
-  r.messages_sent = after.messages_sent - before.messages_sent;
-  r.messages_received = after.messages_received - before.messages_received;
-  r.link_crc_errors = after.crc_errors - before.crc_errors;
-  r.marker_errors = after.marker_errors - before.marker_errors;
-  r.ring_overflows = after.ring_overflows - before.ring_overflows;
-  r.udp_checksum_drops = after.checksum_drops - before.checksum_drops;
-  r.misaddressed_drops = after.misaddressed - before.misaddressed;
-  r.unroutable_drops = after.unroutable - before.unroutable;
-  r.unknown_type_drops = after.unknown_type - before.unknown_type;
-  r.nic_tx_drops = after.tx_drops - before.tx_drops;
-  r.slack_overflow = after.slack_overflow - before.slack_overflow;
-  r.long_timeouts = after.long_timeouts - before.long_timeouts;
-  r.injections = after.injections - before.injections;
-  r.fc_credit_stalls = after.credit_stalls - before.credit_stalls;
-  r.fc_sequences_aborted =
-      after.sequences_aborted - before.sequences_aborted;
-  r.scenario_steps_fired = after.scenario_steps - before.scenario_steps;
+  r.counters = after - before;
   r.events_executed = fabric_.sim().executed_events() - events_begin;
   r.symbols_sent = fabric_.symbols_sent() - symbols_begin;
 
   const auto outcome =
-      analyzer.finalize(window_begin, window_end, r.injections);
+      analyzer.finalize(window_begin, window_end, r.counters.injections);
   r.manifestations = outcome.breakdown;
   r.secondary_effects = outcome.secondary_effects;
   r.manifestation_latency = outcome.latency;

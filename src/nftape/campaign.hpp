@@ -133,34 +133,64 @@ struct RunControl {
   std::function<bool(sim::Duration elapsed_sim)> should_cancel;
 };
 
+/// Medium-neutral counter snapshot. CampaignRunner subtracts two of them
+/// (after - before) for the measurement window's counts; DESIGN §9 maps
+/// each field onto both media.
+struct FabricCounters {
+  std::uint64_t messages_sent = 0;      ///< workload messages handed to the stack
+  std::uint64_t messages_received = 0;  ///< workload messages delivered intact
+  std::uint64_t crc_errors = 0;         ///< link CRC drops (CRC-8 / CRC-32)
+  std::uint64_t marker_errors = 0;      ///< framing-delimiter damage
+  std::uint64_t ring_overflows = 0;     ///< receive buffering exhausted
+  std::uint64_t checksum_drops = 0;     ///< transport checksum/length drops
+  std::uint64_t misaddressed = 0;       ///< delivered to the wrong endpoint
+  std::uint64_t unroutable = 0;         ///< no route for the destination
+  std::uint64_t unknown_type = 0;       ///< unrecognized payload type
+  std::uint64_t tx_drops = 0;           ///< transmit queue overflow
+  std::uint64_t slack_overflow = 0;     ///< switch-internal symbol loss
+  std::uint64_t long_timeouts = 0;      ///< switch long-timeout resets
+  std::uint64_t injections = 0;         ///< injector fire count, both taps
+  /// Medium-specific (zero on Myrinet): BB-credit exhaustion stalls and
+  /// FC-2 sequence aborts/rejections — the two failure modes credit-based
+  /// flow control and sequence reassembly add to the shared taxonomy.
+  std::uint64_t credit_stalls = 0;
+  std::uint64_t sequences_aborted = 0;
+  /// Scenario-driver step firings, already folded into `injections` (each
+  /// firing records one injection so the 8-class breakdown reconciles).
+  std::uint64_t scenario_steps = 0;
+
+  /// Field-wise difference: the counts between two snapshots.
+  friend FabricCounters operator-(const FabricCounters& a,
+                                  const FabricCounters& b) {
+    FabricCounters d;
+    d.messages_sent = a.messages_sent - b.messages_sent;
+    d.messages_received = a.messages_received - b.messages_received;
+    d.crc_errors = a.crc_errors - b.crc_errors;
+    d.marker_errors = a.marker_errors - b.marker_errors;
+    d.ring_overflows = a.ring_overflows - b.ring_overflows;
+    d.checksum_drops = a.checksum_drops - b.checksum_drops;
+    d.misaddressed = a.misaddressed - b.misaddressed;
+    d.unroutable = a.unroutable - b.unroutable;
+    d.unknown_type = a.unknown_type - b.unknown_type;
+    d.tx_drops = a.tx_drops - b.tx_drops;
+    d.slack_overflow = a.slack_overflow - b.slack_overflow;
+    d.long_timeouts = a.long_timeouts - b.long_timeouts;
+    d.injections = a.injections - b.injections;
+    d.credit_stalls = a.credit_stalls - b.credit_stalls;
+    d.sequences_aborted = a.sequences_aborted - b.sequences_aborted;
+    d.scenario_steps = a.scenario_steps - b.scenario_steps;
+    return d;
+  }
+  friend bool operator==(const FabricCounters&,
+                         const FabricCounters&) = default;
+};
+
 struct CampaignResult {
   std::string name;
   Medium medium = Medium::kMyrinet;  ///< which fabric produced this result
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_received = 0;
   sim::Duration window = 0;
-
-  // Failure breakdown over the window.
-  std::uint64_t link_crc_errors = 0;     ///< dropped by NIC CRC-8
-  std::uint64_t marker_errors = 0;
-  std::uint64_t ring_overflows = 0;
-  std::uint64_t udp_checksum_drops = 0;
-  std::uint64_t misaddressed_drops = 0;
-  std::uint64_t unroutable_drops = 0;
-  std::uint64_t unknown_type_drops = 0;
-  std::uint64_t nic_tx_drops = 0;
-  std::uint64_t slack_overflow = 0;      ///< switch symbol loss
-  std::uint64_t long_timeouts = 0;
-  std::uint64_t injections = 0;          ///< injector fire count
-  /// Medium-specific counters (zero on Myrinet): BB-credit exhaustion
-  /// stalls and FC-2 sequence aborts/rejections over the window — the two
-  /// failure modes credit-based flow control and sequence reassembly add
-  /// on top of the shared taxonomy.
-  std::uint64_t fc_credit_stalls = 0;
-  std::uint64_t fc_sequences_aborted = 0;
-  /// Scenario-driver step firings inside the window (already folded into
-  /// `injections`; zero when the spec carried no scenario).
-  std::uint64_t scenario_steps_fired = 0;
+  /// Failure breakdown over the window.
+  FabricCounters counters;
   /// Kernel events executed over the whole run (reset through recovery).
   /// Deterministic in simulated time; the bench harness divides it by wall
   /// time for events/sec.
@@ -184,21 +214,24 @@ struct CampaignResult {
   /// clamps at zero in that case, so duplication must be reported on its
   /// own — a zero loss figure with nonzero duplicates is not a clean run.
   [[nodiscard]] std::uint64_t duplicates() const {
-    return messages_received > messages_sent
-               ? messages_received - messages_sent
+    const auto& c = counters;
+    return c.messages_received > c.messages_sent
+               ? c.messages_received - c.messages_sent
                : 0;
   }
 
   [[nodiscard]] double loss_rate() const {
-    if (messages_sent == 0) return 0.0;
-    const auto lost = messages_sent > messages_received
-                          ? messages_sent - messages_received
+    const auto& c = counters;
+    if (c.messages_sent == 0) return 0.0;
+    const auto lost = c.messages_sent > c.messages_received
+                          ? c.messages_sent - c.messages_received
                           : 0;
-    return static_cast<double>(lost) / static_cast<double>(messages_sent);
+    return static_cast<double>(lost) / static_cast<double>(c.messages_sent);
   }
   [[nodiscard]] double messages_per_second() const {
     const double secs = sim::to_seconds(window);
-    return secs > 0 ? static_cast<double>(messages_received) / secs : 0.0;
+    return secs > 0 ? static_cast<double>(counters.messages_received) / secs
+                    : 0.0;
   }
 };
 

@@ -27,32 +27,6 @@
 
 namespace hsfi::nftape {
 
-/// Medium-neutral counter snapshot; CampaignRunner subtracts two of these
-/// to produce the per-window breakdown. Field meanings per medium are
-/// documented at the CampaignResult fields they feed (DESIGN §9 has the
-/// full mapping table).
-struct FabricCounters {
-  std::uint64_t messages_sent = 0;      ///< workload messages handed to the stack
-  std::uint64_t messages_received = 0;  ///< workload messages delivered intact
-  std::uint64_t crc_errors = 0;         ///< link CRC drops (CRC-8 / CRC-32)
-  std::uint64_t marker_errors = 0;      ///< framing-delimiter damage
-  std::uint64_t ring_overflows = 0;     ///< receive buffering exhausted
-  std::uint64_t checksum_drops = 0;     ///< transport checksum/length drops
-  std::uint64_t misaddressed = 0;       ///< delivered to the wrong endpoint
-  std::uint64_t unroutable = 0;         ///< no route for the destination
-  std::uint64_t unknown_type = 0;       ///< unrecognized payload type
-  std::uint64_t tx_drops = 0;           ///< transmit queue overflow
-  std::uint64_t slack_overflow = 0;     ///< switch-internal symbol loss
-  std::uint64_t long_timeouts = 0;      ///< switch long-timeout resets
-  std::uint64_t injections = 0;         ///< injector fire count, both taps
-  // Medium-specific (zero on Myrinet):
-  std::uint64_t credit_stalls = 0;      ///< BB-credit exhaustion events
-  std::uint64_t sequences_aborted = 0;  ///< FC-2 sequence aborts/rejections
-  /// Scenario-driver step firings, already folded into `injections` (each
-  /// firing records one injection so the 8-class breakdown reconciles).
-  std::uint64_t scenario_steps = 0;
-};
-
 /// Opaque capture of a settled fabric: the simulator event queue plus every
 /// model layer's mutable state, taken at a quiescent settle boundary (after
 /// start() + settle(startup)). Implementations subclass this with their

@@ -12,7 +12,7 @@
 // byte-for-byte on every run they partition between themselves.
 //
 // Parsing goes through the one strict JSON reader (json_value.hpp) and is
-// louder than the record reader built on it: monitor::parse_record skips
+// louder than the record reader built on it: orchestrator::parse_jsonl skips
 // unknown fields because the emitter may be newer, while a campaign file
 // is operator input — an unknown or mistyped key means the operator's
 // intent would be silently ignored, so it throws CampaignFileError naming

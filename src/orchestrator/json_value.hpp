@@ -1,5 +1,5 @@
 // The repo's one JSON reader: campaign-spec files, checkpoint sidecars,
-// repro traces, JSONL run records (monitor::parse_record) and the bench
+// repro traces, JSONL run records (orchestrator::parse_jsonl) and the bench
 // schema check (bench_json_check) all parse through it.
 //
 // Hand-rolled (the container image carries no JSON library) and strict —

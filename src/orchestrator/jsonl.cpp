@@ -68,7 +68,9 @@ void JsonObject::add_fixed(std::string_view k, double value, int decimals) {
     body_ += "null";
     return;
   }
-  char buf[64];
+  // Room for every digit of the largest double: a shorter buffer would
+  // silently cut the number short.
+  char buf[400];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
   body_ += buf;
 }

@@ -1,14 +1,19 @@
 #include "orchestrator/runner.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <map>
 #include <ostream>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "analysis/accumulator.hpp"
 #include "analysis/manifestation.hpp"
 #include "nftape/fabric.hpp"
 #include "nftape/testbed.hpp"
+#include "orchestrator/json_value.hpp"
 #include "orchestrator/jsonl.hpp"
 #include "sim/time.hpp"
 
@@ -118,59 +123,200 @@ std::string_view to_string(RunOutcome o) noexcept {
   return "?";
 }
 
+namespace {
+
+/// A number written with `decimals` fixed digits, as `value / per_unit`
+/// (window_ms is picoseconds over kMillisecond).
+template <class T>
+struct Fixed {
+  T& value;
+  double per_unit;
+  int decimals;
+};
+template <class T>
+Fixed(T&, double, int) -> Fixed<T>;
+
+template <class T>
+inline constexpr bool kIsFixed = false;
+template <class T>
+inline constexpr bool kIsFixed<Fixed<T>> = true;
+
+/// The JSONL record schema: every field in emission order, with the
+/// condition under which it is written. to_jsonl walks it with a
+/// FieldWriter and parse_jsonl with a FieldReader, so no key is spelled
+/// twice and the two cannot drift. `R` is RunRecord or const RunRecord;
+/// a field passed as const is derived from the others: written, and only
+/// type-checked on read.
+template <class R, class V>
+void record_fields(R& r, V& v, bool include_timing) {
+  auto& res = r.result;
+  auto& c = res.counters;
+  const bool ok = r.outcome == RunOutcome::kOk;
+  const bool steered = !r.strategy.empty();
+  const double loss_pct = 100.0 * res.loss_rate();
+  const std::uint64_t duplicates = res.duplicates();
+  v("run", r.index);
+  v.required("name", r.name);
+  v("seed", r.seed);
+  // Provenance only when set, so each record kind keeps the exact format
+  // it had before the field existed: medium off Myrinet, round and
+  // strategy on steered runs, scenario on scenario runs.
+  v("medium", r.medium, r.medium != nftape::Medium::kMyrinet);
+  v("round", r.round, steered);
+  v("strategy", r.strategy, steered);
+  v("scenario", r.scenario, !r.scenario.empty());
+  v.required("outcome", r.outcome);
+  v("attempts", r.attempts);
+  v("timeouts", r.timeouts);
+  v("error", r.error, !r.error.empty());
+  // Results only for a run that produced them.
+  v("sent", c.messages_sent, ok);
+  v("received", c.messages_received, ok);
+  v("loss_pct", Fixed{loss_pct, 1.0, 4}, ok);
+  v("window_ms", Fixed{res.window, static_cast<double>(sim::kMillisecond), 3},
+    ok);
+  v("injections", c.injections, ok);
+  v("crc_errors", c.crc_errors, ok);
+  v("marker_errors", c.marker_errors, ok);
+  v("ring_overflows", c.ring_overflows, ok);
+  v("udp_drops", c.checksum_drops, ok);
+  v("misaddressed", c.misaddressed, ok);
+  v("unroutable", c.unroutable, ok);
+  v("unknown_type", c.unknown_type, ok);
+  v("tx_drops", c.tx_drops, ok);
+  v("slack_overflow", c.slack_overflow, ok);
+  v("long_timeouts", c.long_timeouts, ok);
+  v("duplicates", duplicates, ok);
+  v("events", res.events_executed, ok);
+  for (const auto m : analysis::all_manifestations()) {
+    v(analysis::jsonl_key(m), res.manifestations[m], ok);
+  }
+  v("secondary_effects", res.secondary_effects, ok);
+  const bool fc = ok && r.medium == nftape::Medium::kFc;
+  v("fc_credit_stalls", c.credit_stalls, fc);
+  v("fc_seq_aborts", c.sequences_aborted, fc);
+  v("steps", c.scenario_steps, ok && !r.scenario.empty());
+  v("wall_ms", Fixed{r.wall_ms, 1.0, 3}, include_timing);
+}
+
+struct FieldWriter {
+  JsonObject& out;
+
+  template <class T>
+  void operator()(std::string_view key, const T& field, bool when = true) {
+    if (!when) return;
+    if constexpr (kIsFixed<T>) {
+      out.add_fixed(key, static_cast<double>(field.value) / field.per_unit,
+                    field.decimals);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      out.add(key, field);
+    } else if constexpr (std::is_enum_v<T>) {
+      out.add(key, to_string(field));
+    } else if constexpr (std::is_signed_v<T>) {
+      out.add_i64(key, field);
+    } else {
+      out.add_u64(key, field);
+    }
+  }
+  template <class T>
+  void required(std::string_view key, const T& field) {
+    (*this)(key, field);
+  }
+};
+
+bool parse_enum(std::string_view s, RunOutcome& out) {
+  for (const auto o : {RunOutcome::kOk, RunOutcome::kTimedOut,
+                       RunOutcome::kError, RunOutcome::kSkipped}) {
+    if (to_string(o) == s) {
+      out = o;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool parse_enum(std::string_view s, nftape::Medium& out) {
+  const auto m = nftape::parse_medium(s);
+  if (m) out = *m;
+  return m.has_value();
+}
+
+class FieldReader {
+ public:
+  explicit FieldReader(const JsonValue& doc) : doc_(doc) {}
+
+  /// Reads `key` when the line carries it; the write condition is moot.
+  template <class F>
+  void operator()(std::string_view key, F&& field, bool /*when*/ = true) {
+    if (const JsonValue* v = doc_.find(key)) ok_ = ok_ && read(*v, field);
+  }
+  /// Like operator(), but the line must carry the field, and text must
+  /// not be empty.
+  template <class F>
+  void required(std::string_view key, F& field) {
+    const JsonValue* v = doc_.find(key);
+    ok_ = ok_ && v != nullptr && read(*v, field);
+    if constexpr (std::is_same_v<F, std::string>) ok_ = ok_ && !field.empty();
+  }
+  [[nodiscard]] bool ok() const noexcept { return ok_; }
+
+ private:
+  template <class T>
+  static bool read(const JsonValue& v, T& field) {
+    if constexpr (kIsFixed<T>) {
+      double d = 0.0;
+      if (!v.as_double(d) || !std::isfinite(d)) return false;
+      using U = std::remove_reference_t<decltype(field.value)>;
+      if constexpr (std::is_integral_v<U> && !std::is_const_v<U>) {
+        // At most 10^18 (11.6 days of picoseconds): a round figure in the
+        // written unit, so whatever is written back reads back too.
+        d *= field.per_unit;
+        if (!(d >= 0.0 && d <= 1e18)) return false;
+        field.value = static_cast<U>(std::llround(d));
+      } else if constexpr (!std::is_const_v<U>) {
+        field.value = d;
+      }
+      return true;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (v.kind != JsonValue::Kind::kString) return false;
+      field = v.text;
+      return true;
+    } else if constexpr (std::is_enum_v<T>) {
+      return v.kind == JsonValue::Kind::kString && parse_enum(v.text, field);
+    } else {
+      std::uint64_t n = 0;
+      if (!v.as_u64(n)) return false;
+      if constexpr (!std::is_const_v<T>) {
+        if (n > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+          return false;
+        }
+        field = static_cast<T>(n);
+      }
+      return true;
+    }
+  }
+
+  const JsonValue& doc_;
+  bool ok_ = true;
+};
+
+}  // namespace
+
 std::string to_jsonl(const RunRecord& r, bool include_timing) {
   JsonObject o;
-  o.add_u64("run", r.index);
-  o.add("name", r.name);
-  o.add_u64("seed", r.seed);
-  // Medium only when it isn't the default, so Myrinet sweeps keep the exact
-  // pre-Fabric record format (same rule as round/strategy below).
-  if (r.medium != nftape::Medium::kMyrinet) {
-    o.add("medium", std::string(nftape::to_string(r.medium)));
-  }
-  // Closed-loop provenance only when a strategy tagged the run, so static
-  // sweeps keep the exact pre-adaptive record format.
-  if (!r.strategy.empty()) {
-    o.add_u64("round", r.round);
-    o.add("strategy", r.strategy);
-  }
-  // Scenario provenance only when the run carried one, same rule again.
-  if (!r.scenario.empty()) o.add("scenario", r.scenario);
-  o.add("outcome", to_string(r.outcome));
-  o.add_i64("attempts", r.attempts);
-  o.add_i64("timeouts", r.timeouts);
-  if (!r.error.empty()) o.add("error", r.error);
-  if (r.outcome == RunOutcome::kOk) {
-    const auto& c = r.result;
-    o.add_u64("sent", c.messages_sent);
-    o.add_u64("received", c.messages_received);
-    o.add_fixed("loss_pct", 100.0 * c.loss_rate(), 4);
-    o.add_fixed("window_ms", sim::to_milliseconds(c.window), 3);
-    o.add_u64("injections", c.injections);
-    o.add_u64("crc_errors", c.link_crc_errors);
-    o.add_u64("marker_errors", c.marker_errors);
-    o.add_u64("ring_overflows", c.ring_overflows);
-    o.add_u64("udp_drops", c.udp_checksum_drops);
-    o.add_u64("misaddressed", c.misaddressed_drops);
-    o.add_u64("unroutable", c.unroutable_drops);
-    o.add_u64("unknown_type", c.unknown_type_drops);
-    o.add_u64("tx_drops", c.nic_tx_drops);
-    o.add_u64("slack_overflow", c.slack_overflow);
-    o.add_u64("long_timeouts", c.long_timeouts);
-    o.add_u64("duplicates", c.duplicates());
-    o.add_u64("events", c.events_executed);
-    for (const auto m : analysis::all_manifestations()) {
-      o.add_u64(analysis::jsonl_key(m), c.manifestations[m]);
-    }
-    o.add_u64("secondary_effects", c.secondary_effects);
-    if (r.medium == nftape::Medium::kFc) {
-      o.add_u64("fc_credit_stalls", c.fc_credit_stalls);
-      o.add_u64("fc_seq_aborts", c.fc_sequences_aborted);
-    }
-    if (!r.scenario.empty()) o.add_u64("steps", c.scenario_steps_fired);
-  }
-  if (include_timing) o.add_fixed("wall_ms", r.wall_ms, 3);
+  FieldWriter writer{o};
+  record_fields(r, writer, include_timing);
   return o.str();
+}
+
+std::optional<RunRecord> parse_jsonl(std::string_view line) {
+  const auto doc = parse_json(line);
+  if (!doc || doc->kind != JsonValue::Kind::kObject) return std::nullopt;
+  RunRecord rec;
+  FieldReader reader(*doc);
+  record_fields(rec, reader, /*include_timing=*/true);
+  if (!reader.ok()) return std::nullopt;
+  return rec;
 }
 
 nftape::Report summarize(const std::string& title,
@@ -182,17 +328,18 @@ nftape::Report summarize(const std::string& title,
   std::uint64_t duplicates = 0;
   double wall_ms = 0.0;
   for (const auto& r : records) {
-    const auto& c = r.result;
+    const auto& res = r.result;
+    const auto& c = res.counters;
     report.add_row(
         {nftape::cell("%zu", r.index), r.name,
          std::string(to_string(r.outcome)), nftape::cell("%d", r.attempts),
          nftape::cell("%llu", (unsigned long long)c.messages_sent),
          nftape::cell("%llu", (unsigned long long)c.messages_received),
-         nftape::cell("%.2f%%", 100.0 * c.loss_rate()),
-         nftape::cell("%llu", (unsigned long long)c.duplicates()),
+         nftape::cell("%.2f%%", 100.0 * res.loss_rate()),
+         nftape::cell("%llu", (unsigned long long)res.duplicates()),
          nftape::cell("%llu", (unsigned long long)c.injections),
-         analysis::describe(c.manifestations)});
-    duplicates += c.duplicates();
+         analysis::describe(res.manifestations)});
+    duplicates += res.duplicates();
     wall_ms += r.wall_ms;
     switch (r.outcome) {
       case RunOutcome::kOk: ++ok; break;
@@ -227,20 +374,22 @@ std::string cell_key(std::string_view run_name) {
   return std::string(run_name);
 }
 
+void fold_run(analysis::CellStats& cell, const RunRecord& record) {
+  const auto& res = record.result;
+  cell.fold(record.outcome == RunOutcome::kOk, res.manifestations,
+            res.counters.injections, res.duplicates(),
+            &res.manifestation_latency);
+}
+
 nftape::Report cell_summary(const std::string& title,
                             const std::vector<RunRecord>& records) {
-  analysis::CellAccumulator cells;
-  for (const auto& r : records) {
-    cells.add_run(cell_key(r.name), r.outcome == RunOutcome::kOk,
-                  r.result.manifestations,
-                  r.result.injections, r.result.duplicates(),
-                  &r.result.manifestation_latency);
-  }
+  std::map<std::string, analysis::CellStats> cells;
+  for (const auto& r : records) fold_run(cells[cell_key(r.name)], r);
 
   nftape::Report report(title);
   report.set_header({"cell", "runs", "injections", "manifested (Wilson 95%)",
                      "dups", "classes"});
-  for (const auto& [name, stats] : cells.cells()) {
+  for (const auto& [name, stats] : cells) {
     report.add_row({name, nftape::cell("%llu", (unsigned long long)stats.runs),
                     nftape::cell("%llu", (unsigned long long)stats.injections),
                     nftape::rate_cell(stats.manifested(), stats.injections),
@@ -358,8 +507,8 @@ std::vector<RunRecord> Runner::run_batch(const std::vector<RunSpec>& runs) {
     for (;;) {
       const std::size_t idx = next.fetch_add(1, std::memory_order_relaxed);
       if (idx >= runs.size()) return;
-      // Early-cancel: a closed-loop feed may have resolved this run's cell
-      // while it sat in the queue. Polled outside the mutex (should_skip is
+      // Early-cancel: a closed-loop controller may have resolved this run's
+      // cell while it sat in the queue. Polled outside the mutex (should_skip is
       // thread-safe by contract); the record still flows through the sinks
       // so the stream stays one-record-per-run.
       const bool skip =

@@ -19,10 +19,12 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "analysis/accumulator.hpp"
 #include "nftape/campaign.hpp"
 #include "nftape/report.hpp"
 #include "orchestrator/sweep.hpp"
@@ -64,6 +66,18 @@ struct RunRecord {
 [[nodiscard]] std::string to_jsonl(const RunRecord& record,
                                    bool include_timing = false);
 
+/// Reads one to_jsonl line back, through the same field list, so the
+/// emitter and the reader cannot drift. Returns nullopt unless the line is
+/// one strict JSON object (orchestrator::parse_json) that carries `name`
+/// (non-empty) and `outcome`, with every listed field it carries well
+/// typed: text where text belongs, an outcome or medium name that exists,
+/// a non-negative integer that fits its field (`round` 32 bits, `attempts`
+/// and `timeouts` an int) — never a fraction, a sign or a string — and a
+/// window_ms from 0 to 10^9. Unknown keys are skipped. loss_pct and duplicates are derived from the counters
+/// and only type-checked. JSONL carries no latency histogram, so the
+/// record's is empty (Histogram::merge ignores it).
+[[nodiscard]] std::optional<RunRecord> parse_jsonl(std::string_view line);
+
 /// Aggregate table over a finished sweep: one row per run plus totals.
 [[nodiscard]] nftape::Report summarize(const std::string& title,
                                        const std::vector<RunRecord>& records);
@@ -73,6 +87,10 @@ struct RunRecord {
 /// Shared by cell_summary and the streaming monitor so both aggregate over
 /// the same cells.
 [[nodiscard]] std::string cell_key(std::string_view run_name);
+
+/// Folds one run into its cell's totals: the one fold cell_summary and the
+/// live monitor share, so both show the same numbers.
+void fold_run(analysis::CellStats& cell, const RunRecord& record);
 
 /// Per-cell aggregate: records grouped by the cell_key of their run name,
 /// with the manifestation rate (manifested firings / injections) and its
@@ -133,12 +151,13 @@ struct RunnerConfig {
   /// every finished record, in registration order. Raw pointers: sinks must
   /// outlive every run_all / run_batch call.
   std::vector<RecordSink*> sinks;
-  /// Early-cancel hook for closed-loop feeds: polled when a worker dequeues
-  /// a run; true skips execution entirely and records RunOutcome::kSkipped
-  /// (0 attempts). Called concurrently from worker threads — must be
-  /// thread-safe. Which runs observe a late-arriving skip depends on
-  /// completion order, so any campaign that wants byte-stable JSONL must
-  /// leave this unset (the adaptive controller's deterministic mode does).
+  /// Early-cancel hook for closed-loop controllers: polled when a worker
+  /// dequeues a run; true skips execution entirely and records
+  /// RunOutcome::kSkipped (0 attempts). Called concurrently from worker
+  /// threads — must be thread-safe. Which runs observe a late-arriving skip
+  /// depends on completion order, so any campaign that wants byte-stable
+  /// JSONL must leave this unset (the adaptive controller's deterministic
+  /// mode does).
   std::function<bool(const RunSpec&)> should_skip;
   /// Executes one attempt; used by tests to substitute hostile executors.
   /// Default: build an isolated Testbed, settle startup, run the campaign

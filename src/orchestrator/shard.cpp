@@ -226,6 +226,16 @@ DurableAppender::DurableAppender(const std::string& path,
     : path_(path) {
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
   if (fd_ < 0) bail_errno("open " + path);
+  // The data is synced before its sidecar, so a checkpoint can only
+  // under-count the file. One that claims more belongs to another file:
+  // truncating "up" to it would pad the log with NUL bytes.
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0 ||
+      keep_bytes > static_cast<std::uint64_t>(st.st_size)) {
+    ::close(fd_);
+    bail(path + " is shorter than its checkpoint (" +
+         std::to_string(keep_bytes) + " bytes)");
+  }
   // Crash recovery: drop everything past the last durable checkpoint
   // (torn lines, records whose sidecar update never landed).
   if (::ftruncate(fd_, static_cast<off_t>(keep_bytes)) != 0) {

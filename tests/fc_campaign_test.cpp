@@ -120,10 +120,10 @@ MiniCampaign run_fc_mini(std::size_t workers) {
     fabric->settle(run.startup_settle);
     nftape::CampaignRunner runner(*fabric);
     auto result = runner.run(run.campaign, &control);
-    EXPECT_EQ(result.manifestations.total(), result.injections)
+    EXPECT_EQ(result.manifestations.total(), result.counters.injections)
         << "run " << run.index
         << ": breakdown must sum to the injection count";
-    EXPECT_GT(result.injections, 0u)
+    EXPECT_GT(result.counters.injections, 0u)
         << "run " << run.index << ": the armed FC tap must fire in-window";
     out.digests[run.index] = digest.hex();  // disjoint slot per run
     return result;

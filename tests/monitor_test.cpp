@@ -1,15 +1,15 @@
 // Streaming analysis plane tests.
 //
 // The load-bearing property: monitoring is observation, never perturbation.
-//  * monitor::StreamingCell folded record-by-record, in any order, or
-//    merged from shards is bit-identical to the batch accumulator
+//  * The service's cells, folded record-by-record, in any order, or
+//    merged from shards, are bit-identical to one batch fold
 //    (analysis::CellStats) over the same runs.
 //  * Attaching a MonitorService sink to the golden 8-run mini-campaign
 //    leaves the JSONL byte-identical and the kernel event digest equal to
 //    the committed tests/golden/mini_campaign.digest.
-//  * A streaming-fed adaptive campaign (bisect and coverage) in
-//    deterministic mode emits byte-identical JSONL to the batch-barrier
-//    path, for 1 and 8 workers.
+//  * A monitored adaptive campaign (bisect and coverage) in deterministic
+//    mode emits byte-identical JSONL to an unmonitored one, for 1 and 8
+//    workers.
 //  * Live mode (early_cancel) actually cancels: skipped records appear
 //    once a cell's round is resolved.
 //  * The drift detector fires on a planted manifestation-rate anomaly
@@ -29,10 +29,8 @@
 #include "adaptive/strategy.hpp"
 #include "analysis/accumulator.hpp"
 #include "monitor/drift.hpp"
-#include "monitor/feed.hpp"
 #include "monitor/jsonl_reader.hpp"
 #include "monitor/service.hpp"
-#include "monitor/streaming_cell.hpp"
 #include "myrinet/control.hpp"
 #include "nftape/campaign.hpp"
 #include "nftape/faults.hpp"
@@ -64,16 +62,17 @@ orchestrator::RunRecord synth_record(std::size_t i, const std::string& cell,
   rec.attempts = 1;
   auto& r = rec.result;
   r.medium = medium;
-  r.messages_sent = 100 + (h % 50);
-  r.messages_received = r.messages_sent - (h % 9) + (h % 3);  // some dups
-  r.injections = 20 + (h % 13);
+  r.counters.messages_sent = 100 + (h % 50);
+  // Some runs deliver duplicates.
+  r.counters.messages_received = r.counters.messages_sent - (h % 9) + (h % 3);
+  r.counters.injections = 20 + (h % 13);
   auto& b = r.manifestations;
   b[Manifestation::kCrcDropped] = h % 5;
   b[Manifestation::kMisrouted] = h % 2;
   b[Manifestation::kDroppedOther] = (h >> 8) % 4;
   b[Manifestation::kTimeout] = (h >> 16) % 2;
   b[Manifestation::kMasked] =
-      r.injections - b[Manifestation::kCrcDropped] -
+      r.counters.injections - b[Manifestation::kCrcDropped] -
       b[Manifestation::kMisrouted] - b[Manifestation::kDroppedOther] -
       b[Manifestation::kTimeout];
   for (std::uint64_t s = 0; s < 3 + (h % 4); ++s) {
@@ -86,7 +85,7 @@ orchestrator::RunRecord synth_record(std::size_t i, const std::string& cell,
 // ---------------------------------------------------------------------------
 // Streaming == batch, bit for bit.
 
-TEST(StreamingCell, OneAtATimeShuffledAndShardedMatchBatch) {
+TEST(MonitorFold, OneAtATimeShuffledAndShardedMatchBatch) {
   constexpr std::size_t kRuns = 240;
   std::vector<orchestrator::RunRecord> records;
   records.reserve(kRuns);
@@ -94,54 +93,33 @@ TEST(StreamingCell, OneAtATimeShuffledAndShardedMatchBatch) {
     records.push_back(synth_record(i, "fault/both"));
   }
 
-  // Batch reference: the pre-streaming accumulator.
-  analysis::CellAccumulator batch;
-  for (const auto& rec : records) {
-    batch.add_run("fault/both", rec.outcome == orchestrator::RunOutcome::kOk,
-                  rec.result.manifestations, rec.result.injections,
-                  rec.result.duplicates(), &rec.result.manifestation_latency);
-  }
-  const analysis::CellStats* expected = batch.find("fault/both");
-  ASSERT_NE(expected, nullptr);
-  ASSERT_GT(expected->injections, 0u);
+  // Batch reference: every record folded into one cell, as cell_summary
+  // does at the end of a campaign.
+  analysis::CellStats expected;
+  for (const auto& rec : records) orchestrator::fold_run(expected, rec);
+  ASSERT_GT(expected.injections, 0u);
+  ASSERT_GT(expected.latency.count(), 0u);
 
   // One record at a time, emission order.
-  monitor::StreamingCell streamed;
-  for (const auto& rec : records) streamed.fold(rec);
-  EXPECT_EQ(streamed.stats(), *expected);
+  monitor::MonitorService streamed;
+  for (const auto& rec : records) streamed.on_record(rec);
+  EXPECT_EQ(streamed.cell("fault/both"), expected);
 
   // Deterministically shuffled order (folding is commutative).
   std::vector<std::size_t> order(kRuns);
   for (std::size_t i = 0; i < kRuns; ++i) order[i] = i;
   std::mt19937 rng(1234);
   std::shuffle(order.begin(), order.end(), rng);
-  monitor::StreamingCell shuffled;
-  for (const std::size_t i : order) shuffled.fold(records[i]);
-  EXPECT_EQ(shuffled.stats(), *expected);
+  monitor::MonitorService shuffled;
+  for (const std::size_t i : order) shuffled.on_record(records[i]);
+  EXPECT_EQ(shuffled.cell("fault/both"), expected);
 
   // Four shards merged (folding is associative).
-  monitor::StreamingCell shards[4];
-  for (std::size_t i = 0; i < kRuns; ++i) shards[i % 4].fold(records[i]);
-  monitor::StreamingCell merged;
-  for (auto& shard : shards) merged.merge(shard);
-  EXPECT_EQ(merged.stats(), *expected);
-}
-
-TEST(StreamingCell, WilsonAndResolution) {
-  monitor::StreamingCell cell;
-  EXPECT_FALSE(cell.resolved(0.5, 1));  // empty: full-width interval
-
-  analysis::ManifestationBreakdown b;
-  b[Manifestation::kCrcDropped] = 30;
-  b[Manifestation::kMasked] = 70;
-  cell.fold(true, b, 100, 0);
-  const auto w = cell.wilson();
-  EXPECT_NEAR(w.rate, 0.30, 1e-9);
-  EXPECT_GT(w.lo, 0.20);
-  EXPECT_LT(w.hi, 0.42);
-  EXPECT_FALSE(cell.resolved(0.05, 64));  // CI still wider than 5 points
-  EXPECT_TRUE(cell.resolved(0.25, 64));
-  EXPECT_FALSE(cell.resolved(0.25, 1000));  // injections floor not met
+  monitor::MonitorService shards[4];
+  for (std::size_t i = 0; i < kRuns; ++i) shards[i % 4].on_record(records[i]);
+  analysis::CellStats merged;
+  for (const auto& shard : shards) merged.merge(shard.cell("fault/both"));
+  EXPECT_EQ(merged, expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -264,7 +242,7 @@ TEST(GoldenMonitored, SinkLeavesCampaignByteIdentical) {
   ASSERT_EQ(serial_cells.size(), pooled_cells.size());
   for (std::size_t i = 0; i < serial_cells.size(); ++i) {
     EXPECT_EQ(serial_cells[i].cell, pooled_cells[i].cell);
-    EXPECT_EQ(serial_cells[i].stats.stats(), pooled_cells[i].stats.stats());
+    EXPECT_EQ(serial_cells[i].stats, pooled_cells[i].stats);
   }
 
   // And the event digest still matches the committed golden file.
@@ -277,7 +255,7 @@ TEST(GoldenMonitored, SinkLeavesCampaignByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming-fed adaptive campaigns: deterministic mode is byte-identical.
+// Monitored adaptive campaigns: deterministic mode is byte-identical.
 
 /// Synthetic executor: a pure function of the run spec, so adaptive
 /// campaigns are fast and any divergence is attributable to the streaming
@@ -290,14 +268,14 @@ nftape::CampaignResult synth_executor(const orchestrator::RunSpec& run,
   r.medium = run.campaign.medium;
   const double us =
       sim::to_nanoseconds(run.campaign.workload.udp_interval) / 1000.0;
-  r.messages_sent = 100;
-  r.messages_received = 97;
+  r.counters.messages_sent = 100;
+  r.counters.messages_received = 97;
   r.window = sim::milliseconds(1);
-  r.injections = 10;
+  r.counters.injections = 10;
   const bool intense = us <= 50.0;
   const std::uint64_t manifested = intense ? 4 + (run.seed % 3) : 0;
   r.manifestations[Manifestation::kDroppedOther] = manifested;
-  r.manifestations[Manifestation::kMasked] = r.injections - manifested;
+  r.manifestations[Manifestation::kMasked] = r.counters.injections - manifested;
   for (std::uint64_t s = 0; s < manifested; ++s) {
     r.manifestation_latency.add(
         sim::microseconds(static_cast<std::int64_t>(5 + s)));
@@ -318,23 +296,22 @@ adaptive::AdaptiveSpec synth_spec() {
 
 struct AdaptiveOutput {
   std::string jsonl;
+  std::size_t records = 0;
   std::size_t skipped = 0;
-  std::uint64_t published = 0;
+  std::uint64_t monitored = 0;  ///< records the service folded
 };
 
 enum class Kind { kBisect, kCoverage };
 
-AdaptiveOutput run_adaptive(Kind kind, std::size_t workers, bool with_feed,
+AdaptiveOutput run_adaptive(Kind kind, std::size_t workers, bool monitored,
                             bool early_cancel, std::size_t replicates = 2) {
   const auto spec = synth_spec();
   adaptive::ControllerConfig cc;
   cc.runner.workers = workers;
   cc.runner.executor = synth_executor;
-  monitor::StreamingFeed feed;
-  if (with_feed) {
-    cc.feed = &feed;
-    cc.early_cancel = early_cancel;
-  }
+  monitor::MonitorService service;
+  if (monitored) cc.runner.sinks.push_back(&service);
+  cc.early_cancel = early_cancel;
   adaptive::Controller controller(spec, std::move(cc));
 
   std::unique_ptr<adaptive::Strategy> strategy;
@@ -367,7 +344,8 @@ AdaptiveOutput run_adaptive(Kind kind, std::size_t workers, bool with_feed,
     lines << orchestrator::to_jsonl(r, /*include_timing=*/false) << '\n';
   }
   out.jsonl = lines.str();
-  out.published = feed.published();
+  out.records = outcome.records.size();
+  out.monitored = service.records();
   EXPECT_FALSE(out.jsonl.empty());
   return out;
 }
@@ -378,13 +356,14 @@ TEST(StreamingAdaptive, BisectDeterministicModeIsByteIdentical) {
   const auto fed8 = run_adaptive(Kind::kBisect, 8, true, false);
   const auto batch8 = run_adaptive(Kind::kBisect, 8, false, false);
   EXPECT_EQ(fed1.jsonl, batch.jsonl)
-      << "streaming feed (deterministic mode) must not change the records";
+      << "monitoring (deterministic mode) must not change the records";
   EXPECT_EQ(fed8.jsonl, batch.jsonl)
-      << "streaming-fed campaign must be byte-identical across 1 vs 8 workers";
+      << "monitored campaign must be byte-identical across 1 vs 8 workers";
   EXPECT_EQ(batch8.jsonl, batch.jsonl);
   EXPECT_EQ(fed1.skipped, 0u);
-  // Every record of the campaign went through the feed.
-  EXPECT_GT(fed1.published, 0u);
+  // Every record of the campaign reached the service.
+  EXPECT_EQ(fed1.monitored, fed1.records);
+  EXPECT_EQ(fed8.monitored, fed8.records);
 }
 
 TEST(StreamingAdaptive, CoverageDeterministicModeIsByteIdentical) {
@@ -393,8 +372,9 @@ TEST(StreamingAdaptive, CoverageDeterministicModeIsByteIdentical) {
   const auto fed8 = run_adaptive(Kind::kCoverage, 8, true, false);
   EXPECT_EQ(fed1.jsonl, batch.jsonl);
   EXPECT_EQ(fed8.jsonl, batch.jsonl)
-      << "streaming-fed coverage campaign must not depend on worker count";
+      << "monitored coverage campaign must not depend on worker count";
   EXPECT_EQ(fed1.skipped, 0u);
+  EXPECT_EQ(fed8.monitored, fed8.records);
 }
 
 TEST(StreamingAdaptive, EarlyCancelSkipsResolvedCells) {
@@ -405,8 +385,8 @@ TEST(StreamingAdaptive, EarlyCancelSkipsResolvedCells) {
       run_adaptive(Kind::kBisect, 1, true, true, /*replicates=*/6);
   EXPECT_GT(live.skipped, 0u)
       << "early-cancel never skipped anything despite resolved cells";
-  // Skipped records still flow through the feed (they are real records).
-  EXPECT_GT(live.published, 0u);
+  // Skipped records still flow through the sinks (they are real records).
+  EXPECT_EQ(live.monitored, live.records);
 }
 
 // ---------------------------------------------------------------------------
@@ -422,9 +402,9 @@ orchestrator::RunRecord planted_record(std::size_t i, nftape::Medium medium,
   rec.medium = medium;
   rec.outcome = orchestrator::RunOutcome::kOk;
   rec.result.medium = medium;
-  rec.result.messages_sent = 10;
-  rec.result.messages_received = 10;
-  rec.result.injections = injections;
+  rec.result.counters.messages_sent = 10;
+  rec.result.counters.messages_received = 10;
+  rec.result.counters.injections = injections;
   rec.result.manifestations[Manifestation::kDroppedOther] = manifested;
   rec.result.manifestations[Manifestation::kMasked] = injections - manifested;
   return rec;
@@ -506,73 +486,73 @@ TEST(Drift, LatencyShiftDetectsMovedDistribution) {
 }
 
 // ---------------------------------------------------------------------------
-// JSONL tail mode: parse + incremental file following.
+// JSONL tail mode: orchestrator::parse_jsonl + incremental file following.
 
 TEST(JsonlReader, ParsesEmittedRecords) {
   const auto rec = synth_record(3, "gap-go/both", nftape::Medium::kFc);
   const std::string line = orchestrator::to_jsonl(rec);
-  const auto parsed = monitor::parse_record(line);
+  const auto parsed = orchestrator::parse_jsonl(line);
   ASSERT_TRUE(parsed.has_value()) << line;
   EXPECT_EQ(parsed->name, rec.name);
-  EXPECT_EQ(parsed->medium, "fc");
-  EXPECT_EQ(parsed->run, rec.index);
+  EXPECT_EQ(parsed->medium, nftape::Medium::kFc);
+  EXPECT_EQ(parsed->index, rec.index);
   EXPECT_EQ(parsed->seed, rec.seed);
+  EXPECT_EQ(parsed->outcome, rec.outcome);
   if (rec.outcome == orchestrator::RunOutcome::kOk) {
-    EXPECT_TRUE(parsed->ok());
-    EXPECT_EQ(parsed->injections, rec.result.injections);
-    EXPECT_EQ(parsed->duplicates, rec.result.duplicates());
-    EXPECT_EQ(parsed->manifestations, rec.result.manifestations);
+    EXPECT_EQ(parsed->result.counters.injections,
+              rec.result.counters.injections);
+    EXPECT_EQ(parsed->result.duplicates(), rec.result.duplicates());
+    EXPECT_EQ(parsed->result.manifestations, rec.result.manifestations);
   }
 
   // Default medium is omitted from the line and defaulted by the parser.
   const auto myri = synth_record(0, "gap-go/both");
-  const auto parsed_myri = monitor::parse_record(orchestrator::to_jsonl(myri));
+  const auto parsed_myri =
+      orchestrator::parse_jsonl(orchestrator::to_jsonl(myri));
   ASSERT_TRUE(parsed_myri.has_value());
-  EXPECT_EQ(parsed_myri->medium, "myrinet");
+  EXPECT_EQ(parsed_myri->medium, nftape::Medium::kMyrinet);
 
   // Escaped names survive the round trip.
   orchestrator::RunRecord quoted = synth_record(1, "gap-go/both");
   quoted.name = "weird \"name\"\twith\nescapes";
   const auto parsed_quoted =
-      monitor::parse_record(orchestrator::to_jsonl(quoted));
+      orchestrator::parse_jsonl(orchestrator::to_jsonl(quoted));
   ASSERT_TRUE(parsed_quoted.has_value());
   EXPECT_EQ(parsed_quoted->name, quoted.name);
 
   // Unknown fields are skipped, nested ones included.
-  const auto extra = monitor::parse_record(
+  const auto extra = orchestrator::parse_jsonl(
       R"({"name":"a","outcome":"ok","extra":{"x":[1,null]},"injections":2})");
   ASSERT_TRUE(extra.has_value());
-  EXPECT_EQ(extra->injections, 2u);
+  EXPECT_EQ(extra->result.counters.injections, 2u);
 }
 
 TEST(JsonlReader, RejectsMalformedLines) {
-  EXPECT_FALSE(monitor::parse_record("").has_value());
-  EXPECT_FALSE(monitor::parse_record("not json").has_value());
-  EXPECT_FALSE(monitor::parse_record("{\"name\":\"a\"").has_value());
+  using orchestrator::parse_jsonl;
+  EXPECT_FALSE(parse_jsonl("").has_value());
+  EXPECT_FALSE(parse_jsonl("not json").has_value());
+  EXPECT_FALSE(parse_jsonl("{\"name\":\"a\"").has_value());
   EXPECT_FALSE(
-      monitor::parse_record("{\"name\":\"a\",\"outcome\":\"ok\"} extra")
-          .has_value());
-  EXPECT_FALSE(monitor::parse_record("{\"outcome\":\"ok\"}").has_value())
+      parse_jsonl("{\"name\":\"a\",\"outcome\":\"ok\"} extra").has_value());
+  EXPECT_FALSE(parse_jsonl("{\"outcome\":\"ok\"}").has_value())
       << "a record without a name is useless to the monitor";
   EXPECT_FALSE(
-      monitor::parse_record(
-          "{\"name\":\"a\",\"outcome\":\"ok\",\"injections\":\"abc\"}")
+      parse_jsonl("{\"name\":\"a\",\"outcome\":\"ok\",\"injections\":\"abc\"}")
           .has_value())
       << "non-numeric token in a folded u64 field";
   // Lines parse with orchestrator::parse_json, so a bare word, a duplicate
-  // key and a raw control character fail even where the monitor would
+  // key and a raw control character fail even where the reader would
   // skip the field or overwrite it.
   EXPECT_FALSE(
-      monitor::parse_record(R"({"name":"a","outcome":"ok","sent":nope})")
-          .has_value());
-  EXPECT_FALSE(monitor::parse_record(R"({"name":"a","outcome":"ok",)"
-                                     R"("injections":1,"injections":2})")
+      parse_jsonl(R"({"name":"a","outcome":"ok","sent":nope})").has_value());
+  EXPECT_FALSE(parse_jsonl(R"({"name":"a","outcome":"ok",)"
+                           R"("injections":1,"injections":2})")
                    .has_value());
-  EXPECT_FALSE(monitor::parse_record("{\"name\":\"a\tb\",\"outcome\":\"ok\"}")
-                   .has_value());
-  EXPECT_FALSE(monitor::parse_record(
-                   R"({"name":"a","outcome":"ok","injections":1.5})")
-                   .has_value())
+  EXPECT_FALSE(
+      parse_jsonl("{\"name\":\"a\tb\",\"outcome\":\"ok\"}").has_value());
+  EXPECT_FALSE(
+      parse_jsonl(R"({"name":"a","outcome":"ok","injections":1.5})")
+          .has_value())
       << "a fraction in a folded u64 field";
 }
 
@@ -582,8 +562,8 @@ TEST(JsonlReader, TailerFollowsAGrowingShardFile) {
   std::remove(path.c_str());
 
   monitor::JsonlTailer tailer(path);
-  std::vector<monitor::ParsedRecord> seen;
-  const auto deliver = [&seen](const monitor::ParsedRecord& r) {
+  std::vector<orchestrator::RunRecord> seen;
+  const auto deliver = [&seen](const orchestrator::RunRecord& r) {
     seen.push_back(r);
   };
   EXPECT_EQ(tailer.poll(deliver), 0u) << "missing file: shard not started";
@@ -598,7 +578,7 @@ TEST(JsonlReader, TailerFollowsAGrowingShardFile) {
   }
   EXPECT_EQ(tailer.poll(deliver), 1u);
   ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0].run, 0u);
+  EXPECT_EQ(seen[0].index, 0u);
 
   {
     std::ofstream out(path, std::ios::binary | std::ios::app);
@@ -607,7 +587,7 @@ TEST(JsonlReader, TailerFollowsAGrowingShardFile) {
   }
   EXPECT_EQ(tailer.poll(deliver), 1u) << "completed torn line delivers";
   ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[1].run, 1u);
+  EXPECT_EQ(seen[1].index, 1u);
   EXPECT_EQ(tailer.malformed(), 1u);
   EXPECT_EQ(tailer.poll(deliver), 0u) << "nothing new";
 
@@ -624,8 +604,8 @@ TEST(JsonlReader, TailerRecoversFromTruncationAndRotation) {
   std::remove(path.c_str());
 
   monitor::JsonlTailer tailer(path);
-  std::vector<monitor::ParsedRecord> seen;
-  const auto deliver = [&seen](const monitor::ParsedRecord& r) {
+  std::vector<orchestrator::RunRecord> seen;
+  const auto deliver = [&seen](const orchestrator::RunRecord& r) {
     seen.push_back(r);
   };
 
@@ -649,7 +629,7 @@ TEST(JsonlReader, TailerRecoversFromTruncationAndRotation) {
   }
   EXPECT_EQ(tailer.poll(deliver), 1u) << "tailing must resume after rotation";
   ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[1].run, 2u);
+  EXPECT_EQ(seen[1].index, 2u);
   EXPECT_EQ(tailer.truncations(), 1u);
   EXPECT_EQ(tailer.malformed(), 0u)
       << "the old file's torn carry must be dropped, not prepended";
@@ -661,7 +641,7 @@ TEST(JsonlReader, TailerRecoversFromTruncationAndRotation) {
   }
   EXPECT_EQ(tailer.poll(deliver), 1u);
   ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[2].run, 0u);
+  EXPECT_EQ(seen[2].index, 0u);
   EXPECT_EQ(tailer.truncations(), 1u);
 
   std::remove(path.c_str());
@@ -676,15 +656,18 @@ TEST(JsonlReader, ServiceIngestsTailedRecords) {
   for (std::size_t i = 0; i < 40; ++i) {
     const auto rec = synth_record(i, "seu-00FF/both");
     shard << orchestrator::to_jsonl(rec) << '\n';
-    direct.ingest(*monitor::parse_record(orchestrator::to_jsonl(rec)));
+    direct.on_record(rec);
   }
   monitor::MonitorService tailed;
   EXPECT_EQ(tailed.ingest_jsonl(shard.str()), 40u);
   EXPECT_EQ(tailed.records(), 40u);
   EXPECT_EQ(tailed.malformed_lines(), 0u);
 
-  const auto a = direct.cell("seu-00FF/both").stats();
-  const auto b = tailed.cell("seu-00FF/both").stats();
+  auto a = direct.cell("seu-00FF/both");
+  const auto b = tailed.cell("seu-00FF/both");
+  EXPECT_GT(a.latency.count(), 0u);
+  EXPECT_EQ(b.latency.count(), 0u);
+  a.latency.clear();
   EXPECT_EQ(a, b);
   EXPECT_GT(b.injections, 0u);
 }

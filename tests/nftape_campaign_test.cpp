@@ -44,13 +44,13 @@ TEST(CampaignTest, BaselineRunHasNoLoss) {
   bed.settle(milliseconds(60));
   CampaignRunner runner(bed);
   const auto r = runner.run(quick_spec("baseline"));
-  EXPECT_GT(r.messages_sent, 1000u);
+  EXPECT_GT(r.counters.messages_sent, 1000u);
   // Loss-free up to window-boundary skew (messages sent during warmup may
   // be delivered inside the window and vice versa).
-  const auto sent = static_cast<double>(r.messages_sent);
-  const auto received = static_cast<double>(r.messages_received);
+  const auto sent = static_cast<double>(r.counters.messages_sent);
+  const auto received = static_cast<double>(r.counters.messages_received);
   EXPECT_NEAR(received, sent, 0.01 * sent) << "baseline must be loss-free";
-  EXPECT_EQ(r.injections, 0u);
+  EXPECT_EQ(r.counters.injections, 0u);
   EXPECT_DOUBLE_EQ(r.loss_rate(), 0.0);
 }
 
@@ -64,13 +64,13 @@ TEST(CampaignTest, GapCorruptionCausesLoss) {
   spec.fault_to_switch =
       control_symbol_corruption(ControlSymbol::kGap, ControlSymbol::kGo);
   const auto r = runner.run(spec);
-  EXPECT_GT(r.injections, 0u);
+  EXPECT_GT(r.counters.injections, 0u);
   EXPECT_GT(r.loss_rate(), 0.0) << "GAP corruption must lose packets";
   // Merged packets pass the link CRC (appending a CRC-8 to a message
   // leaves the register at zero, so the switch's rewritten CRC checks out
   // for the concatenation) and die at the UDP layer as length/checksum
   // errors instead — same behavior the real network would show.
-  EXPECT_GT(r.udp_checksum_drops, 0u) << "merged frames must die at UDP";
+  EXPECT_GT(r.counters.checksum_drops, 0u) << "merged frames must die at UDP";
 }
 
 TEST(CampaignTest, RunsAreRepeatable) {
@@ -85,9 +85,9 @@ TEST(CampaignTest, RunsAreRepeatable) {
       control_symbol_corruption(ControlSymbol::kStop, ControlSymbol::kGap);
   const auto r1 = runner.run(spec);
   const auto r2 = runner.run(spec);
-  EXPECT_EQ(r1.messages_sent, r2.messages_sent);
-  EXPECT_EQ(r1.messages_received, r2.messages_received);
-  EXPECT_EQ(r1.injections, r2.injections);
+  EXPECT_EQ(r1.counters.messages_sent, r2.counters.messages_sent);
+  EXPECT_EQ(r1.counters.messages_received, r2.counters.messages_received);
+  EXPECT_EQ(r1.counters.injections, r2.counters.injections);
 }
 
 TEST(CampaignTest, SerialAndDirectProgrammingAgree) {
@@ -110,8 +110,8 @@ TEST(CampaignTest, SerialAndDirectProgrammingAgree) {
   // exposed to the fault (real campaigns have the same sensitivity).
   EXPECT_EQ(serial_cfg.compare_data,
             bed.injector().config(core::Direction::kLeftToRight).compare_data);
-  EXPECT_GT(serial.injections, 0u);
-  EXPECT_GT(direct.injections, 0u);
+  EXPECT_GT(serial.counters.injections, 0u);
+  EXPECT_GT(direct.counters.injections, 0u);
   EXPECT_NEAR(serial.loss_rate(), direct.loss_rate(), 0.10);
 }
 
@@ -126,7 +126,7 @@ TEST(CampaignTest, FaultFreeRunAfterFaultRunIsClean) {
       control_symbol_corruption(ControlSymbol::kGap, ControlSymbol::kGo);
   (void)runner.run(faulty);
   const auto clean = runner.run(quick_spec("clean"));
-  EXPECT_EQ(clean.injections, 0u);
+  EXPECT_EQ(clean.counters.injections, 0u);
   EXPECT_DOUBLE_EQ(clean.loss_rate(), 0.0);
 }
 
@@ -140,21 +140,21 @@ TEST(CampaignTest, ManifestationsAccountForEveryInjection) {
   CampaignRunner runner(bed);
 
   const auto baseline = runner.run(quick_spec("baseline"));
-  EXPECT_EQ(baseline.manifestations.total(), baseline.injections);
+  EXPECT_EQ(baseline.manifestations.total(), baseline.counters.injections);
   EXPECT_EQ(baseline.manifestations.total(), 0u);
 
   auto spec = quick_spec("GAP->GO");
   spec.fault_to_switch =
       control_symbol_corruption(ControlSymbol::kGap, ControlSymbol::kGo);
   const auto r = runner.run(spec);
-  ASSERT_GT(r.injections, 0u);
-  EXPECT_EQ(r.manifestations.total(), r.injections);
+  ASSERT_GT(r.counters.injections, 0u);
+  EXPECT_EQ(r.manifestations.total(), r.counters.injections);
   // GAP->GO merges frames, which must surface as non-masked effects.
   using analysis::Manifestation;
-  EXPECT_LT(r.manifestations[Manifestation::kMasked], r.injections);
+  EXPECT_LT(r.manifestations[Manifestation::kMasked], r.counters.injections);
   // The firing -> first-effect latencies only exist for matched firings.
   EXPECT_EQ(r.manifestation_latency.count(),
-            r.injections - r.manifestations[Manifestation::kMasked]);
+            r.counters.injections - r.manifestations[Manifestation::kMasked]);
 
   // The runner's metrics registry accumulated both runs.
   std::uint64_t counted = 0;
@@ -162,7 +162,7 @@ TEST(CampaignTest, ManifestationsAccountForEveryInjection) {
     counted += runner.metrics().counter_value(
         "manifest." + std::string(analysis::to_string(m)));
   }
-  EXPECT_EQ(counted, baseline.injections + r.injections);
+  EXPECT_EQ(counted, baseline.counters.injections + r.counters.injections);
 }
 
 TEST(CampaignTest, GuardSettlesCountAgainstWatchdogBudget) {
@@ -226,11 +226,11 @@ TEST(CampaignTest, DuplicateDeliveriesAreCountedNotClampedAway) {
   // loss_rate() must not hide received > sent behind a clamp; the
   // duplicates() accessor reports the overshoot explicitly.
   CampaignResult r;
-  r.messages_sent = 100;
-  r.messages_received = 103;
+  r.counters.messages_sent = 100;
+  r.counters.messages_received = 103;
   EXPECT_EQ(r.duplicates(), 3u);
   EXPECT_DOUBLE_EQ(r.loss_rate(), 0.0);
-  r.messages_received = 97;
+  r.counters.messages_received = 97;
   EXPECT_EQ(r.duplicates(), 0u);
   EXPECT_DOUBLE_EQ(r.loss_rate(), 0.03);
 
@@ -242,7 +242,7 @@ TEST(CampaignTest, DuplicateDeliveriesAreCountedNotClampedAway) {
   bed.settle(milliseconds(60));
   CampaignRunner runner(bed);
   const auto live = runner.run(quick_spec("dups"));
-  EXPECT_LE(live.duplicates(), live.messages_sent / 100);
+  EXPECT_LE(live.duplicates(), live.counters.messages_sent / 100);
 }
 
 TEST(ReportTest, RenderAlignsColumns) {

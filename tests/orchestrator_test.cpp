@@ -1,12 +1,13 @@
 // Tests for the parallel campaign orchestration engine: grid expansion,
-// seed derivation, JSONL records, worker-pool determinism, and the
-// per-run watchdog (timeout -> retry-once) path.
+// seed derivation, JSONL records written and read back, worker-pool
+// determinism, and the per-run watchdog (timeout -> retry-once) path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -16,9 +17,11 @@
 #include "analysis/manifestation.hpp"
 #include "myrinet/control.hpp"
 #include "nftape/faults.hpp"
+#include "orchestrator/json_value.hpp"
 #include "orchestrator/jsonl.hpp"
 #include "orchestrator/runner.hpp"
 #include "orchestrator/sweep.hpp"
+#include "random_record.hpp"
 #include "sim/rng.hpp"
 
 namespace hsfi::orchestrator {
@@ -125,11 +128,20 @@ TEST(JsonlTest, NonFiniteNumbersSerializeAsNull) {
   EXPECT_EQ(o.str(), "{\"a\":null,\"b\":null,\"c\":null,\"d\":1.25}");
 }
 
+TEST(JsonlTest, HugeFixedNumbersAreWrittenWhole) {
+  JsonObject o;
+  o.add_fixed("w", 1e300, 3);
+  const std::string line = o.str();
+  EXPECT_EQ(line.size(), std::string("{\"w\":}").size() + 301 + 4) << line;
+  EXPECT_EQ(line.substr(line.size() - 5), ".000}");
+}
+
 TEST(JsonlTest, DuplicateDeliveriesAreReportedNotClamped) {
   RunRecord rec;
   rec.outcome = RunOutcome::kOk;
-  rec.result.messages_sent = 10;
-  rec.result.messages_received = 13;  // duplication (e.g. a looped route)
+  rec.result.counters.messages_sent = 10;
+  // Duplication (e.g. a looped route).
+  rec.result.counters.messages_received = 13;
   rec.result.window = milliseconds(40);
   EXPECT_EQ(rec.result.duplicates(), 3u);
   EXPECT_EQ(rec.result.loss_rate(), 0.0);
@@ -145,8 +157,8 @@ TEST(JsonlTest, RecordHasStableFieldOrderAndOptionalTiming) {
   rec.seed = 99;
   rec.outcome = RunOutcome::kOk;
   rec.attempts = 1;
-  rec.result.messages_sent = 10;
-  rec.result.messages_received = 9;
+  rec.result.counters.messages_sent = 10;
+  rec.result.counters.messages_received = 9;
   rec.result.window = milliseconds(40);
   rec.wall_ms = 12.5;
   const auto line = to_jsonl(rec);
@@ -173,6 +185,137 @@ TEST(JsonlTest, RecordHasStableFieldOrderAndOptionalTiming) {
   EXPECT_NE(line.find("\"secondary_effects\":0}"), std::string::npos) << line;
 }
 
+// The record schema, read back: parse_jsonl walks the field list to_jsonl
+// writes, so every record re-emits byte for byte.
+TEST(JsonlTest, ParseJsonlRoundTripsRandomRecords) {
+  std::mt19937_64 rng(20260418);
+  for (int i = 0; i < 4000; ++i) {
+    const RunRecord rec = testing_support::random_record(rng);
+    const bool timing = rng() % 2 == 0;
+    const std::string line = to_jsonl(rec, timing);
+    const auto parsed = parse_jsonl(line);
+    ASSERT_TRUE(parsed.has_value()) << line;
+    EXPECT_EQ(to_jsonl(*parsed, timing), line);
+
+    // Every integer and text field the line carries reads back equal.
+    EXPECT_EQ(parsed->index, rec.index);
+    EXPECT_EQ(parsed->name, rec.name);
+    EXPECT_EQ(parsed->seed, rec.seed);
+    EXPECT_EQ(parsed->medium, rec.medium);
+    EXPECT_EQ(parsed->strategy, rec.strategy);
+    EXPECT_EQ(parsed->round, rec.strategy.empty() ? 0u : rec.round);
+    EXPECT_EQ(parsed->scenario, rec.scenario);
+    EXPECT_EQ(parsed->outcome, rec.outcome);
+    EXPECT_EQ(parsed->attempts, rec.attempts);
+    EXPECT_EQ(parsed->timeouts, rec.timeouts);
+    EXPECT_EQ(parsed->error, rec.error);
+    EXPECT_EQ(parsed->wall_ms, timing ? rec.wall_ms : 0.0);
+    if (rec.outcome != RunOutcome::kOk) continue;
+    const auto& got = parsed->result;
+    nftape::FabricCounters carried = rec.result.counters;
+    if (rec.medium != nftape::Medium::kFc) {
+      carried.credit_stalls = 0;
+      carried.sequences_aborted = 0;
+    }
+    if (rec.scenario.empty()) carried.scenario_steps = 0;
+    EXPECT_TRUE(got.counters == carried) << line;
+    EXPECT_EQ(got.window, rec.result.window);
+    EXPECT_EQ(got.events_executed, rec.result.events_executed);
+    EXPECT_EQ(got.manifestations, rec.result.manifestations);
+    EXPECT_EQ(got.secondary_effects, rec.result.secondary_effects);
+    EXPECT_EQ(got.manifestation_latency.count(), 0u);
+  }
+}
+
+TEST(JsonlTest, ParseJsonlRefusesWhatNoEmitterWrites) {
+  EXPECT_TRUE(parse_jsonl(R"({"name":"a","outcome":"ok"})").has_value());
+  // Required fields.
+  EXPECT_FALSE(parse_jsonl(R"({"outcome":"ok"})").has_value());
+  EXPECT_FALSE(parse_jsonl(R"({"name":"","outcome":"ok"})").has_value());
+  EXPECT_FALSE(parse_jsonl(R"({"name":"a"})").has_value());
+  // Names of values that do not exist.
+  EXPECT_FALSE(parse_jsonl(R"({"name":"a","outcome":"maybe"})").has_value());
+  EXPECT_FALSE(parse_jsonl(R"({"name":"a","medium":"infiniband",)"
+                           R"("outcome":"ok"})")
+                   .has_value());
+  EXPECT_TRUE(parse_jsonl(R"({"name":"a","medium":"fc","outcome":"ok"})")
+                  .has_value());
+  // Ranges: round is 32 bits, attempts and timeouts an int.
+  EXPECT_TRUE(parse_jsonl(R"({"name":"a","round":4294967295,)"
+                          R"("outcome":"ok"})")
+                  .has_value());
+  EXPECT_FALSE(parse_jsonl(R"({"name":"a","round":4294967296,)"
+                           R"("outcome":"ok"})")
+                   .has_value());
+  EXPECT_FALSE(parse_jsonl(R"({"name":"a","round":18446744073709551615,)"
+                           R"("outcome":"ok"})")
+                   .has_value());
+  for (const char* key : {"attempts", "timeouts"}) {
+    const std::string head = std::string(R"({"name":"a","outcome":"ok",")") +
+                             key + "\":";
+    EXPECT_TRUE(parse_jsonl(head + "2147483647}").has_value()) << key;
+    EXPECT_FALSE(parse_jsonl(head + "2147483648}").has_value()) << key;
+  }
+  // The window reads into picoseconds: non-negative, at most 10^9 ms.
+  EXPECT_TRUE(parse_jsonl(R"({"name":"a","outcome":"ok",)"
+                          R"("window_ms":1000000000.000})")
+                  .has_value());
+  EXPECT_FALSE(parse_jsonl(R"({"name":"a","outcome":"ok",)"
+                           R"("window_ms":1000000000.001})")
+                   .has_value());
+  EXPECT_FALSE(parse_jsonl(R"({"name":"a","outcome":"ok","window_ms":-1.0})")
+                   .has_value());
+  // Numbers past a double, which would be written back as null.
+  EXPECT_FALSE(parse_jsonl(R"({"name":"a","outcome":"ok","wall_ms":1e400})")
+                   .has_value());
+  EXPECT_FALSE(
+      parse_jsonl(R"({"name":"a","outcome":"ok","window_ms":-1e400})")
+          .has_value());
+  // Text or a boolean where a fixed-point number belongs.
+  EXPECT_FALSE(parse_jsonl(R"({"name":"a","outcome":"ok","window_ms":"1"})")
+                   .has_value());
+  EXPECT_FALSE(parse_jsonl(R"({"name":"a","outcome":"ok","loss_pct":true})")
+                   .has_value());
+  EXPECT_FALSE(parse_jsonl(R"({"name":"a","outcome":"ok","wall_ms":null})")
+                   .has_value());
+  // A number where text belongs.
+  EXPECT_FALSE(parse_jsonl(R"({"name":7,"outcome":"ok"})").has_value());
+  EXPECT_FALSE(parse_jsonl(R"({"name":"a","outcome":"ok","error":1})")
+                   .has_value());
+
+  // Every integer field of a full record refuses a sign, a fraction and a
+  // string.
+  RunRecord full;
+  full.name = "fc:gap-go/both/udp-us=12/r0";
+  full.medium = nftape::Medium::kFc;
+  full.strategy = "coverage";
+  full.round = 2;
+  full.scenario = "flow-liar";
+  full.outcome = RunOutcome::kOk;
+  full.attempts = 1;
+  full.error = "none";
+  full.result.counters.messages_sent = 10;
+  const std::string line = to_jsonl(full, /*include_timing=*/true);
+  ASSERT_TRUE(parse_jsonl(line).has_value()) << line;
+  const auto doc = parse_json(line);
+  ASSERT_TRUE(doc.has_value());
+  std::size_t integer_fields = 0;
+  for (const auto& [key, value] : doc->fields) {
+    std::uint64_t n = 0;
+    if (!value.as_u64(n)) continue;
+    ++integer_fields;
+    const std::string field = "\"" + key + "\":" + value.text;
+    const auto at = line.find(field);
+    ASSERT_NE(at, std::string::npos) << field;
+    for (const char* bad : {"-1", "1.5", "\"7\""}) {
+      std::string mutated = line;
+      mutated.replace(at, field.size(), "\"" + key + "\":" + bad);
+      EXPECT_FALSE(parse_jsonl(mutated).has_value()) << mutated;
+    }
+  }
+  EXPECT_GE(integer_fields, 32u) << line;
+}
+
 // The acceptance property: the same sweep produces byte-identical sorted
 // JSONL no matter how many workers execute it (seeds derive from the run
 // index, every run owns a private testbed, wall time is excluded).
@@ -194,7 +337,7 @@ TEST(RunnerTest, JsonlIsByteIdenticalAcrossWorkerCounts) {
   }
   EXPECT_EQ(sorted_jsonl(serial), sorted_jsonl(parallel));
   // And the records really did measure something.
-  EXPECT_GT(serial[0].result.messages_sent, 0u);
+  EXPECT_GT(serial[0].result.counters.messages_sent, 0u);
 }
 
 TEST(RunnerTest, FaultySweepRunsSeeCampaignEffects) {
@@ -206,14 +349,15 @@ TEST(RunnerTest, FaultySweepRunsSeeCampaignEffects) {
   for (const auto& r : records) {
     ASSERT_EQ(r.outcome, RunOutcome::kOk) << r.error;
     if (r.name.rfind("baseline", 0) == 0) {
-      EXPECT_EQ(r.result.injections, 0u) << r.name;
+      EXPECT_EQ(r.result.counters.injections, 0u) << r.name;
     } else {
-      EXPECT_GT(r.result.injections, 0u) << r.name;
+      EXPECT_GT(r.result.counters.injections, 0u) << r.name;
       EXPECT_GT(r.result.loss_rate(), 0.0) << r.name;
     }
     // The accounting invariant, via the real worker-pool path: every firing
     // lands in exactly one manifestation class.
-    EXPECT_EQ(r.result.manifestations.total(), r.result.injections) << r.name;
+    EXPECT_EQ(r.result.manifestations.total(), r.result.counters.injections)
+        << r.name;
   }
 }
 
@@ -240,7 +384,7 @@ TEST(RunnerTest, WatchdogCancelsHungRunAndRetriesExactlyOnce) {
     }
     nftape::CampaignResult r;
     r.name = run.campaign.name;
-    r.messages_sent = r.messages_received = 100 + run.index;
+    r.counters.messages_sent = r.counters.messages_received = 100 + run.index;
     return r;
   };
   const auto records = Runner(rc).run_all(runs);
@@ -385,7 +529,7 @@ TEST(RunnerTest, JsonlSinkWritesOneLinePerRecord) {
   rc.on_record = [&sink](const RunRecord& r) { sink.write(r); };
   rc.executor = [](const RunSpec& run, const nftape::RunControl&) {
     nftape::CampaignResult r;
-    r.messages_sent = r.messages_received = run.index;
+    r.counters.messages_sent = r.counters.messages_received = run.index;
     return r;
   };
   const auto records = Runner(rc).run_all(expand(small_sweep()));

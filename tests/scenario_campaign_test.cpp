@@ -105,10 +105,10 @@ MiniCampaign run_mini(std::size_t workers) {
     fabric->settle(run.startup_settle);
     nftape::CampaignRunner runner(*fabric);
     auto result = runner.run(run.campaign, &control);
-    EXPECT_EQ(result.manifestations.total(), result.injections)
+    EXPECT_EQ(result.manifestations.total(), result.counters.injections)
         << "run " << run.index
         << ": breakdown must reconcile with scenario firings included";
-    EXPECT_GT(result.scenario_steps_fired, 0u)
+    EXPECT_GT(result.counters.scenario_steps, 0u)
         << "run " << run.index << ": the armed scenario must fire in-window";
     out.digests[run.index] = digest.hex();  // disjoint slot per run
     return result;
@@ -260,9 +260,9 @@ TEST(ScenarioMinimization, FlowLiarShrinksOnForkedSnapshots) {
   const auto reference = orchestrator::Runner(rc).run_all(runs).front();
   ASSERT_EQ(reference.outcome, orchestrator::RunOutcome::kOk)
       << reference.error;
-  EXPECT_EQ(reference.result.scenario_steps_fired, scen->steps.size());
+  EXPECT_EQ(reference.result.counters.scenario_steps, scen->steps.size());
   EXPECT_EQ(reference.result.manifestations.total(),
-            reference.result.injections);
+            reference.result.counters.injections);
   const std::string expect = orchestrator::dominant_class(reference.result);
   ASSERT_FALSE(expect.empty()) << "flow-liar must manifest through the "
                                   "full stack for the acceptance to mean "
@@ -301,7 +301,7 @@ TEST(ScenarioMinimization, FlowLiarShrinksOnForkedSnapshots) {
       orchestrator::Runner(rc).run_all(orchestrator::expand(min_sweep)).front();
   ASSERT_EQ(verify.outcome, orchestrator::RunOutcome::kOk) << verify.error;
   EXPECT_EQ(orchestrator::dominant_class(verify.result), expect);
-  EXPECT_EQ(verify.result.scenario_steps_fired,
+  EXPECT_EQ(verify.result.counters.scenario_steps,
             minimized.minimal.steps.size());
 
   // A trace built from the verification run replays byte-identically when

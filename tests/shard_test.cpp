@@ -49,9 +49,9 @@ Runner synthetic_runner() {
     nftape::CampaignResult r;
     r.name = run.campaign.name;
     r.medium = run.campaign.medium;
-    r.messages_sent = 1000 + run.seed % 97;
-    r.messages_received = r.messages_sent - run.seed % 5;
-    r.injections = run.seed % 7;
+    r.counters.messages_sent = 1000 + run.seed % 97;
+    r.counters.messages_received = r.counters.messages_sent - run.seed % 5;
+    r.counters.injections = run.seed % 7;
     r.events_executed = 10 + run.index;
     r.window = run.campaign.duration;
     return r;
@@ -286,6 +286,27 @@ TEST(ShardTest, ResumeRefusesForeignCheckpoint) {
   write_checkpoint(checkpoint_path(out), stale);
   EXPECT_THROW((void)run_sharded(runner, runs, out, identity, opts),
                ShardError);
+}
+
+TEST(ShardTest, ResumeRefusesCheckpointPastTheDataFile) {
+  const auto runs = fixture_runs();
+  const std::string out = scratch("past_the_end");
+  { std::ofstream(out, std::ios::binary) << "{\"run\":0}\n"; }
+  Checkpoint identity;
+  identity.spec_digest = fnv1a64(kSpec);
+  Checkpoint claimed = identity;
+  claimed.runs = 1;
+  claimed.bytes = 1u << 20;  // the file holds 10 bytes
+  write_checkpoint(checkpoint_path(out), claimed);
+
+  auto runner = synthetic_runner();
+  ShardOptions opts;
+  opts.resume = true;
+  EXPECT_THROW((void)run_sharded(runner, runs, out, identity, opts),
+               ShardError);
+  // Refused before touching the file: no NUL padding up to the claim.
+  std::ifstream in(out, std::ios::binary | std::ios::ate);
+  EXPECT_EQ(in.tellg(), 10);
 }
 
 TEST(ShardTest, ResumeSkipsDurableRunsAndExecutesTheRest) {
