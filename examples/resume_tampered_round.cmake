@@ -1,6 +1,6 @@
-# A resume refuses durable records and round sidecars that its checkpoint
-# cannot vouch for, instead of trusting their numbers. Crashes the adaptive
-# spec after its first durable round (as shard_roundtrip.cmake does), then
+# A resume refuses durable records and sidecars that its checkpoint cannot
+# vouch for, instead of trusting their numbers. Crashes the adaptive spec
+# after its first durable round (as shard_roundtrip.cmake does), then
 # tampers with a copy of the files five ways and expects each --resume to
 # exit 1 with an error naming the file:
 #   - the first record's round set to 2^64-1 (the sidecar's byte count
@@ -10,38 +10,43 @@
 #     the next record's round 0 steps back;
 #   - the sidecar claiming more rounds than the spec's max_rounds (4);
 #   - the sidecar claiming 2^64-1 durable bytes.
+# Two more cases check that the durable prefix is exactly the records the
+# sidecar counts:
+#   - the static spec crashed after its first batch, its sidecar's byte
+#     count lowered to 100, inside the first record;
+#   - a coverage campaign (the adaptive spec's target, 2 ms windows) crashed
+#     after its second round, its sidecar lowered to 1 round and 2 records
+#     while the byte count still covers round 1's records too.
 #
 # Usage:
-#   cmake -DSWEEP=<run_sweep> -DSPEC=<mini_bisect.json> -DWORK=<dir>
+#   cmake -DSWEEP=<run_sweep> -DSPEC=<mini_bisect.json>
+#         -DSTATIC_SPEC=<mini_campaign.json> -DWORK=<dir>
 #         -P resume_tampered_round.cmake
 
-foreach(var SWEEP SPEC WORK)
+foreach(var SWEEP SPEC STATIC_SPEC WORK)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "missing -D${var}")
   endif()
 endforeach()
 
-set(pristine ${WORK}/tampered_pristine.jsonl)
-set(data ${WORK}/tampered_round.jsonl)
-file(REMOVE ${pristine} ${pristine}.ckpt ${data} ${data}.ckpt)
+# Runs `spec` into `out` and expects the crash seam's exit 9 after
+# `batches` durable batches (rounds, for a strategy spec).
+function(crash spec out batches)
+  file(REMOVE ${out} ${out}.ckpt)
+  execute_process(COMMAND ${SWEEP} --spec ${spec} --out ${out}
+                          --crash-after-batches ${batches}
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 9)
+    message(FATAL_ERROR "crash run of ${spec} exited '${rc}' (wanted 9)\n"
+                        "${err}")
+  endif()
+endfunction()
 
-execute_process(COMMAND ${SWEEP} --spec ${SPEC} --out ${pristine}
-                        --crash-after-batches 1
-  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-if(NOT rc EQUAL 9)
-  message(FATAL_ERROR "crash run exited '${rc}' (wanted 9)\n${err}")
-endif()
-file(READ ${pristine} records)
-file(READ ${pristine}.ckpt sidecar)
-string(REGEX MATCH "\"bytes\":([0-9]+)" unused "${sidecar}")
-set(durable ${CMAKE_MATCH_1})
-
-# Resumes from `data_text` and `ckpt_text` and expects exit 1 with
-# `expect` on stderr.
-function(expect_refused data_text ckpt_text expect)
-  file(WRITE ${data} "${data_text}")
-  file(WRITE ${data}.ckpt "${ckpt_text}")
-  execute_process(COMMAND ${SWEEP} --spec ${SPEC} --out ${data} --resume
+# Resumes `spec` from the files at `out` and expects exit 1 with `expect`
+# on stderr.
+function(expect_resume_refused spec out expect)
+  file(READ ${out}.ckpt ckpt_text)
+  execute_process(COMMAND ${SWEEP} --spec ${spec} --out ${out} --resume
     RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
   if(NOT rc EQUAL 1)
     message(FATAL_ERROR "resume exited '${rc}' (wanted 1) for\n"
@@ -52,6 +57,23 @@ function(expect_refused data_text ckpt_text expect)
                         "${ckpt_text}\n${err}")
   endif()
 endfunction()
+
+# Resumes the adaptive spec from `data_text` and `ckpt_text` and expects
+# exit 1 with `expect` on stderr.
+function(expect_refused data_text ckpt_text expect)
+  file(WRITE ${data} "${data_text}")
+  file(WRITE ${data}.ckpt "${ckpt_text}")
+  expect_resume_refused(${SPEC} ${data} "${expect}")
+endfunction()
+
+set(pristine ${WORK}/tampered_pristine.jsonl)
+set(data ${WORK}/tampered_round.jsonl)
+file(REMOVE ${data} ${data}.ckpt)
+crash(${SPEC} ${pristine} 1)
+file(READ ${pristine} records)
+file(READ ${pristine}.ckpt sidecar)
+string(REGEX MATCH "\"bytes\":([0-9]+)" unused "${sidecar}")
+set(durable ${CMAKE_MATCH_1})
 
 # Rewrites the first record's "round":0 to `round` and the sidecar's
 # per-target round count to `rounds`, keeping the byte count true, then
@@ -84,5 +106,54 @@ string(REGEX REPLACE "\"bytes\":[0-9]+" "\"bytes\":18446744073709551615" ckpt
        "${sidecar}")
 expect_refused("${records}" "${ckpt}"
                "tampered_round\\.jsonl is missing or shorter than its checkpoint")
+
+# Static spec: a byte count that ends inside a record.
+set(static ${WORK}/tampered_static.jsonl)
+crash(${STATIC_SPEC} ${static} 1)
+file(READ ${static}.ckpt ckpt)
+string(REGEX REPLACE "\"bytes\":[0-9]+" "\"bytes\":100" ckpt "${ckpt}")
+file(WRITE ${static}.ckpt "${ckpt}")
+expect_resume_refused(${STATIC_SPEC} ${static}
+                      "tampered_static\\.jsonl has a torn record")
+
+# Strategy spec: a byte count that covers records past the sidecar's count.
+set(coverage_spec ${WORK}/tampered_coverage.json)
+file(WRITE ${coverage_spec} [=[
+{
+  "name": "mini-coverage",
+  "seed": 11,
+  "strategy": {
+    "name": "coverage",
+    "knob": "udp-us",
+    "axis_lo": 12,
+    "axis_hi": 396,
+    "max_rounds": 4
+  },
+  "targets": [
+    {
+      "name": "myri",
+      "medium": "myrinet",
+      "faults": ["gap-go"],
+      "directions": ["both"],
+      "warmup_ms": 2,
+      "duration_ms": 2,
+      "drain_ms": 2,
+      "map_period_ms": 40
+    }
+  ]
+}
+]=])
+set(coverage ${WORK}/tampered_coverage.jsonl)
+crash(${coverage_spec} ${coverage} 2)
+file(READ ${coverage}.ckpt ckpt)
+if(NOT ckpt MATCHES "\"rounds\":2,\"records\":4,")
+  message(FATAL_ERROR "coverage crash did not leave 2 rounds of 2 runs:\n"
+                      "${ckpt}")
+endif()
+string(REPLACE "\"rounds\":2,\"records\":4," "\"rounds\":1,\"records\":2,"
+       ckpt "${ckpt}")
+file(WRITE ${coverage}.ckpt "${ckpt}")
+expect_resume_refused(${coverage_spec} ${coverage}
+                      "tampered_coverage\\.jsonl has more records")
 
 message(STATUS "tampered resumes refused")

@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -303,63 +302,53 @@ Executed run_static(const CampaignFile& file, const CampaignOptions& o,
 /// Controller::run instead of executing them again.
 using Replay = std::vector<std::vector<RunRecord>>;
 
-/// Reads back the JSONL prefix a round checkpoint vouches for, with the
-/// strict record reader, grouped by target and round (emission is
-/// target-major, then round-major). The sidecar's byte count must fit the
-/// file, a record's round must lie below its target's checkpointed round
-/// count and never step back, and the round count itself must respect the
-/// spec's max_rounds. Anything else is a tampered or foreign file, refused
-/// before any round is replayed.
+/// Reads back the JSONL prefix a round checkpoint vouches for through
+/// orchestrator::read_durable_records (exactly the targets' records, with
+/// nothing torn or left over), grouped by target and round (emission is
+/// target-major, then round-major). A target's round count must respect
+/// the spec's max_rounds, and a record's round must lie below it and never
+/// step back. Anything else is a tampered or foreign file, refused before
+/// any round is replayed.
 std::vector<Replay> read_replays(const std::string& data_file,
                                  const orchestrator::RoundCheckpoint& ckpt,
                                  std::uint32_t max_rounds) {
   const std::string sidecar = orchestrator::checkpoint_path(data_file);
-  const auto shorter = [&] {
-    return std::runtime_error(data_file +
-                              " is missing or shorter than its checkpoint (" +
-                              std::to_string(ckpt.bytes) + " bytes)");
-  };
-  // The sidecar's byte count sizes the read: check it against the file
-  // before allocating for it.
-  std::ifstream data(data_file, std::ios::binary | std::ios::ate);
-  if (!data || static_cast<std::uint64_t>(data.tellg()) < ckpt.bytes) {
-    throw shorter();
+  std::uint64_t total = 0;
+  for (std::size_t ti = 0; ti < ckpt.targets.size(); ++ti) {
+    const auto& t = ckpt.targets[ti];
+    if (t.rounds > max_rounds) {
+      throw std::runtime_error(
+          sidecar + ": target " + std::to_string(ti) + " claims " +
+          std::to_string(t.rounds) + " rounds but the spec allows " +
+          std::to_string(max_rounds));
+    }
+    // Every record takes at least one byte, so a larger count is refused
+    // here and the total cannot wrap.
+    if (t.records > ckpt.bytes) {
+      throw std::runtime_error(
+          sidecar + ": target " + std::to_string(ti) + " claims " +
+          std::to_string(t.records) + " records in " +
+          std::to_string(ckpt.bytes) + " bytes");
+    }
+    total += t.records;
   }
-  std::string prefix(ckpt.bytes, '\0');
-  if (!data.seekg(0).read(prefix.data(),
-                          static_cast<std::streamsize>(ckpt.bytes))) {
-    throw shorter();
-  }
-  std::istringstream lines(prefix);
-  std::string line;
+  auto records =
+      orchestrator::read_durable_records(data_file, ckpt.bytes, total);
+  auto next = records.begin();
   std::vector<Replay> replays(ckpt.targets.size());
   for (std::size_t ti = 0; ti < ckpt.targets.size(); ++ti) {
     const std::uint64_t rounds = ckpt.targets[ti].rounds;
-    if (rounds > max_rounds) {
-      throw std::runtime_error(
-          sidecar + ": target " + std::to_string(ti) + " claims " +
-          std::to_string(rounds) + " rounds but the spec allows " +
-          std::to_string(max_rounds));
-    }
     Replay& replay = replays[ti];
-    for (std::uint64_t n = 0; n < ckpt.targets[ti].records; ++n) {
-      if (!std::getline(lines, line)) {
-        throw std::runtime_error(data_file +
-                                 " has fewer records than its checkpoint");
-      }
-      const auto rec = orchestrator::parse_jsonl(line);
-      if (!rec) {
-        throw std::runtime_error("unparseable record in " + data_file + ": " +
-                                 line);
-      }
-      if (rec->round >= rounds || rec->round + 1 < replay.size()) {
+    for (std::uint64_t n = 0; n < ckpt.targets[ti].records; ++n, ++next) {
+      if (next->round >= rounds || next->round + 1 < replay.size()) {
         throw std::runtime_error(
-            "record out of round order in " + data_file + " (round " +
-            std::to_string(rec->round) + ", target " + std::to_string(ti) +
-            " has " + std::to_string(rounds) + " durable rounds): " + line);
+            "record out of round order in " + data_file + " (run " +
+            std::to_string(next->index) + " in round " +
+            std::to_string(next->round) + ", target " + std::to_string(ti) +
+            " has " + std::to_string(rounds) + " durable rounds)");
       }
-      replay.resize(rec->round + 1);
-      replay[rec->round].push_back(std::move(*rec));
+      replay.resize(next->round + 1);
+      replay[next->round].push_back(std::move(*next));
     }
   }
   return replays;

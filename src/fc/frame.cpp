@@ -62,33 +62,28 @@ std::array<link::Symbol, 4> ordered_set_symbol_array(OrderedSet os) noexcept {
   return out;
 }
 
-std::vector<std::uint8_t> encode_header(const FcHeader& h) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kFcHeaderSize);
-  const auto put24 = [&out](std::uint32_t v) {
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v));
+std::array<std::uint8_t, kFcHeaderSize> encode_header(
+    const FcHeader& h) noexcept {
+  std::array<std::uint8_t, kFcHeaderSize> out{};
+  std::size_t at = 0;
+  // Big-endian, `bytes` wide.
+  const auto put = [&out, &at](std::uint32_t v, int bytes) {
+    for (int shift = 8 * (bytes - 1); shift >= 0; shift -= 8) {
+      out[at++] = static_cast<std::uint8_t>(v >> shift);
+    }
   };
-  const auto put16 = [&out](std::uint16_t v) {
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v));
-  };
-  out.push_back(h.r_ctl);
-  put24(h.d_id);
-  out.push_back(h.cs_ctl);
-  put24(h.s_id);
-  out.push_back(h.type);
-  put24(h.f_ctl);
-  out.push_back(h.seq_id);
-  out.push_back(h.df_ctl);
-  put16(h.seq_cnt);
-  put16(h.ox_id);
-  put16(h.rx_id);
-  out.push_back(static_cast<std::uint8_t>(h.parameter >> 24));
-  out.push_back(static_cast<std::uint8_t>(h.parameter >> 16));
-  out.push_back(static_cast<std::uint8_t>(h.parameter >> 8));
-  out.push_back(static_cast<std::uint8_t>(h.parameter));
+  put(h.r_ctl, 1);
+  put(h.d_id, 3);
+  put(h.cs_ctl, 1);
+  put(h.s_id, 3);
+  put(h.type, 1);
+  put(h.f_ctl, 3);
+  put(h.seq_id, 1);
+  put(h.df_ctl, 1);
+  put(h.seq_cnt, 2);
+  put(h.ox_id, 2);
+  put(h.rx_id, 2);
+  put(h.parameter, 4);
   return out;
 }
 
@@ -123,21 +118,27 @@ std::vector<link::Symbol> frame_to_symbols(const FcFrame& frame) {
 
 void frame_to_symbols_into(const FcFrame& frame,
                            std::vector<link::Symbol>& out) {
-  std::vector<std::uint8_t> body = encode_header(frame.header);
-  body.insert(body.end(), frame.payload.begin(), frame.payload.end());
-  const std::uint32_t crc = crc32(body);
-  body.push_back(static_cast<std::uint8_t>(crc >> 24));
-  body.push_back(static_cast<std::uint8_t>(crc >> 16));
-  body.push_back(static_cast<std::uint8_t>(crc >> 8));
-  body.push_back(static_cast<std::uint8_t>(crc));
+  const auto header = encode_header(frame.header);
+  Crc32 crc;
+  crc.update(header);
+  crc.update(frame.payload);
+  const std::uint32_t fcs = crc.value();
+  const std::array<std::uint8_t, 4> fcs_bytes = {
+      static_cast<std::uint8_t>(fcs >> 24), static_cast<std::uint8_t>(fcs >> 16),
+      static_cast<std::uint8_t>(fcs >> 8), static_cast<std::uint8_t>(fcs)};
 
-  out.clear();
-  out.reserve(4 + body.size() + 4);
+  out.resize(4 + header.size() + frame.payload.size() + fcs_bytes.size() + 4);
+  auto it = out.begin();
+  const auto put_bytes = [&it](std::span<const std::uint8_t> bytes) {
+    it = std::transform(bytes.begin(), bytes.end(), it, link::data_symbol);
+  };
   const auto sof = ordered_set_symbol_array(frame.sof);
-  out.insert(out.end(), sof.begin(), sof.end());
-  for (const auto b : body) out.push_back(link::data_symbol(b));
+  it = std::copy(sof.begin(), sof.end(), it);
+  put_bytes(header);
+  put_bytes(frame.payload);
+  put_bytes(fcs_bytes);
   const auto eof = ordered_set_symbol_array(frame.eof);
-  out.insert(out.end(), eof.begin(), eof.end());
+  std::copy(eof.begin(), eof.end(), it);
 }
 
 FcParsed parse_frame_body(std::span<const std::uint8_t> bytes) {

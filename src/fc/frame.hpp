@@ -74,15 +74,17 @@ struct FcFrame {
   OrderedSet eof = OrderedSet::kEofT;
 };
 
-[[nodiscard]] std::vector<std::uint8_t> encode_header(const FcHeader& h);
+[[nodiscard]] std::array<std::uint8_t, kFcHeaderSize> encode_header(
+    const FcHeader& h) noexcept;
 [[nodiscard]] std::optional<FcHeader> parse_header(
     std::span<const std::uint8_t> bytes);
 
 /// Serializes SOF + header + payload + CRC-32 + EOF into decoded symbols.
 [[nodiscard]] std::vector<link::Symbol> frame_to_symbols(const FcFrame& frame);
 
-/// Same, but reuses `out`'s storage (cleared first) — the port transmit
-/// path serializes every frame into a pooled buffer instead of allocating.
+/// Same, but reuses `out`'s storage (its contents are replaced) — the port
+/// transmit path serializes every frame into a pooled buffer instead of
+/// allocating.
 void frame_to_symbols_into(const FcFrame& frame,
                            std::vector<link::Symbol>& out);
 

@@ -28,7 +28,7 @@ std::vector<FcFrame> SequenceBuilder::build(const FcHeader& header,
   return frames;
 }
 
-void SequenceReassembler::feed(const FcFrame& frame) {
+void SequenceReassembler::feed(FcFrame frame) {
   const Key key{frame.header.s_id, frame.header.seq_id};
   auto it = open_.find(key);
 
@@ -44,7 +44,7 @@ void SequenceReassembler::feed(const FcFrame& frame) {
     }
     Open open;
     open.next_cnt = 1;
-    open.payload = frame.payload;
+    open.payload = std::move(frame.payload);
     ++stats_.frames_accepted;
     if (frame.eof == OrderedSet::kEofT) {
       ++stats_.sequences_completed;

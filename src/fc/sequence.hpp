@@ -44,8 +44,9 @@ class SequenceReassembler {
 
   explicit SequenceReassembler(Handler handler) : handler_(std::move(handler)) {}
 
-  /// Feed a received frame (CRC-valid; the port already checked).
-  void feed(const FcFrame& frame);
+  /// Feed a received frame (CRC-valid; the port already checked). Taken by
+  /// value: a first frame's payload moves into the open sequence.
+  void feed(FcFrame frame);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t open_sequences() const noexcept {

@@ -95,13 +95,13 @@ class FcFabric::SequenceFlood {
       h.s_id = config_.s_id;
       h.seq_id = static_cast<std::uint8_t>(sent_ & 0xFF);
       h.ox_id = static_cast<std::uint16_t>(sent_ & 0xFFFF);
-      const auto frames = fc::SequenceBuilder::build(
+      auto frames = fc::SequenceBuilder::build(
           h, std::vector<std::uint8_t>(config_.payload_size, config_.fill),
           config_.chunk);
       // A full transmit queue drops the frame (counted by the port); the
       // receiver's reassembler then aborts the sequence — class 3 has no
       // retransmission.
-      for (const auto& f : frames) port_.send(f);
+      for (auto& f : frames) port_.send(std::move(f));
       ++sent_;
     }
     sim::Duration wait = config_.interval * static_cast<sim::Duration>(burst);
@@ -305,7 +305,7 @@ void FcFabric::start_workload(const WorkloadSpec& workload, std::uint64_t seed,
       Node& n = *nodes_[i];
       const auto& st = n.reassembler->stats();
       const auto bad_before = st.sequences_aborted + st.frames_rejected;
-      n.reassembler->feed(frame);
+      n.reassembler->feed(std::move(frame));
       // An abort or rejection here is a sequence-level loss event; when it
       // trails a CRC drop the analyzer files it as the cascade's secondary
       // effect, when the frame vanished silently it is the only observable.

@@ -221,6 +221,44 @@ void write_round_checkpoint(const std::string& path,
                                ",\"targets\":" + targets + "]}\n");
 }
 
+std::vector<RunRecord> read_durable_records(const std::string& data_file,
+                                            std::uint64_t bytes,
+                                            std::uint64_t records) {
+  const auto shorter = [&] {
+    bail(data_file + " is missing or shorter than its checkpoint (" +
+         std::to_string(bytes) + " bytes)");
+  };
+  // The sidecar's byte count sizes the read: check it against the file
+  // before allocating for it.
+  std::ifstream data(data_file, std::ios::binary | std::ios::ate);
+  if (!data || static_cast<std::uint64_t>(data.tellg()) < bytes) shorter();
+  std::string prefix(bytes, '\0');
+  if (!data.seekg(0).read(prefix.data(), static_cast<std::streamsize>(bytes))) {
+    shorter();
+  }
+  const std::string vouched = " than its checkpoint's " +
+                              std::to_string(records) + " records in " +
+                              std::to_string(bytes) + " bytes";
+  std::vector<RunRecord> out;
+  for (std::size_t at = 0; at < prefix.size();) {
+    const std::size_t end = prefix.find('\n', at);
+    if (end == std::string::npos) {
+      bail(data_file + " has a torn record at byte " + std::to_string(at) +
+           " of its checkpoint's " + std::to_string(bytes) + " bytes");
+    }
+    if (out.size() == records) bail(data_file + " has more records" + vouched);
+    const std::string_view line(prefix.data() + at, end - at);
+    auto rec = parse_jsonl(line);
+    if (!rec) {
+      bail("unparseable record in " + data_file + ": " + std::string(line));
+    }
+    out.push_back(std::move(*rec));
+    at = end + 1;
+  }
+  if (out.size() != records) bail(data_file + " has fewer records" + vouched);
+  return out;
+}
+
 DurableAppender::DurableAppender(const std::string& path,
                                  std::uint64_t keep_bytes)
     : path_(path) {
@@ -294,6 +332,7 @@ ShardResult run_sharded(Runner& runner, const std::vector<RunSpec>& runs,
              std::to_string(existing->runs) + " runs but the shard only has " +
              std::to_string(runs.size()));
       }
+      (void)read_durable_records(shard_file, existing->bytes, existing->runs);
       ckpt = *existing;
       ckpt.done = false;
     }

@@ -109,6 +109,15 @@ struct RoundCheckpoint {
 void write_round_checkpoint(const std::string& path,
                             const RoundCheckpoint& ckpt);
 
+/// Reads back the durable prefix a sidecar vouches for: the first `bytes`
+/// bytes of `data_file` must be exactly `records` newline-terminated lines
+/// that parse_jsonl accepts. A prefix that is short, ends inside a record,
+/// or holds fewer or more records is not what the checkpoint wrote, so it
+/// throws ShardError naming the file before anything is truncated: a
+/// resume would otherwise keep a torn record or write records twice.
+[[nodiscard]] std::vector<RunRecord> read_durable_records(
+    const std::string& data_file, std::uint64_t bytes, std::uint64_t records);
+
 /// Append-only writer over a POSIX fd with explicit durability. Opening
 /// truncates to `keep_bytes` first (crash recovery: everything past the
 /// last durable checkpoint is discarded, including torn lines).

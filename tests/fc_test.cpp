@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <random>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -141,19 +143,58 @@ TEST(Crc32Test, KnownVector) {
   EXPECT_EQ(crc32(msg), 0xCBF43926u);
 }
 
+/// The byte-at-a-time definition the sliced span update must agree with.
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> bytes) {
+  Crc32 c;
+  for (const auto b : bytes) c.update(b);
+  return c.value();
+}
+
 TEST(Crc32Test, IncrementalMatchesOneShot) {
-  std::vector<std::uint8_t> msg;
-  for (int i = 0; i < 300; ++i) msg.push_back(static_cast<std::uint8_t>(i * 7));
-  Crc32 inc;
-  for (const auto b : msg) inc.update(b);
-  EXPECT_EQ(inc.value(), crc32(msg));
+  // Every length up to 2,200 bytes (past the largest frame body, 2,136)
+  // at every start offset modulo 8, whole and split in two at a random
+  // point, against the byte-at-a-time definition.
+  constexpr std::size_t kMaxLen = 2200;
+  std::mt19937 rng(0xC3C32u);
+  std::vector<std::uint8_t> buffer(kMaxLen + 8);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const std::span<const std::uint8_t> msg(buffer.data() + offset, len);
+      const std::uint32_t want = crc32_bytewise(msg);
+      ASSERT_EQ(crc32(msg), want) << "offset " << offset << " length " << len;
+      const std::size_t split =
+          std::uniform_int_distribution<std::size_t>(0, len)(rng);
+      Crc32 inc;
+      inc.update(msg.first(split));
+      inc.update(msg.subspan(split));
+      ASSERT_EQ(inc.value(), want)
+          << "offset " << offset << " length " << len << " split " << split;
+    }
+  }
 }
 
 TEST(Crc32Test, DetectsBitFlips) {
-  std::vector<std::uint8_t> msg(64, 0xA5);
-  const auto good = crc32(msg);
-  msg[20] ^= 0x08;
-  EXPECT_NE(crc32(msg), good);
+  // Every single-bit error in an fc_grid-sized body (24-byte header plus
+  // a 128-byte chunk) changes the CRC, and the sliced CRC of each
+  // corrupted body still equals the byte-at-a-time one.
+  FcHeader h;
+  h.d_id = 0x000002;
+  h.s_id = 0x000001;
+  h.seq_cnt = 3;
+  const auto header = encode_header(h);
+  std::vector<std::uint8_t> body(header.begin(), header.end());
+  body.resize(kFcHeaderSize + 128, 0x5A);
+  ASSERT_EQ(body.size(), 152u);  // 1,216 single-bit flips
+  const std::uint32_t good = crc32(body);
+  ASSERT_EQ(good, crc32_bytewise(body));
+  for (std::size_t bit = 0; bit < body.size() * 8; ++bit) {
+    body[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    const std::uint32_t bad = crc32(body);
+    EXPECT_NE(bad, good) << "bit " << bit;
+    EXPECT_EQ(bad, crc32_bytewise(body)) << "bit " << bit;
+    body[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  }
 }
 
 // ---------------------------------------------------------------- frames
@@ -178,23 +219,76 @@ TEST(FcFrameTest, HeaderRoundTrip) {
 }
 
 TEST(FcFrameTest, FrameSymbolsRoundTrip) {
-  FcFrame f;
-  f.header.d_id = 0x000002;
-  f.header.s_id = 0x000001;
-  f.payload = {1, 2, 3, 4, 5};
-  const auto symbols = frame_to_symbols(f);
-  // SOF(4) + header(24) + payload(5) + crc(4) + EOF(4)
-  ASSERT_EQ(symbols.size(), 4 + 24 + 5 + 4 + 4u);
-  // Body excludes the ordered sets.
-  std::vector<std::uint8_t> body;
-  for (std::size_t i = 4; i < symbols.size() - 4; ++i) {
-    ASSERT_FALSE(symbols[i].control);
-    body.push_back(symbols[i].data);
+  // Seeded random frames, payloads of 0 to 2,112 bytes, every SOF/EOF
+  // pair: SOF(4) + header(24) + payload + CRC(4) + EOF(4) on the wire, the
+  // CRC equal to a byte-at-a-time CRC of header || payload, and the body
+  // parsing back to the same header and payload. Serializing into one
+  // reused buffer checks that a shorter frame leaves no stale symbols.
+  std::mt19937 rng(0xF7A3Eu);
+  const auto draw = [&rng](std::uint32_t bits) {
+    return static_cast<std::uint32_t>(rng() & ((1ull << bits) - 1));
+  };
+  std::vector<link::Symbol> reused;
+  for (const auto sof : {OrderedSet::kSofI3, OrderedSet::kSofN3}) {
+    for (const auto eof : {OrderedSet::kEofN, OrderedSet::kEofT}) {
+      for (int n = 0; n < 40; ++n) {
+        FcFrame f;
+        f.sof = sof;
+        f.eof = eof;
+        FcHeader& h = f.header;
+        h.r_ctl = static_cast<std::uint8_t>(draw(8));
+        h.d_id = draw(24);
+        h.cs_ctl = static_cast<std::uint8_t>(draw(8));
+        h.s_id = draw(24);
+        h.type = static_cast<std::uint8_t>(draw(8));
+        h.f_ctl = draw(24);
+        h.seq_id = static_cast<std::uint8_t>(draw(8));
+        h.df_ctl = static_cast<std::uint8_t>(draw(8));
+        h.seq_cnt = static_cast<std::uint16_t>(draw(16));
+        h.ox_id = static_cast<std::uint16_t>(draw(16));
+        h.rx_id = static_cast<std::uint16_t>(draw(16));
+        h.parameter = draw(32);
+        const std::size_t size =
+            n == 0 ? 0
+            : n == 1 ? kFcMaxPayload
+                     : std::uniform_int_distribution<std::size_t>(
+                           0, kFcMaxPayload)(rng);
+        f.payload.resize(size);
+        for (auto& b : f.payload) b = static_cast<std::uint8_t>(rng());
+
+        const auto symbols = frame_to_symbols(f);
+        ASSERT_EQ(symbols.size(), 4 + kFcHeaderSize + size + 4 + 4);
+        frame_to_symbols_into(f, reused);
+        ASSERT_EQ(reused, symbols);
+        const auto sof_symbols = ordered_set_symbol_array(sof);
+        const auto eof_symbols = ordered_set_symbol_array(eof);
+        EXPECT_TRUE(std::equal(sof_symbols.begin(), sof_symbols.end(),
+                               symbols.begin()));
+        EXPECT_TRUE(std::equal(eof_symbols.begin(), eof_symbols.end(),
+                               symbols.end() - 4));
+        // Body excludes the ordered sets.
+        std::vector<std::uint8_t> body;
+        for (std::size_t i = 4; i < symbols.size() - 4; ++i) {
+          ASSERT_FALSE(symbols[i].control);
+          body.push_back(symbols[i].data);
+        }
+        const auto header = encode_header(h);
+        std::vector<std::uint8_t> covered(header.begin(), header.end());
+        covered.insert(covered.end(), f.payload.begin(), f.payload.end());
+        const std::uint32_t want = crc32_bytewise(covered);
+        const std::uint32_t wire =
+            static_cast<std::uint32_t>(body[body.size() - 4]) << 24 |
+            static_cast<std::uint32_t>(body[body.size() - 3]) << 16 |
+            static_cast<std::uint32_t>(body[body.size() - 2]) << 8 |
+            body[body.size() - 1];
+        EXPECT_EQ(wire, want) << "payload " << size;
+        const auto parsed = parse_frame_body(body);
+        ASSERT_EQ(parsed.status, FcParseStatus::kOk);
+        EXPECT_EQ(parsed.frame.header, h);
+        EXPECT_EQ(parsed.frame.payload, f.payload);
+      }
+    }
   }
-  const auto parsed = parse_frame_body(body);
-  ASSERT_EQ(parsed.status, FcParseStatus::kOk);
-  EXPECT_EQ(parsed.frame.header, f.header);
-  EXPECT_EQ(parsed.frame.payload, f.payload);
 }
 
 TEST(FcFrameTest, CorruptedBodyFailsCrc) {

@@ -309,6 +309,60 @@ TEST(ShardTest, ResumeRefusesCheckpointPastTheDataFile) {
   EXPECT_EQ(in.tellg(), 10);
 }
 
+TEST(ShardTest, ResumeRefusesAPrefixThatIsNotItsWholeRecords) {
+  // The sidecar's byte count must end the durable prefix on a record
+  // boundary after exactly its run count. A prefix ending inside a record,
+  // or holding a record more or less than the count, is refused, naming
+  // the data file, before anything is truncated.
+  const auto runs = fixture_runs();
+  const std::string out = scratch("not_whole_records");
+  Checkpoint identity;
+  identity.spec_digest = fnv1a64(kSpec);
+  ShardOptions opts;
+  opts.batch = 3;
+  struct StopEarly {};
+  ShardOptions first = opts;
+  first.after_batch = [](const Checkpoint& ckpt) {
+    if (ckpt.batches == 2) throw StopEarly{};
+  };
+  {
+    auto runner = synthetic_runner();
+    EXPECT_THROW((void)run_sharded(runner, runs, out, identity, first),
+                 StopEarly);
+  }
+  const auto cut = read_checkpoint(checkpoint_path(out));
+  ASSERT_TRUE(cut.has_value());
+  const Checkpoint durable = *cut;
+  const std::string data = slurp(out);
+  ASSERT_EQ(durable.runs, 6u);
+  ASSERT_EQ(durable.bytes, data.size());
+
+  ShardOptions resume = opts;
+  resume.resume = true;
+  const auto expect_refused = [&](const Checkpoint& tampered) {
+    write_checkpoint(checkpoint_path(out), tampered);
+    auto runner = synthetic_runner();
+    try {
+      (void)run_sharded(runner, runs, out, identity, resume);
+      ADD_FAILURE() << "resumed from runs " << tampered.runs << ", bytes "
+                    << tampered.bytes;
+    } catch (const ShardError& e) {
+      EXPECT_NE(std::string(e.what()).find(out), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(slurp(out), data);
+  };
+  Checkpoint torn = durable;
+  torn.bytes = data.find('\n') + 11;  // inside the second record
+  expect_refused(torn);
+  Checkpoint fewer_runs = durable;
+  fewer_runs.runs = 5;  // the prefix holds a sixth record past the count
+  expect_refused(fewer_runs);
+  Checkpoint more_runs = durable;
+  more_runs.runs = 7;
+  expect_refused(more_runs);
+}
+
 TEST(ShardTest, ResumeSkipsDurableRunsAndExecutesTheRest) {
   const auto runs = fixture_runs();
   const std::string reference = scratch("resume_ref");
