@@ -5,14 +5,14 @@
 // disruption. The classes of each run sum to its injection count exactly,
 // so the table accounts for every firing.
 //
-// Also renders the cumulative metrics registry (per-class counters and the
-// firing -> first-effect latency histogram), which is deterministic in
-// simulated time.
+// Also renders the cumulative per-class totals and the merged firing ->
+// first-effect latency histogram, both deterministic in simulated time.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "analysis/manifestation.hpp"
+#include "analysis/metrics.hpp"
 #include "myrinet/control.hpp"
 #include "nftape/campaign.hpp"
 #include "nftape/faults.hpp"
@@ -83,6 +83,9 @@ int main() {
   header.emplace_back("secondary");
   report.set_header(header);
 
+  analysis::ManifestationBreakdown total;
+  std::uint64_t secondary = 0;
+  analysis::Histogram latency;
   for (const auto& row : fault_rows()) {
     nftape::CampaignSpec spec;
     spec.name = row.name;
@@ -109,6 +112,9 @@ int main() {
     cells.push_back(
         nftape::cell("%llu", (unsigned long long)r.secondary_effects));
     report.add_row(cells);
+    total += r.manifestations;
+    secondary += r.secondary_effects;
+    latency.merge(r.manifestation_latency);
 
     if (r.manifestations.total() != r.counters.injections) {
       std::printf("BUG: %s breakdown sums to %llu, injections %llu\n",
@@ -123,7 +129,14 @@ int main() {
                   "firing and is not part of the sum");
   std::printf("\n%s\n", report.render().c_str());
 
-  std::printf("cumulative metrics registry:\n%s\n",
-              runner.metrics().render().c_str());
+  std::printf("cumulative over all faults:\n");
+  for (const auto m : analysis::all_manifestations()) {
+    const std::string name(analysis::to_string(m));
+    std::printf("manifest.%s=%llu\n", name.c_str(),
+                (unsigned long long)total[m]);
+  }
+  std::printf("secondary_effects=%llu\n", (unsigned long long)secondary);
+  std::printf("manifestation_latency (n=%llu):\n%s\n",
+              (unsigned long long)latency.count(), latency.render().c_str());
   return 0;
 }

@@ -61,36 +61,4 @@ void Histogram::clear() {
   sum_ = min_ = max_ = 0;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<sim::Duration> bounds) {
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return it->second;
-  return histograms_
-      .emplace(name, bounds.empty() ? Histogram() : Histogram(std::move(bounds)))
-      .first->second;
-}
-
-const Histogram* MetricsRegistry::find_histogram(const std::string& name) const {
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
-}
-
-std::string MetricsRegistry::render() const {
-  std::string out;
-  for (const auto& [name, value] : counters_) {
-    out += name;
-    out += '=';
-    out += std::to_string(value);
-    out += '\n';
-  }
-  for (const auto& [name, hist] : histograms_) {
-    out += name;
-    out += " (n=";
-    out += std::to_string(hist.count());
-    out += "):\n";
-    out += hist.render();
-  }
-  return out;
-}
-
 }  // namespace hsfi::analysis

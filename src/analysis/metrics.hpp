@@ -1,15 +1,13 @@
-// A small deterministic metrics registry: named counters and fixed-bucket
-// histograms over simulated-time durations.
+// Fixed-bucket histograms over simulated-time durations.
 //
 // Everything here is driven by simulated-time records (the sim::TraceLog
-// discipline), never wall clocks, so a campaign's metrics are identical
+// discipline), never wall clocks, so a campaign's histograms are identical
 // regardless of worker count or host machine — the property every other
 // campaign artifact (JSONL, reports) already has. Buckets are fixed at
-// construction and iteration is name-sorted, so render() output is stable.
+// construction, so render() output is stable.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -58,46 +56,6 @@ class Histogram {
   sim::Duration sum_ = 0;
   sim::Duration min_ = 0;
   sim::Duration max_ = 0;
-};
-
-/// Name-keyed counters and histograms. Lookup creates on first use, so
-/// call sites stay one-liners: registry.counter("injections")++.
-class MetricsRegistry {
- public:
-  [[nodiscard]] std::uint64_t& counter(const std::string& name) {
-    return counters_[name];
-  }
-  [[nodiscard]] std::uint64_t counter_value(const std::string& name) const {
-    const auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-  }
-
-  /// Returns the named histogram, creating it with `bounds` (or the
-  /// defaults when empty) on first use. Later calls ignore `bounds`.
-  [[nodiscard]] Histogram& histogram(const std::string& name,
-                                     std::vector<sim::Duration> bounds = {});
-  [[nodiscard]] const Histogram* find_histogram(const std::string& name) const;
-
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& counters()
-      const noexcept {
-    return counters_;
-  }
-  [[nodiscard]] const std::map<std::string, Histogram>& histograms()
-      const noexcept {
-    return histograms_;
-  }
-
-  /// Name-sorted plain-text dump (counters, then histograms).
-  [[nodiscard]] std::string render() const;
-
-  void clear() {
-    counters_.clear();
-    histograms_.clear();
-  }
-
- private:
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, Histogram> histograms_;
 };
 
 }  // namespace hsfi::analysis

@@ -41,7 +41,7 @@ std::optional<std::uint8_t> parse_hex_nibble(const std::string& s) {
 }  // namespace
 
 void OutputGenerator::emit_line(const std::string& line) {
-  ++lines_;
+  ++state_.lines;
   for (const char c : line) spi_.tx_byte(static_cast<std::uint8_t>(c));
   spi_.tx_byte('\r');
   spi_.tx_byte('\n');
@@ -63,13 +63,13 @@ void OutputGenerator::emit_raw(const std::string& text) {
 void CommandDecoder::feed(std::uint8_t byte) {
   const char c = static_cast<char>(byte);
   if (c == '\r' || c == '\n') {
-    if (!line_.empty()) {
-      execute(line_);
-      line_.clear();
+    if (!state_.line.empty()) {
+      execute(state_.line);
+      state_.line.clear();
     }
     return;
   }
-  if (line_.size() < 256) line_ += c;
+  if (state_.line.size() < 256) state_.line += c;
 }
 
 void CommandDecoder::execute(const std::string& line) {
@@ -204,16 +204,16 @@ SerialControlHost::SerialControlHost(sim::Simulator& simulator, Uart& uart)
 }
 
 void SerialControlHost::send_command(std::string line, Callback callback) {
-  queue_.push_back(PendingCommand{std::move(line), std::move(callback)});
+  state_.queue.push_back(PendingCommand{std::move(line), std::move(callback)});
   pump();
 }
 
 void SerialControlHost::pump() {
-  if (in_flight_ || queue_.empty()) return;
-  in_flight_ = true;
-  rx_lines_.clear();
-  rx_line_.clear();
-  const std::string& line = queue_.front().line;
+  if (state_.in_flight || state_.queue.empty()) return;
+  state_.in_flight = true;
+  state_.rx_lines.clear();
+  state_.rx_line.clear();
+  const std::string& line = state_.queue.front().line;
   for (const char c : line) uart_.rs232_write(static_cast<std::uint8_t>(c));
   uart_.rs232_write('\n');
 }
@@ -221,21 +221,22 @@ void SerialControlHost::pump() {
 void SerialControlHost::on_byte(std::uint8_t byte) {
   const char c = static_cast<char>(byte);
   if (c != '\n') {
-    if (c != '\r') rx_line_ += c;
+    if (c != '\r') state_.rx_line += c;
     return;
   }
-  if (rx_line_.empty()) return;
-  rx_lines_.push_back(rx_line_);
-  const bool terminal = rx_line_ == "OK" || rx_line_.rfind("ERR", 0) == 0;
-  rx_line_.clear();
-  if (!terminal || !in_flight_) return;
+  if (state_.rx_line.empty()) return;
+  state_.rx_lines.push_back(state_.rx_line);
+  const bool terminal =
+      state_.rx_line == "OK" || state_.rx_line.rfind("ERR", 0) == 0;
+  state_.rx_line.clear();
+  if (!terminal || !state_.in_flight) return;
 
-  PendingCommand done = std::move(queue_.front());
-  queue_.erase(queue_.begin());
-  in_flight_ = false;
-  ++completed_;
-  auto lines = std::move(rx_lines_);
-  rx_lines_.clear();
+  PendingCommand done = std::move(state_.queue.front());
+  state_.queue.erase(state_.queue.begin());
+  state_.in_flight = false;
+  ++state_.completed;
+  auto lines = std::move(state_.rx_lines);
+  state_.rx_lines.clear();
   if (done.callback) done.callback(std::move(lines));
   // Defer the next command to a fresh event so callbacks can enqueue more.
   simulator_.schedule_now([this] { pump(); });

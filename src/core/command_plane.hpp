@@ -85,14 +85,19 @@ class OutputGenerator {
   /// Emits a multi-line blob as-is (must already contain newlines).
   void emit_raw(const std::string& text);
 
-  [[nodiscard]] std::uint64_t lines_emitted() const noexcept { return lines_; }
+  [[nodiscard]] std::uint64_t lines_emitted() const noexcept {
+    return state_.lines;
+  }
 
-  [[nodiscard]] std::uint64_t capture_state() const noexcept { return lines_; }
-  void restore_state(std::uint64_t lines) noexcept { lines_ = lines; }
+  struct State {
+    std::uint64_t lines = 0;
+  };
+  [[nodiscard]] State capture_state() const noexcept { return state_; }
+  void restore_state(const State& state) noexcept { state_ = state; }
 
  private:
   SpiEntity& spi_;
-  std::uint64_t lines_ = 0;
+  State state_;
 };
 
 /// The command-decoder FSM. Applies parsed commands to the injector device
@@ -110,34 +115,30 @@ class CommandDecoder {
   /// Feed one received ASCII byte (the comm handler's UART interrupt path).
   void feed(std::uint8_t byte);
 
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  [[nodiscard]] const Stats& stats() const noexcept { return state_.stats; }
 
   /// Snapshot state: the partial command line and counters.
   struct State {
     std::string line;
     Stats stats;
   };
-  [[nodiscard]] State capture_state() const { return State{line_, stats_}; }
-  void restore_state(const State& state) {
-    line_ = state.line;
-    stats_ = state.stats;
-  }
+  [[nodiscard]] State capture_state() const { return state_; }
+  void restore_state(const State& state) { state_ = state; }
 
  private:
   void execute(const std::string& line);
   void ok() {
-    ++stats_.commands_ok;
+    ++state_.stats.commands_ok;
     out_.emit_line("OK");
   }
   void err(const std::string& why) {
-    ++stats_.commands_err;
+    ++state_.stats.commands_err;
     out_.emit_line("ERR " + why);
   }
 
   InjectorDevice& device_;
   OutputGenerator& out_;
-  std::string line_;
-  Stats stats_;
+  State state_;
 };
 
 /// The communications handler: boots the UART and wires interrupts between
@@ -169,11 +170,11 @@ class SerialControlHost {
   void send_command(std::string line, Callback callback = nullptr);
 
   [[nodiscard]] std::uint64_t commands_completed() const noexcept {
-    return completed_;
+    return state_.completed;
   }
   /// True when every queued command has been acknowledged.
   [[nodiscard]] bool idle() const noexcept {
-    return queue_.empty() && !in_flight_;
+    return state_.queue.empty() && !state_.in_flight;
   }
 
   struct PendingCommand {
@@ -192,16 +193,8 @@ class SerialControlHost {
     std::uint64_t completed = 0;
   };
 
-  [[nodiscard]] State capture_state() const {
-    return State{queue_, in_flight_, rx_line_, rx_lines_, completed_};
-  }
-  void restore_state(const State& state) {
-    queue_ = state.queue;
-    in_flight_ = state.in_flight;
-    rx_line_ = state.rx_line;
-    rx_lines_ = state.rx_lines;
-    completed_ = state.completed;
-  }
+  [[nodiscard]] State capture_state() const { return state_; }
+  void restore_state(const State& state) { state_ = state; }
 
  private:
   void pump();
@@ -209,11 +202,7 @@ class SerialControlHost {
 
   sim::Simulator& simulator_;
   Uart& uart_;
-  std::vector<PendingCommand> queue_;
-  bool in_flight_ = false;
-  std::string rx_line_;
-  std::vector<std::string> rx_lines_;
-  std::uint64_t completed_ = 0;
+  State state_;
 };
 
 }  // namespace hsfi::core

@@ -22,35 +22,32 @@ struct InjectorDevice::Pipeline final : link::SymbolSink {
   sim::Simulator* simulator = nullptr;
   sim::Duration character_period = 0;
   link::Channel* out = nullptr;
-
-  FifoInjector fifo;
-  CrcRepatcher repatch;
-  CaptureBuffer capture;
-  StreamStats stats;
+  /// This direction's entry in the device's State.
+  State::PipeState& st;
   std::function<void(sim::SimTime)> on_injection;
-  sim::EventId drain_event = sim::kInvalidEventId;
   /// Egress staging buffer, reused across bursts/drain ticks so the
   /// steady-state forwarding path allocates nothing per burst.
   std::vector<link::Symbol> scratch;
   /// clock_burst() output, reused across bursts for the same reason.
   FifoInjector::BatchResult batch;
 
-  Pipeline(FifoInjector::Params fp, CaptureBuffer::Params cp)
-      : fifo(fp), capture(cp) {}
+  explicit Pipeline(State::PipeState& state) : st(state) {}
 
   void cancel_drain() {
-    if (drain_event != sim::kInvalidEventId) {
-      simulator->cancel(drain_event);
-      drain_event = sim::kInvalidEventId;
+    if (st.drain_event != sim::kInvalidEventId) {
+      simulator->cancel(st.drain_event);
+      st.drain_event = sim::kInvalidEventId;
     }
   }
 
   void schedule_drain() {
-    if (drain_event != sim::kInvalidEventId || !fifo.pending_payload()) return;
-    drain_event = simulator->schedule_in(character_period, [this] {
-      drain_event = sim::kInvalidEventId;
+    if (st.drain_event != sim::kInvalidEventId || !st.fifo.pending_payload()) {
+      return;
+    }
+    st.drain_event = simulator->schedule_in(character_period, [this] {
+      st.drain_event = sim::kInvalidEventId;
       scratch.clear();
-      emit(fifo.clock(std::nullopt), simulator->now(), scratch);
+      emit(st.fifo.clock(std::nullopt), simulator->now(), scratch);
       transmit(scratch);
       schedule_drain();
     });
@@ -59,7 +56,7 @@ struct InjectorDevice::Pipeline final : link::SymbolSink {
   void emit(const FifoInjector::Result& r, sim::SimTime when,
             std::vector<link::Symbol>& outs) {
     if (r.injected) {
-      capture.trigger(when);
+      st.capture.trigger(when);
       if (on_injection) on_injection(when);
     }
     if (!r.out) return;
@@ -68,7 +65,7 @@ struct InjectorDevice::Pipeline final : link::SymbolSink {
     // transmitting them would consume serialization capacity that the real
     // wire's idles do not (they ARE the idle capacity).
     if (is_idle_character(*r.out)) return;
-    repatch.feed_into(*r.out, fifo.config().crc_repatch, outs);
+    st.repatch.feed_into(*r.out, st.fifo.config().crc_repatch, outs);
   }
 
   void transmit(const std::vector<link::Symbol>& outs) {
@@ -89,25 +86,25 @@ struct InjectorDevice::Pipeline final : link::SymbolSink {
     //     symbol f, with the exact arrival timestamp burst.arrival(f);
     //   - the egress stream is the popped characters in order, minus the
     //     IDLE filler, through the CRC repatcher when it is active.
-    fifo.clock_burst(burst.symbols, batch);
-    stats.feed_burst(burst);
+    st.fifo.clock_burst(burst.symbols, batch);
+    st.stats.feed_burst(burst);
 
     const std::span<const link::Symbol> in(burst.symbols);
     if (batch.fires.empty()) {
-      capture.feed_run(in);
+      st.capture.feed_run(in);
     } else {
       std::size_t prev = 0;
       for (const std::uint32_t f : batch.fires) {
-        capture.feed_run(in.subspan(prev, f + 1 - prev));
+        st.capture.feed_run(in.subspan(prev, f + 1 - prev));
         const auto when = burst.arrival(f);
-        capture.trigger(when);
+        st.capture.trigger(when);
         if (on_injection) on_injection(when);
         prev = f + 1;
       }
-      capture.feed_run(in.subspan(prev));
+      st.capture.feed_run(in.subspan(prev));
     }
 
-    if (!fifo.config().crc_repatch && !repatch.has_held()) {
+    if (!st.fifo.config().crc_repatch && !st.repatch.has_held()) {
       // Repatch stage is stateless-transparent: strip IDLE filler directly.
       for (const auto s : batch.out) {
         if (!is_idle_character(s)) scratch.push_back(s);
@@ -115,7 +112,7 @@ struct InjectorDevice::Pipeline final : link::SymbolSink {
     } else {
       for (const auto s : batch.out) {
         if (is_idle_character(s)) continue;
-        repatch.feed_into(s, fifo.config().crc_repatch, scratch);
+        st.repatch.feed_into(s, st.fifo.config().crc_repatch, scratch);
       }
     }
 
@@ -127,10 +124,12 @@ struct InjectorDevice::Pipeline final : link::SymbolSink {
 InjectorDevice::InjectorDevice(sim::Simulator& simulator, std::string name,
                                Config config)
     : simulator_(simulator), name_(std::move(name)), config_(config) {
-  for (auto& pipe : pipes_) {
-    pipe = std::make_unique<Pipeline>(config_.fifo, config_.capture);
-    pipe->simulator = &simulator_;
-    pipe->character_period = config_.character_period;
+  for (std::size_t i = 0; i < pipes_.size(); ++i) {
+    state_.pipes[i].fifo = FifoInjector(config_.fifo);
+    state_.pipes[i].capture = CaptureBuffer(config_.capture);
+    pipes_[i] = std::make_unique<Pipeline>(state_.pipes[i]);
+    pipes_[i]->simulator = &simulator_;
+    pipes_[i]->character_period = config_.character_period;
   }
 }
 
@@ -147,9 +146,9 @@ void InjectorDevice::attach_right(link::Channel& rx, link::Channel& tx) {
 }
 
 void InjectorDevice::apply(Direction d, const InjectorConfig& config) {
-  auto& pipe = *pipes_[index(d)];
-  pipe.fifo.config() = config;
-  pipe.fifo.rearm();
+  auto& fifo = state_.pipes[index(d)].fifo;
+  fifo.config() = config;
+  fifo.rearm();
   if (trace_ && trace_->enabled(sim::LogLevel::kInfo)) {
     trace_->add(simulator_.now(), sim::LogLevel::kInfo, name_,
                 std::string(to_string(d)) + " configured: " +
@@ -158,29 +157,29 @@ void InjectorDevice::apply(Direction d, const InjectorConfig& config) {
 }
 
 const InjectorConfig& InjectorDevice::config(Direction d) const {
-  return pipes_[index(d)]->fifo.config();
+  return state_.pipes[index(d)].fifo.config();
 }
 
 void InjectorDevice::inject_now(Direction d) {
-  pipes_[index(d)]->fifo.inject_now();
+  state_.pipes[index(d)].fifo.inject_now();
 }
 
-void InjectorDevice::rearm(Direction d) { pipes_[index(d)]->fifo.rearm(); }
+void InjectorDevice::rearm(Direction d) { state_.pipes[index(d)].fifo.rearm(); }
 
 const FifoInjector::Stats& InjectorDevice::fifo_stats(Direction d) const {
-  return pipes_[index(d)]->fifo.stats();
+  return state_.pipes[index(d)].fifo.stats();
 }
 
 const CaptureBuffer& InjectorDevice::capture(Direction d) const {
-  return pipes_[index(d)]->capture;
+  return state_.pipes[index(d)].capture;
 }
 
 const StreamStats& InjectorDevice::stream_stats(Direction d) const {
-  return pipes_[index(d)]->stats;
+  return state_.pipes[index(d)].stats;
 }
 
 std::uint64_t InjectorDevice::frames_crc_patched(Direction d) const {
-  return pipes_[index(d)]->repatch.frames_patched();
+  return state_.pipes[index(d)].repatch.frames_patched();
 }
 
 void InjectorDevice::set_injection_hook(InjectionHook hook) {
@@ -195,34 +194,10 @@ void InjectorDevice::set_injection_hook(InjectionHook hook) {
 }
 
 void InjectorDevice::clear_stats() {
-  for (auto& pipe : pipes_) {
-    pipe->fifo.clear_stats();
-    pipe->stats.clear();
-    pipe->capture.clear();
-  }
-}
-
-InjectorDevice::State InjectorDevice::capture_state() const {
-  State state;
-  for (std::size_t i = 0; i < pipes_.size(); ++i) {
-    const Pipeline& pipe = *pipes_[i];
-    state.pipes[i].fifo = pipe.fifo;
-    state.pipes[i].repatch = pipe.repatch;
-    state.pipes[i].capture = pipe.capture;
-    state.pipes[i].stats = pipe.stats.capture_state();
-    state.pipes[i].drain_event = pipe.drain_event;
-  }
-  return state;
-}
-
-void InjectorDevice::restore_state(const State& state) {
-  for (std::size_t i = 0; i < pipes_.size(); ++i) {
-    Pipeline& pipe = *pipes_[i];
-    pipe.fifo = state.pipes[i].fifo;
-    pipe.repatch = state.pipes[i].repatch;
-    pipe.capture = state.pipes[i].capture;
-    pipe.stats.restore_state(state.pipes[i].stats);
-    pipe.drain_event = state.pipes[i].drain_event;
+  for (auto& pipe : state_.pipes) {
+    pipe.fifo.clear_stats();
+    pipe.stats.clear();
+    pipe.capture.clear();
   }
 }
 

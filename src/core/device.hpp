@@ -100,25 +100,25 @@ class InjectorDevice {
   using InjectionHook = std::function<void(Direction, sim::SimTime)>;
   void set_injection_hook(InjectionHook hook);
 
-  /// Snapshot state, one entry per direction. FIFO/repatch/capture are
-  /// plain value types and are copied whole; the stream monitor is captured
-  /// data-only (its deframer handlers bind the owning instance). The drain
-  /// EventId stays valid across a fork because the simulator restores queue
-  /// slots/generations verbatim. The injection hook is per-run monitor
-  /// wiring, not state.
+  /// The device's mutable state, one entry per direction, held as one
+  /// member that each direction's pipeline works on. FIFO, repatch,
+  /// capture and stream monitor are plain value types copied whole. The
+  /// drain EventId stays valid across a fork because the simulator
+  /// restores queue slots/generations verbatim. The injection hook and the
+  /// egress wiring are per-run wiring, not state.
   struct State {
     struct PipeState {
       FifoInjector fifo;
       CrcRepatcher repatch;
       CaptureBuffer capture;
-      StreamStats::State stats;
+      StreamStats stats;
       sim::EventId drain_event = sim::kInvalidEventId;
     };
     std::array<PipeState, 2> pipes;
   };
 
-  [[nodiscard]] State capture_state() const;
-  void restore_state(const State& state);
+  [[nodiscard]] State capture_state() const { return state_; }
+  void restore_state(const State& state) { state_ = state; }
 
  private:
   struct Pipeline;
@@ -126,6 +126,7 @@ class InjectorDevice {
   sim::Simulator& simulator_;
   std::string name_;
   Config config_;
+  State state_;
   std::array<std::unique_ptr<Pipeline>, 2> pipes_;
   sim::TraceLog* trace_ = nullptr;
 };

@@ -60,7 +60,7 @@ bool FifoInjector::lfsr_permits() noexcept {
   if (config_.lfsr_mask == 0) return true;
   // 16-bit Fibonacci LFSR, taps 16,14,13,11 (maximal length).
   const std::uint16_t bit = static_cast<std::uint16_t>(
-      ((lfsr_ >> 0) ^ (lfsr_ >> 2) ^ (lfsr_ >> 3) ^ (lfsr_ >> 5)) & 1u);
+      ((lfsr_ >> 0) ^ (lfsr_ >> 2) ^ (lfsr_ >> 3) ^ (lfsr_ >> 5)) & 1);
   lfsr_ = static_cast<std::uint16_t>((lfsr_ >> 1) | (bit << 15));
   return (lfsr_ & config_.lfsr_mask) == 0;
 }

@@ -75,6 +75,8 @@ struct InjectorConfig {
   /// LFSR (every compare hit fires). Combine with an all-don't-care
   /// compare mask for uniformly random bit flips on the stream.
   std::uint16_t lfsr_mask = 0;
+
+  bool operator==(const InjectorConfig&) const = default;
 };
 
 /// Renders a config as the serial commands that would reproduce it.

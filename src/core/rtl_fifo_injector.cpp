@@ -65,7 +65,7 @@ RtlFifoInjector::Result RtlFifoInjector::clock(std::optional<link::Symbol> in) {
   bool lfsr_ok = true;
   if (config_.lfsr_mask != 0) {
     const std::uint16_t bit = static_cast<std::uint16_t>(
-        ((lfsr_ >> 0) ^ (lfsr_ >> 2) ^ (lfsr_ >> 3) ^ (lfsr_ >> 5)) & 1u);
+        ((lfsr_ >> 0) ^ (lfsr_ >> 2) ^ (lfsr_ >> 3) ^ (lfsr_ >> 5)) & 1);
     lfsr_ = static_cast<std::uint16_t>((lfsr_ >> 1) | (bit << 15));
     lfsr_ok = (lfsr_ & config_.lfsr_mask) == 0;
   }
@@ -77,7 +77,7 @@ RtlFifoInjector::Result RtlFifoInjector::clock(std::optional<link::Symbol> in) {
     window_data = (window_data << 8) | window_[static_cast<std::size_t>(lane)].data;
     window_ctl = static_cast<std::uint8_t>(
         (window_ctl << 1) |
-        (window_[static_cast<std::size_t>(lane)].control ? 1u : 0u));
+        (window_[static_cast<std::size_t>(lane)].control ? 1 : 0));
   }
   const bool data_ok =
       ((window_data ^ config_.compare_data) & config_.compare_mask) == 0;

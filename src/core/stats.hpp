@@ -75,24 +75,6 @@ class StreamStats {
     return frame_.size();
   }
 
-  /// Snapshot state.
-  struct State {
-    std::vector<std::uint8_t> frame;
-    bool discarding = false;
-    Counters counters;
-    std::map<PairKey, std::uint64_t> pairs;
-  };
-
-  [[nodiscard]] State capture_state() const {
-    return State{frame_, discarding_, counters_, pairs_};
-  }
-  void restore_state(const State& state) {
-    frame_ = state.frame;
-    discarding_ = state.discarding;
-    counters_ = state.counters;
-    pairs_ = state.pairs;
-  }
-
  private:
   void on_frame(const std::vector<std::uint8_t>& frame);
 

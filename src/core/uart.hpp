@@ -69,45 +69,33 @@ class Uart {
 
   /// Boot-time configuration handshake (the communications handler
   /// "configures the UART on boot-up").
-  void configure() noexcept { configured_ = true; }
-  [[nodiscard]] bool configured() const noexcept { return configured_; }
+  void configure() noexcept { state_.configured = true; }
+  [[nodiscard]] bool configured() const noexcept { return state_.configured; }
 
   [[nodiscard]] std::uint64_t bytes_to_fpga() const noexcept {
-    return to_fpga_;
+    return state_.to_fpga;
   }
   [[nodiscard]] std::uint64_t bytes_to_host() const noexcept {
-    return to_host_;
+    return state_.to_host;
   }
 
   /// Snapshot state: serialization horizons and byte counters (handlers are
   /// wiring and stay attached; in-flight bytes ride in the simulator queue).
   struct State {
     bool configured = false;
-    sim::SimTime rx_free_at = 0;
-    sim::SimTime tx_free_at = 0;
+    sim::SimTime rx_free_at = 0;  ///< RS-232 receive serialization
+    sim::SimTime tx_free_at = 0;  ///< RS-232 transmit serialization
     std::uint64_t to_fpga = 0;
     std::uint64_t to_host = 0;
   };
 
-  [[nodiscard]] State capture_state() const noexcept {
-    return State{configured_, rx_free_at_, tx_free_at_, to_fpga_, to_host_};
-  }
-  void restore_state(const State& state) noexcept {
-    configured_ = state.configured;
-    rx_free_at_ = state.rx_free_at;
-    tx_free_at_ = state.tx_free_at;
-    to_fpga_ = state.to_fpga;
-    to_host_ = state.to_host;
-  }
+  [[nodiscard]] State capture_state() const noexcept { return state_; }
+  void restore_state(const State& state) noexcept { state_ = state; }
 
  private:
   sim::Simulator& simulator_;
   Config config_;
-  bool configured_ = false;
-  sim::SimTime rx_free_at_ = 0;  ///< RS-232 receive serialization
-  sim::SimTime tx_free_at_ = 0;  ///< RS-232 transmit serialization
-  std::uint64_t to_fpga_ = 0;
-  std::uint64_t to_host_ = 0;
+  State state_;
   std::function<void(std::uint8_t)> rs232_read_;
   std::function<void(std::uint16_t)> spi_rx_;
 };

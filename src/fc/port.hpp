@@ -94,7 +94,7 @@ class FcPort final : public link::SymbolSink {
   using EventHandler = std::function<void(Event e, sim::SimTime when)>;
   void on_event(EventHandler handler) { event_ = std::move(handler); }
 
-  void clear_stats() noexcept { stats_ = Stats{}; }
+  void clear_stats() noexcept { state_.stats = Stats{}; }
 
   /// Campaign reset to the fresh-construction state: statistics, BB
   /// credits, transmit queue, and any half-parsed receive state (the link
@@ -102,8 +102,8 @@ class FcPort final : public link::SymbolSink {
   /// credits, which this restores, the "known good state" contract).
   void reset_for_campaign();
 
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::size_t credits() const noexcept { return credits_; }
+  [[nodiscard]] const Stats& stats() const noexcept { return state_.stats; }
+  [[nodiscard]] std::size_t credits() const noexcept { return state_.credits; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
@@ -112,6 +112,7 @@ class FcPort final : public link::SymbolSink {
   /// simulator restores queue slots/generations verbatim); frame/event
   /// handlers are per-run wiring and stay attached.
   struct State {
+    // Transmit.
     std::deque<std::vector<link::Symbol>> tx_queue;
     std::vector<link::Symbol> tx_current;
     std::size_t tx_offset = 0;
@@ -119,7 +120,8 @@ class FcPort final : public link::SymbolSink {
     bool tx_pump_scheduled = false;
     bool stalled_reported = false;
     sim::EventId credit_recovery_event = sim::kInvalidEventId;
-    std::vector<Char8> set_accum;
+    // Receive.
+    std::vector<Char8> set_accum;  ///< partial ordered set (K28.5-led)
     bool in_frame = false;
     OrderedSet sof_seen = OrderedSet::kSofI3;
     std::vector<std::uint8_t> body;
@@ -128,31 +130,8 @@ class FcPort final : public link::SymbolSink {
     Stats stats;
   };
 
-  [[nodiscard]] State capture_state() const {
-    return State{tx_queue_,  tx_current_,
-                 tx_offset_, credits_,
-                 tx_pump_scheduled_,    stalled_reported_,
-                 credit_recovery_event_, set_accum_,
-                 in_frame_,  sof_seen_,
-                 body_,      rx_buffers_,
-                 rx_drain_scheduled_,    stats_};
-  }
-  void restore_state(const State& state) {
-    tx_queue_ = state.tx_queue;
-    tx_current_ = state.tx_current;
-    tx_offset_ = state.tx_offset;
-    credits_ = state.credits;
-    tx_pump_scheduled_ = state.tx_pump_scheduled;
-    stalled_reported_ = state.stalled_reported;
-    credit_recovery_event_ = state.credit_recovery_event;
-    set_accum_ = state.set_accum;
-    in_frame_ = state.in_frame;
-    sof_seen_ = state.sof_seen;
-    body_ = state.body;
-    rx_buffers_ = state.rx_buffers;
-    rx_drain_scheduled_ = state.rx_drain_scheduled;
-    stats_ = state.stats;
-  }
+  [[nodiscard]] State capture_state() const { return state_; }
+  void restore_state(const State& state) { state_ = state; }
 
   // link::SymbolSink
   void on_burst(const link::Burst& burst) override;
@@ -177,28 +156,12 @@ class FcPort final : public link::SymbolSink {
   FrameHandler handler_;
   EventHandler event_;
 
-  // Transmit. Frame serializations go through a buffer pool: a completed
-  // frame's symbol vector is parked and its capacity reused by the next
-  // send() instead of reallocating per frame. Excluded from State capture
-  // (pure capacity cache, no protocol state).
+  // Frame serializations go through a buffer pool: a completed frame's
+  // symbol vector is parked and its capacity reused by the next send()
+  // instead of reallocating per frame. Outside State (pure capacity cache,
+  // no protocol state).
   link::SymbolBufferPool tx_pool_;
-  std::deque<std::vector<link::Symbol>> tx_queue_;
-  std::vector<link::Symbol> tx_current_;
-  std::size_t tx_offset_ = 0;
-  std::size_t credits_;
-  bool tx_pump_scheduled_ = false;
-  bool stalled_reported_ = false;
-  sim::EventId credit_recovery_event_ = sim::kInvalidEventId;
-
-  // Receive.
-  std::vector<Char8> set_accum_;   ///< partial ordered set (K28.5-led)
-  bool in_frame_ = false;
-  OrderedSet sof_seen_ = OrderedSet::kSofI3;
-  std::vector<std::uint8_t> body_;
-  std::deque<FcFrame> rx_buffers_;
-  bool rx_drain_scheduled_ = false;
-
-  Stats stats_;
+  State state_;
 };
 
 }  // namespace hsfi::fc

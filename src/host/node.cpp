@@ -1,5 +1,6 @@
 #include "host/node.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace hsfi::host {
@@ -8,13 +9,7 @@ Host::Host(sim::Simulator& simulator, myrinet::HostInterface& nic,
            Config config)
     : simulator_(simulator),
       nic_(nic),
-      config_(config),
-      clock_(config.clock, config.seed) {
-  if (config_.boot_offset_span > 0) {
-    sim::Rng rng(config_.seed, 0xb007ULL);
-    boot_offset_ =
-        static_cast<sim::Duration>(rng.range(0, config_.boot_offset_span - 1));
-  }
+      config_(config) {
   myrinet::Mcp::Config mc;
   mc.address = config_.mcp_address;
   mc.eth = config_.eth;
@@ -24,6 +19,7 @@ Host::Host(sim::Simulator& simulator, myrinet::HostInterface& nic,
   mc.reply_window = config_.map_reply_window;
   mc.seed = config_.seed;
   mcp_ = std::make_unique<myrinet::Mcp>(simulator_, nic_, mc);
+  reseed(config_.seed);
 
   nic_.on_deliver([this](myrinet::Delivered frame, sim::SimTime when) {
     on_deliver(std::move(frame), when);
@@ -33,17 +29,17 @@ Host::Host(sim::Simulator& simulator, myrinet::HostInterface& nic,
 void Host::start(sim::Duration mapping_phase) { mcp_->start(mapping_phase); }
 
 void Host::seed_peer(HostId id, const myrinet::EthAddr& eth) {
-  peers_[id] = eth;
+  fields_.peers[id] = eth;
 }
 
 std::optional<myrinet::EthAddr> Host::peer(HostId id) const {
-  const auto it = peers_.find(id);
-  if (it == peers_.end()) return std::nullopt;
+  const auto it = fields_.peers.find(id);
+  if (it == fields_.peers.end()) return std::nullopt;
   return it->second;
 }
 
 void Host::bind(std::uint16_t port, UdpHandler handler) {
-  sockets_[port] = std::move(handler);
+  fields_.sockets[port] = std::move(handler);
 }
 
 void Host::enable_echo() {
@@ -52,7 +48,7 @@ void Host::enable_echo() {
     reply.src_port = kEchoPort;
     reply.dst_port = request.src_port;
     reply.payload = request.payload;
-    ++stats_.echo_replies;
+    ++fields_.stats.echo_replies;
     send_udp(src, std::move(reply));
   });
 }
@@ -60,13 +56,13 @@ void Host::enable_echo() {
 bool Host::send_udp(HostId dest, UdpDatagram dgram) {
   const auto dest_eth = peer(dest);
   if (!dest_eth) {
-    ++stats_.drop_unknown_peer;
+    ++fields_.stats.drop_unknown_peer;
     note_drop(DropReason::kUnknownPeer, simulator_.now());
     return false;
   }
   const auto route = mcp_->resolve_route(*dest_eth);
   if (!route) {
-    ++stats_.drop_unroutable;  // "removed from the network"
+    ++fields_.stats.drop_unroutable;  // "removed from the network"
     note_drop(DropReason::kUnroutable, simulator_.now());
     return false;
   }
@@ -85,15 +81,17 @@ bool Host::send_udp(HostId dest, UdpDatagram dgram) {
   packet.type = myrinet::kTypeData;
   packet.payload = encode_frame(frame);
 
-  ++stats_.udp_sent;
+  ++fields_.stats.udp_sent;
   // The stack serializes datagram preparation: each send occupies the host
   // for send_stack_time before the NIC sees it.
   const sim::SimTime now = simulator_.now();
-  const sim::SimTime start = stack_free_at_ > now ? stack_free_at_ : now;
-  stack_free_at_ = start + config_.send_stack_time + boot_offset_;
-  simulator_.schedule_at(stack_free_at_, [this, packet = std::move(packet)] {
-    if (!nic_.send(packet)) ++stats_.nic_refused;
-  });
+  const sim::SimTime start = std::max(fields_.stack_free_at, now);
+  fields_.stack_free_at =
+      start + config_.send_stack_time + fields_.boot_offset;
+  simulator_.schedule_at(
+      fields_.stack_free_at, [this, packet = std::move(packet)] {
+        if (!nic_.send(packet)) ++fields_.stats.nic_refused;
+      });
   return true;
 }
 
@@ -108,28 +106,28 @@ void Host::on_deliver(myrinet::Delivered frame, sim::SimTime when) {
   }
   // "most packet types are reserved for relatively obscure protocols" — a
   // corrupted type falls here and is dropped without side effects.
-  ++stats_.drop_unknown_type;
+  ++fields_.stats.drop_unknown_type;
   note_drop(DropReason::kUnknownType, when);
 }
 
 void Host::on_data_frame(const myrinet::Delivered& frame, sim::SimTime when) {
   const auto parsed = parse_frame(frame.payload);
   if (!parsed) {
-    ++stats_.drop_malformed;
+    ++fields_.stats.drop_malformed;
     note_drop(DropReason::kMalformed, when);
     return;
   }
   if (parsed->dst_eth != config_.eth || parsed->dst_id != config_.id) {
-    ++stats_.drop_misaddressed;
+    ++fields_.stats.drop_misaddressed;
     note_drop(DropReason::kMisaddressed, when);
     return;
   }
   // Address learning: remember where this peer claims to live. This is the
   // surface the sender-address-corruption campaign attacks.
-  peers_[parsed->src_id] = parsed->src_eth;
+  fields_.peers[parsed->src_id] = parsed->src_eth;
 
   if (parsed->proto != Proto::kUdp) {
-    ++stats_.drop_malformed;
+    ++fields_.stats.drop_malformed;
     note_drop(DropReason::kMalformed, when);
     return;
   }
@@ -137,27 +135,27 @@ void Host::on_data_frame(const myrinet::Delivered& frame, sim::SimTime when) {
   if (udp.error) {
     switch (*udp.error) {
       case UdpParseError::kBadChecksum:
-        ++stats_.drop_bad_checksum;
+        ++fields_.stats.drop_bad_checksum;
         note_drop(DropReason::kBadChecksum, when);
         break;
       case UdpParseError::kBadLength:
-        ++stats_.drop_bad_length;
+        ++fields_.stats.drop_bad_length;
         note_drop(DropReason::kBadLength, when);
         break;
       case UdpParseError::kTooShort:
-        ++stats_.drop_malformed;
+        ++fields_.stats.drop_malformed;
         note_drop(DropReason::kMalformed, when);
         break;
     }
     return;
   }
-  const auto socket = sockets_.find(udp.datagram->dst_port);
-  if (socket == sockets_.end()) {
-    ++stats_.drop_unbound_port;
+  const auto socket = fields_.sockets.find(udp.datagram->dst_port);
+  if (socket == fields_.sockets.end()) {
+    ++fields_.stats.drop_unbound_port;
     note_drop(DropReason::kUnboundPort, when);
     return;
   }
-  ++stats_.udp_delivered;
+  ++fields_.stats.udp_delivered;
   socket->second(parsed->src_id, *udp.datagram, when);
 }
 

@@ -110,58 +110,60 @@ class Host {
   /// reaching the wire (unknown peer, unroutable, NIC queue full).
   bool send_udp(HostId dest, UdpDatagram dgram);
 
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  void clear_stats() noexcept { stats_ = Stats{}; }
+  [[nodiscard]] const Stats& stats() const noexcept { return fields_.stats; }
+  void clear_stats() noexcept { fields_.stats = Stats{}; }
 
   /// Rewinds every per-host seed-derived stream to the state a freshly
   /// constructed host with `seed` would have: the MCP's RNG (Mcp::reseed),
-  /// the host clock phase, and the per-boot stack offset. Re-deriving the
-  /// latter two with the constructor's exact formulas makes the call a
-  /// no-op on a cold-started testbed and seed-corrects a forked one, so
-  /// snapshot/fork campaigns stay byte-identical to cold starts even with
-  /// a nonzero boot_offset_span or clock tick.
+  /// the host clock phase, and the per-boot stack offset. The constructor
+  /// seeds through this same call, so it is a no-op on a cold-started
+  /// testbed and seed-corrects a forked one: snapshot/fork campaigns stay
+  /// byte-identical to cold starts even with a nonzero boot_offset_span or
+  /// clock tick.
   void reseed(std::uint64_t seed) noexcept {
     mcp_->reseed(seed);
-    clock_ = HostClock(config_.clock, seed);
-    boot_offset_ = 0;
+    fields_.clock = HostClock(config_.clock, seed);
+    fields_.boot_offset = 0;
     if (config_.boot_offset_span > 0) {
       sim::Rng rng(seed, 0xb007ULL);
-      boot_offset_ = static_cast<sim::Duration>(
+      fields_.boot_offset = static_cast<sim::Duration>(
           rng.range(0, config_.boot_offset_span - 1));
     }
   }
 
-  /// Snapshot state for fabric forks. Bound sockets are captured (their
-  /// handlers reference this host or its workload driver, both of which
-  /// outlive the snapshot within a campaign); the drop hook is per-run
-  /// monitor wiring and is deliberately NOT part of the state.
-  struct State {
+  /// The host's own mutable fields, held as one member. Bound sockets are
+  /// included (their handlers reference this host or its workload driver,
+  /// both of which outlive a snapshot within a campaign); the drop hook is
+  /// per-run monitor wiring and is deliberately not.
+  struct Fields {
     HostClock clock{HostClock::Params{}, 0};
     sim::Duration boot_offset = 0;
-    myrinet::Mcp::State mcp;
     std::map<HostId, myrinet::EthAddr> peers;
     std::map<std::uint16_t, UdpHandler> sockets;
     sim::SimTime stack_free_at = 0;
     Stats stats;
   };
 
+  /// Snapshot state for fabric forks: the MCP's state plus the host's own
+  /// fields.
+  struct State {
+    myrinet::Mcp::State mcp;
+    Fields fields;
+  };
+
   [[nodiscard]] State capture_state() const {
-    return State{clock_,   boot_offset_,   mcp_->capture_state(), peers_,
-                 sockets_, stack_free_at_, stats_};
+    return State{mcp_->capture_state(), fields_};
   }
   void restore_state(const State& state) {
-    clock_ = state.clock;
-    boot_offset_ = state.boot_offset;
     mcp_->restore_state(state.mcp);
-    peers_ = state.peers;
-    sockets_ = state.sockets;
-    stack_free_at_ = state.stack_free_at;
-    stats_ = state.stats;
+    fields_ = state.fields;
   }
 
   [[nodiscard]] myrinet::Mcp& mcp() noexcept { return *mcp_; }
   [[nodiscard]] const myrinet::Mcp& mcp() const noexcept { return *mcp_; }
-  [[nodiscard]] const HostClock& clock() const noexcept { return clock_; }
+  [[nodiscard]] const HostClock& clock() const noexcept {
+    return fields_.clock;
+  }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
   [[nodiscard]] myrinet::HostInterface& nic() noexcept { return nic_; }
 
@@ -175,14 +177,9 @@ class Host {
   sim::Simulator& simulator_;
   myrinet::HostInterface& nic_;
   Config config_;
-  HostClock clock_;
-  sim::Duration boot_offset_ = 0;
   std::unique_ptr<myrinet::Mcp> mcp_;
-  std::map<HostId, myrinet::EthAddr> peers_;
-  std::map<std::uint16_t, UdpHandler> sockets_;
-  sim::SimTime stack_free_at_ = 0;
+  Fields fields_;
   DropHandler drop_;
-  Stats stats_;
 };
 
 }  // namespace hsfi::host

@@ -1,5 +1,6 @@
 #include "link/channel.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace hsfi::link {
@@ -14,17 +15,16 @@ Channel::Channel(sim::Simulator& simulator, std::string name,
 
 sim::SimTime Channel::transmit(std::span<const Symbol> symbols) {
   if (symbols.empty()) return simulator_.now();
-  const sim::SimTime start =
-      tx_free_at_ > simulator_.now() ? tx_free_at_ : simulator_.now();
+  const sim::SimTime start = std::max(state_.tx_free_at, simulator_.now());
   const auto n = static_cast<sim::Duration>(symbols.size());
-  tx_free_at_ = start + character_period_ * n;
-  symbols_sent_ += symbols.size();
+  state_.tx_free_at = start + character_period_ * n;
+  state_.symbols_sent += symbols.size();
 
-  if (!connected_) {
-    symbols_lost_ += symbols.size();
-    return tx_free_at_;
+  if (!state_.connected) {
+    state_.symbols_lost += symbols.size();
+    return state_.tx_free_at;
   }
-  if (sink_ == nullptr) return tx_free_at_;
+  if (sink_ == nullptr) return state_.tx_free_at;
 
   std::vector<Symbol> buffer = pool_.acquire();
   buffer.assign(symbols.begin(), symbols.end());
@@ -43,7 +43,7 @@ sim::SimTime Channel::transmit(std::span<const Symbol> symbols) {
       [this, sink, arrive, buf = std::move(buffer)]() mutable {
         deliver(sink, arrive, std::move(buf));
       });
-  return tx_free_at_;
+  return state_.tx_free_at;
 }
 
 void Channel::deliver(SymbolSink* sink, sim::SimTime start,

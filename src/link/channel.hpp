@@ -96,7 +96,7 @@ class Channel {
 
   /// Earliest time a new transmission could start.
   [[nodiscard]] sim::SimTime transmitter_free_at() const noexcept {
-    return tx_free_at_;
+    return state_.tx_free_at;
   }
 
   [[nodiscard]] sim::Duration character_period() const noexcept {
@@ -109,15 +109,15 @@ class Channel {
 
   /// Total symbols ever accepted for transmission.
   [[nodiscard]] std::uint64_t symbols_sent() const noexcept {
-    return symbols_sent_;
+    return state_.symbols_sent;
   }
 
   /// Simulates pulling the cable: while disconnected, transmitted symbols
   /// vanish (and are counted). Reconnecting restores normal delivery.
-  void set_connected(bool connected) noexcept { connected_ = connected; }
-  [[nodiscard]] bool connected() const noexcept { return connected_; }
+  void set_connected(bool connected) noexcept { state_.connected = connected; }
+  [[nodiscard]] bool connected() const noexcept { return state_.connected; }
   [[nodiscard]] std::uint64_t symbols_lost_disconnected() const noexcept {
-    return symbols_lost_;
+    return state_.symbols_lost;
   }
 
   /// The burst-buffer freelist (observable for pooling tests/metrics).
@@ -137,15 +137,8 @@ class Channel {
     bool connected = true;
   };
 
-  [[nodiscard]] State capture_state() const noexcept {
-    return State{tx_free_at_, symbols_sent_, symbols_lost_, connected_};
-  }
-  void restore_state(const State& state) noexcept {
-    tx_free_at_ = state.tx_free_at;
-    symbols_sent_ = state.symbols_sent;
-    symbols_lost_ = state.symbols_lost;
-    connected_ = state.connected;
-  }
+  [[nodiscard]] State capture_state() const noexcept { return state_; }
+  void restore_state(const State& state) noexcept { state_ = state; }
 
  private:
   /// Fire-time half of transmit(): assembles the Burst, invokes the sink,
@@ -157,10 +150,7 @@ class Channel {
   std::string name_;
   sim::Duration character_period_;
   sim::Duration propagation_delay_;
-  sim::SimTime tx_free_at_ = 0;
-  std::uint64_t symbols_sent_ = 0;
-  std::uint64_t symbols_lost_ = 0;
-  bool connected_ = true;
+  State state_;
   SymbolSink* sink_ = nullptr;
   SymbolBufferPool pool_;
 };

@@ -15,13 +15,13 @@ FlowGate::~FlowGate() { disarm_timeout(); }
 void FlowGate::on_flow(ControlSymbol c) {
   switch (c) {
     case ControlSymbol::kStop:
-      ++stops_;
-      open_ = false;
+      ++state_.stops;
+      state_.open = false;
       arm_timeout();
       break;
     case ControlSymbol::kGo:
-      ++gos_;
-      if (!open_) resume(/*by_timeout=*/false);
+      ++state_.gos;
+      if (!state_.open) resume(/*by_timeout=*/false);
       break;
     case ControlSymbol::kIdle:
     case ControlSymbol::kGap:
@@ -31,23 +31,23 @@ void FlowGate::on_flow(ControlSymbol c) {
 
 void FlowGate::arm_timeout() {
   disarm_timeout();
-  timeout_event_ = simulator_.schedule_in(short_timeout_, [this] {
-    timeout_event_ = sim::kInvalidEventId;
-    if (!open_) resume(/*by_timeout=*/true);
+  state_.timeout_event = simulator_.schedule_in(short_timeout_, [this] {
+    state_.timeout_event = sim::kInvalidEventId;
+    if (!state_.open) resume(/*by_timeout=*/true);
   });
 }
 
 void FlowGate::disarm_timeout() {
-  if (timeout_event_ != sim::kInvalidEventId) {
-    simulator_.cancel(timeout_event_);
-    timeout_event_ = sim::kInvalidEventId;
+  if (state_.timeout_event != sim::kInvalidEventId) {
+    simulator_.cancel(state_.timeout_event);
+    state_.timeout_event = sim::kInvalidEventId;
   }
 }
 
 void FlowGate::resume(bool by_timeout) {
-  open_ = true;
+  state_.open = true;
   disarm_timeout();
-  if (by_timeout) ++timeout_resumes_;
+  if (by_timeout) ++state_.timeout_resumes;
   if (on_resume_) on_resume_();
 }
 

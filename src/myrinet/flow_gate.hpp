@@ -40,12 +40,16 @@ class FlowGate {
   /// Feed a decoded flow-control symbol received on the reverse channel.
   void on_flow(ControlSymbol c);
 
-  [[nodiscard]] bool open() const noexcept { return open_; }
+  [[nodiscard]] bool open() const noexcept { return state_.open; }
 
-  [[nodiscard]] std::uint64_t stops_received() const noexcept { return stops_; }
-  [[nodiscard]] std::uint64_t gos_received() const noexcept { return gos_; }
+  [[nodiscard]] std::uint64_t stops_received() const noexcept {
+    return state_.stops;
+  }
+  [[nodiscard]] std::uint64_t gos_received() const noexcept {
+    return state_.gos;
+  }
   [[nodiscard]] std::uint64_t timeout_resumes() const noexcept {
-    return timeout_resumes_;
+    return state_.timeout_resumes;
   }
 
   /// Snapshot state. The timeout EventId stays valid across a fabric fork
@@ -58,16 +62,8 @@ class FlowGate {
     std::uint64_t timeout_resumes = 0;
   };
 
-  [[nodiscard]] State capture_state() const noexcept {
-    return State{open_, timeout_event_, stops_, gos_, timeout_resumes_};
-  }
-  void restore_state(const State& state) noexcept {
-    open_ = state.open;
-    timeout_event_ = state.timeout_event;
-    stops_ = state.stops;
-    gos_ = state.gos;
-    timeout_resumes_ = state.timeout_resumes;
-  }
+  [[nodiscard]] State capture_state() const noexcept { return state_; }
+  void restore_state(const State& state) noexcept { state_ = state; }
 
  private:
   void arm_timeout();
@@ -77,11 +73,7 @@ class FlowGate {
   sim::Simulator& simulator_;
   sim::Duration short_timeout_;
   std::function<void()> on_resume_;
-  bool open_ = true;
-  sim::EventId timeout_event_ = sim::kInvalidEventId;
-  std::uint64_t stops_ = 0;
-  std::uint64_t gos_ = 0;
-  std::uint64_t timeout_resumes_ = 0;
+  State state_;
 };
 
 }  // namespace hsfi::myrinet

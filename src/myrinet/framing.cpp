@@ -6,22 +6,22 @@ namespace hsfi::myrinet {
 
 void Deframer::feed(link::Symbol symbol, sim::SimTime when) {
   if (!symbol.control) {
-    current_.push_back(symbol.data);
+    state_.current.push_back(symbol.data);
     return;
   }
   const auto decoded = decode_control(symbol.data);
   if (!decoded) {
-    ++ignored_;
+    ++state_.ignored;
     return;
   }
   switch (*decoded) {
     case ControlSymbol::kIdle:
       break;
     case ControlSymbol::kGap:
-      if (!current_.empty()) {
-        ++frames_;
-        if (frame_handler_) frame_handler_(std::move(current_), when);
-        current_.clear();
+      if (!state_.current.empty()) {
+        ++state_.frames;
+        if (frame_handler_) frame_handler_(std::move(state_.current), when);
+        state_.current.clear();
       }
       break;
     case ControlSymbol::kGo:
@@ -36,7 +36,7 @@ void Deframer::feed_burst(const link::Burst& burst) {
   std::size_t i = 0;
   while (i < n) {
     const std::size_t c = link::find_next_control(burst, i);
-    link::append_data(burst, i, c, current_);
+    link::append_data(burst, i, c, state_.current);
     if (c == n) break;
     feed(burst.symbols[c], burst.arrival(c));
     i = c + 1;

@@ -44,16 +44,18 @@ class Deframer {
 
   /// Bytes accumulated in the (unterminated) current frame.
   [[nodiscard]] std::size_t open_frame_size() const noexcept {
-    return current_.size();
+    return state_.current.size();
   }
 
   /// Discards the current partial frame (used when an interface resets).
-  void abort_frame() { current_.clear(); }
+  void abort_frame() { state_.current.clear(); }
 
   // Counters for monitoring and tests.
-  [[nodiscard]] std::uint64_t frames_emitted() const noexcept { return frames_; }
+  [[nodiscard]] std::uint64_t frames_emitted() const noexcept {
+    return state_.frames;
+  }
   [[nodiscard]] std::uint64_t ignored_control_codes() const noexcept {
-    return ignored_;
+    return state_.ignored;
   }
 
   /// Data-only snapshot state for fabric forks: the partial frame and the
@@ -65,21 +67,13 @@ class Deframer {
     std::uint64_t ignored = 0;
   };
 
-  [[nodiscard]] State capture_state() const {
-    return State{current_, frames_, ignored_};
-  }
-  void restore_state(const State& state) {
-    current_ = state.current;
-    frames_ = state.frames;
-    ignored_ = state.ignored;
-  }
+  [[nodiscard]] State capture_state() const { return state_; }
+  void restore_state(const State& state) { state_ = state; }
 
  private:
-  std::vector<std::uint8_t> current_;
+  State state_;
   FrameHandler frame_handler_;
   FlowHandler flow_handler_;
-  std::uint64_t frames_ = 0;
-  std::uint64_t ignored_ = 0;
 };
 
 /// Serializes a packet's bytes plus its terminating GAP into symbols.

@@ -95,52 +95,53 @@ class HostInterface final : public link::SymbolSink {
       std::function<std::vector<std::uint8_t>(std::vector<std::uint8_t>)>;
   void set_tx_mutator(TxMutator mutator) { tx_mutator_ = std::move(mutator); }
 
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  [[nodiscard]] const Stats& stats() const noexcept { return fields_.stats; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t tx_backlog() const noexcept {
-    return tx_queue_.size() + (tx_offset_ < tx_current_.size() ? 1u : 0u);
+    return fields_.tx_queue.size() +
+           (fields_.tx_offset < fields_.tx_current.size() ? 1u : 0u);
   }
   [[nodiscard]] std::size_t rx_ring_size() const noexcept {
-    return rx_ring_.size();
+    return fields_.rx_ring.size();
   }
 
   /// Resets counters and queues to a known-good state between campaign runs.
   void reset_for_campaign();
 
-  /// Snapshot state: both pump flags and the in-flight serialization cursor
-  /// are included because the matching pump events sit in the simulator
-  /// queue and are restored with it. Handlers (deliver/rx-error) are wiring
-  /// and stay attached.
-  struct State {
-    FlowGate::State gate;
-    Deframer::State deframer;
+  /// The interface's own mutable fields, held as one member. Both pump
+  /// flags and the in-flight serialization cursor are here because the
+  /// matching pump events sit in the simulator queue and are restored with
+  /// it.
+  struct Fields {
+    // Transmit side.
     std::deque<std::vector<std::uint8_t>> tx_queue;
+    /// Framed symbols of the in-flight packet.
     std::vector<link::Symbol> tx_current;
     std::size_t tx_offset = 0;
     bool tx_pump_scheduled = false;
+    // Receive side.
     std::deque<Delivered> rx_ring;
     bool rx_drain_scheduled = false;
     Stats stats;
   };
 
+  /// Snapshot state: the gate's and the deframer's states plus the
+  /// interface's own fields. Handlers (deliver/rx-error) are wiring and
+  /// stay attached.
+  struct State {
+    FlowGate::State gate;
+    Deframer::State deframer;
+    Fields fields;
+  };
+
   [[nodiscard]] State capture_state() const {
-    return State{gate_.capture_state(), deframer_.capture_state(),
-                 tx_queue_,  tx_current_,
-                 tx_offset_, tx_pump_scheduled_,
-                 rx_ring_,   rx_drain_scheduled_,
-                 stats_};
+    return State{gate_.capture_state(), deframer_.capture_state(), fields_};
   }
   void restore_state(const State& state) {
     gate_.restore_state(state.gate);
     deframer_.restore_state(state.deframer);
-    tx_queue_ = state.tx_queue;
-    tx_current_ = state.tx_current;
-    tx_offset_ = state.tx_offset;
-    tx_pump_scheduled_ = state.tx_pump_scheduled;
-    rx_ring_ = state.rx_ring;
-    rx_drain_scheduled_ = state.rx_drain_scheduled;
-    stats_ = state.stats;
+    fields_ = state.fields;
   }
 
   // link::SymbolSink
@@ -158,21 +159,10 @@ class HostInterface final : public link::SymbolSink {
   link::Channel* tx_ = nullptr;
   FlowGate gate_;
   Deframer deframer_;
-
-  // Transmit side.
-  std::deque<std::vector<std::uint8_t>> tx_queue_;
-  std::vector<link::Symbol> tx_current_;  // framed symbols of in-flight packet
-  std::size_t tx_offset_ = 0;
-  bool tx_pump_scheduled_ = false;
-
-  // Receive side.
-  std::deque<Delivered> rx_ring_;
-  bool rx_drain_scheduled_ = false;
-
+  Fields fields_;
   DeliverHandler deliver_;
   RxErrorHandler rx_error_;
   TxMutator tx_mutator_;
-  Stats stats_;
 };
 
 }  // namespace hsfi::myrinet

@@ -44,15 +44,16 @@ std::vector<std::uint8_t> make_announce_payload(McpAddress mapper,
 Mcp::Mcp(sim::Simulator& simulator, HostInterface& nic, Config config)
     : simulator_(simulator),
       nic_(nic),
-      config_(config),
-      rng_(config.seed, config.address) {}
+      config_(config) {
+  reseed(config_.seed);
+}
 
 void Mcp::start(sim::Duration phase) {
   simulator_.schedule_in(phase, [this] { begin_round(); });
 }
 
 bool Mcp::acting_controller() const noexcept {
-  return simulator_.now() >= suppressed_until_;
+  return simulator_.now() >= state_.suppressed_until;
 }
 
 void Mcp::begin_round() {
@@ -60,18 +61,19 @@ void Mcp::begin_round() {
   // through this round.
   simulator_.schedule_in(config_.map_period, [this] { begin_round(); });
 
-  if (!acting_controller() || round_open_) return;
-  ++stats_.rounds_initiated;
+  if (!acting_controller() || state_.round_open) return;
+  ++state_.stats.rounds_initiated;
   if (trace_ && trace_->enabled(sim::LogLevel::kInfo)) {
     trace_->add(simulator_.now(), sim::LogLevel::kInfo, "mcp",
-                "mapping round " + std::to_string(stats_.rounds_initiated) +
+                "mapping round " +
+                    std::to_string(state_.stats.rounds_initiated) +
                     " initiated by port " +
                     std::to_string(config_.switch_port));
   }
-  round_open_ = true;
-  duplicate_controller_seen_ = false;
-  collected_.clear();
-  collected_.push_back(
+  state_.round_open = true;
+  state_.duplicate_controller_seen = false;
+  state_.collected.clear();
+  state_.collected.push_back(
       MapEntry{config_.switch_port, config_.address, config_.eth});
 
   for (std::size_t port = 0; port < config_.switch_ports; ++port) {
@@ -83,26 +85,26 @@ void Mcp::begin_round() {
 }
 
 void Mcp::finish_round() {
-  if (!round_open_) return;
-  round_open_ = false;
+  if (!state_.round_open) return;
+  state_.round_open = false;
 
   // A higher address surfaced mid-round: defer to it.
   const bool higher_seen = std::any_of(
-      collected_.begin(), collected_.end(),
+      state_.collected.begin(), state_.collected.end(),
       [this](const MapEntry& e) { return e.mcp > config_.address; });
   if (higher_seen) {
-    suppressed_until_ = simulator_.now() + config_.suppress_period;
+    state_.suppressed_until = simulator_.now() + config_.suppress_period;
     return;
   }
 
-  NetworkMap map = collected_;
-  if (duplicate_controller_seen_) {
+  NetworkMap map = state_.collected;
+  if (state_.duplicate_controller_seen) {
     // "The controller is confused by the appearance of what it believes is
     // another controller, and is unable to generate a consistent map. Each
     // attempt to resolve the network fails in an apparently random fashion."
-    ++stats_.confused_rounds;
+    ++state_.stats.confused_rounds;
     if (confused_) confused_(simulator_.now());
-    map = damaged_map(collected_);
+    map = damaged_map(state_.collected);
     if (trace_ && trace_->enabled(sim::LogLevel::kWarn)) {
       trace_->add(simulator_.now(), sim::LogLevel::kWarn, "mcp",
                   "duplicate controller seen; announcing damaged map of " +
@@ -112,7 +114,7 @@ void Mcp::finish_round() {
   std::sort(map.begin(), map.end(),
             [](const MapEntry& a, const MapEntry& b) { return a.port < b.port; });
 
-  ++stats_.maps_announced;
+  ++state_.stats.maps_announced;
   const auto payload = make_announce_payload(config_.address, map);
   for (std::size_t port = 0; port < config_.switch_ports; ++port) {
     if (port == config_.switch_port) continue;
@@ -137,33 +139,33 @@ void Mcp::handle_scout(const Delivered& frame) {
   const McpAddress mapper = get_u64(frame.payload, 1);
   const std::uint8_t mapper_port = frame.payload[9];
   if (mapper > config_.address) {
-    suppressed_until_ = simulator_.now() + config_.suppress_period;
+    state_.suppressed_until = simulator_.now() + config_.suppress_period;
   }
-  ++stats_.scouts_answered;
+  ++state_.stats.scouts_answered;
   send_mapping(mapper_port, make_reply_payload(config_.address, config_.eth,
                                                config_.switch_port));
 }
 
 void Mcp::handle_reply(const Delivered& frame) {
   if (frame.payload.size() < 16) return;
-  if (!round_open_) {
-    ++stats_.replies_late;
+  if (!state_.round_open) {
+    ++state_.stats.replies_late;
     return;
   }
-  ++stats_.replies_collected;
+  ++state_.stats.replies_collected;
   MapEntry entry;
   entry.mcp = get_u64(frame.payload, 1);
   entry.eth = get_eth(frame.payload, 9);
   entry.port = frame.payload[15];
-  if (entry.mcp == config_.address) duplicate_controller_seen_ = true;
+  if (entry.mcp == config_.address) state_.duplicate_controller_seen = true;
   // One entry per port: a later reply from the same port replaces.
   const auto it = std::find_if(
-      collected_.begin(), collected_.end(),
+      state_.collected.begin(), state_.collected.end(),
       [&entry](const MapEntry& e) { return e.port == entry.port; });
-  if (it != collected_.end()) {
+  if (it != state_.collected.end()) {
     *it = entry;
   } else {
-    collected_.push_back(entry);
+    state_.collected.push_back(entry);
   }
 }
 
@@ -171,7 +173,7 @@ void Mcp::handle_announce(const Delivered& frame) {
   if (frame.payload.size() < 10) return;
   const McpAddress mapper = get_u64(frame.payload, 1);
   if (mapper > config_.address) {
-    suppressed_until_ = simulator_.now() + config_.suppress_period;
+    state_.suppressed_until = simulator_.now() + config_.suppress_period;
   }
   const std::size_t count = frame.payload[9];
   if (frame.payload.size() < 10 + count * 15) return;
@@ -185,7 +187,7 @@ void Mcp::handle_announce(const Delivered& frame) {
     e.eth = get_eth(frame.payload, off + 9);
     map.push_back(e);
   }
-  ++stats_.maps_installed;
+  ++state_.stats.maps_installed;
   install_map(std::move(map));
 }
 
@@ -193,21 +195,21 @@ void Mcp::install_map(NetworkMap map) {
   std::sort(map.begin(), map.end(),
             [](const MapEntry& a, const MapEntry& b) { return a.port < b.port; });
   if (trace_ && trace_->enabled(sim::LogLevel::kInfo) &&
-      map.size() != map_.size()) {
+      map.size() != state_.map.size()) {
     trace_->add(simulator_.now(), sim::LogLevel::kInfo, "mcp",
                 "port " + std::to_string(config_.switch_port) +
                     " installs map of " + std::to_string(map.size()) +
-                    " nodes (was " + std::to_string(map_.size()) + ")");
+                    " nodes (was " + std::to_string(state_.map.size()) + ")");
   }
-  map_ = std::move(map);
-  last_install_ = simulator_.now();
+  state_.map = std::move(map);
+  state_.last_install = simulator_.now();
 }
 
 std::optional<std::vector<std::uint8_t>> Mcp::resolve_route(
     const EthAddr& dest) const {
-  const auto it = std::find_if(map_.begin(), map_.end(),
+  const auto it = std::find_if(state_.map.begin(), state_.map.end(),
                                [&dest](const MapEntry& e) { return e.eth == dest; });
-  if (it == map_.end()) return std::nullopt;
+  if (it == state_.map.end()) return std::nullopt;
   return resolve_route_port(it->port);
 }
 
@@ -232,12 +234,12 @@ NetworkMap Mcp::damaged_map(const NetworkMap& collected) {
   // routed to wrong ports, never settling ("the faulty map was not static").
   NetworkMap out;
   for (const auto& e : collected) {
-    const std::uint32_t die = rng_.below(3);
+    const std::uint32_t die = state_.rng.below(3);
     if (die == 0) continue;  // node dropped from the map
     MapEntry d = e;
     if (die == 1) {
       d.port = static_cast<std::uint8_t>(
-          rng_.below(static_cast<std::uint32_t>(config_.switch_ports)));
+          state_.rng.below(static_cast<std::uint32_t>(config_.switch_ports)));
     }
     out.push_back(d);
   }

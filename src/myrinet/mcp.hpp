@@ -109,12 +109,14 @@ class Mcp {
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> resolve_route_port(
       std::uint8_t port) const;
 
-  [[nodiscard]] const NetworkMap& network_map() const noexcept { return map_; }
+  [[nodiscard]] const NetworkMap& network_map() const noexcept {
+    return state_.map;
+  }
   [[nodiscard]] bool acting_controller() const noexcept;
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  [[nodiscard]] const Stats& stats() const noexcept { return state_.stats; }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
   [[nodiscard]] sim::SimTime last_map_install() const noexcept {
-    return last_install_;
+    return state_.last_install;
   }
 
   /// Optional event trace (rounds, installs, confusion); not owned.
@@ -132,7 +134,7 @@ class Mcp {
   /// `seed` would have. Campaign runs reset this so a sequence of runs on
   /// one testbed equals the same runs on fresh testbeds.
   void reseed(std::uint64_t seed) noexcept {
-    rng_ = sim::Rng(seed, config_.address);
+    state_.rng = sim::Rng(seed, config_.address);
   }
 
   /// Snapshot state. The RNG stream is included so a fork resumes the exact
@@ -150,22 +152,8 @@ class Mcp {
     Stats stats;
   };
 
-  [[nodiscard]] State capture_state() const {
-    return State{rng_,        map_,
-                 suppressed_until_, round_open_,
-                 collected_,  duplicate_controller_seen_,
-                 last_install_,     stats_};
-  }
-  void restore_state(const State& state) {
-    rng_ = state.rng;
-    map_ = state.map;
-    suppressed_until_ = state.suppressed_until;
-    round_open_ = state.round_open;
-    collected_ = state.collected;
-    duplicate_controller_seen_ = state.duplicate_controller_seen;
-    last_install_ = state.last_install;
-    stats_ = state.stats;
-  }
+  [[nodiscard]] State capture_state() const { return state_; }
+  void restore_state(const State& state) { state_ = state; }
 
  private:
   void begin_round();
@@ -180,15 +168,7 @@ class Mcp {
   sim::Simulator& simulator_;
   HostInterface& nic_;
   Config config_;
-  sim::Rng rng_;
-
-  NetworkMap map_;
-  sim::SimTime suppressed_until_ = -1;
-  bool round_open_ = false;
-  NetworkMap collected_;
-  bool duplicate_controller_seen_ = false;
-  sim::SimTime last_install_ = -1;
-  Stats stats_;
+  State state_;
   sim::TraceLog* trace_ = nullptr;
   ConfusionHandler confused_;
 };

@@ -11,34 +11,38 @@ SlackBuffer::SlackBuffer(sim::Simulator& simulator, Config config,
       send_flow_(std::move(send_flow)) {}
 
 SlackBuffer::~SlackBuffer() {
-  if (refresh_event_ != sim::kInvalidEventId) simulator_.cancel(refresh_event_);
+  if (state_.refresh_event != sim::kInvalidEventId) {
+    simulator_.cancel(state_.refresh_event);
+  }
 }
 
 bool SlackBuffer::push(link::Symbol symbol) {
-  if (queue_.size() >= config_.capacity) {
-    ++drops_;
+  if (state_.queue.size() >= config_.capacity) {
+    ++state_.drops;
     // Overflow still matters for flow control: stay in stopped state.
     after_occupancy_change();
     return false;
   }
-  queue_.push_back(symbol);
+  state_.queue.push_back(symbol);
   after_occupancy_change();
   return true;
 }
 
 std::size_t SlackBuffer::push_run(std::span<const link::Symbol> symbols) {
   const std::size_t free =
-      config_.capacity > queue_.size() ? config_.capacity - queue_.size() : 0;
+      config_.capacity > state_.queue.size()
+          ? config_.capacity - state_.queue.size()
+          : 0;
   const std::size_t accepted = symbols.size() < free ? symbols.size() : free;
   if (probe_) {
     for (std::size_t i = 0; i < accepted; ++i) push(symbols[i]);
     return accepted;
   }
   if (accepted == 0) return 0;
-  queue_.insert(queue_.end(), symbols.begin(),
-                symbols.begin() + static_cast<std::ptrdiff_t>(accepted));
+  state_.queue.insert(state_.queue.end(), symbols.begin(),
+                      symbols.begin() + static_cast<std::ptrdiff_t>(accepted));
   // One watermark evaluation for the whole run is emission-equivalent to
-  // per-push evaluation: stopping_ latches, so a high-watermark crossing
+  // per-push evaluation: `stopping` latches, so a high-watermark crossing
   // inside the run produces the same single STOP at the same simulated
   // time either way.
   after_occupancy_change();
@@ -46,40 +50,40 @@ std::size_t SlackBuffer::push_run(std::span<const link::Symbol> symbols) {
 }
 
 std::optional<link::Symbol> SlackBuffer::pop() {
-  if (queue_.empty()) return std::nullopt;
-  link::Symbol s = queue_.front();
-  queue_.pop_front();
+  if (state_.queue.empty()) return std::nullopt;
+  link::Symbol s = state_.queue.front();
+  state_.queue.pop_front();
   after_occupancy_change();
   return s;
 }
 
 void SlackBuffer::after_occupancy_change() {
-  if (!stopping_ && queue_.size() >= config_.high_watermark) {
-    stopping_ = true;
+  if (!state_.stopping && state_.queue.size() >= config_.high_watermark) {
+    state_.stopping = true;
     emit(ControlSymbol::kStop);
     arm_refresh();
-  } else if (stopping_ && queue_.size() <= config_.low_watermark) {
-    stopping_ = false;
-    if (refresh_event_ != sim::kInvalidEventId) {
-      simulator_.cancel(refresh_event_);
-      refresh_event_ = sim::kInvalidEventId;
+  } else if (state_.stopping && state_.queue.size() <= config_.low_watermark) {
+    state_.stopping = false;
+    if (state_.refresh_event != sim::kInvalidEventId) {
+      simulator_.cancel(state_.refresh_event);
+      state_.refresh_event = sim::kInvalidEventId;
     }
     emit(ControlSymbol::kGo);
   } else if (probe_) {
-    probe_(simulator_.now(), queue_.size(), std::nullopt);
+    probe_(simulator_.now(), state_.queue.size(), std::nullopt);
   }
 }
 
 void SlackBuffer::emit(ControlSymbol c) {
-  if (probe_) probe_(simulator_.now(), queue_.size(), c);
+  if (probe_) probe_(simulator_.now(), state_.queue.size(), c);
   if (send_flow_) send_flow_(c);
 }
 
 void SlackBuffer::arm_refresh() {
   if (config_.stop_refresh <= 0) return;
-  refresh_event_ = simulator_.schedule_in(config_.stop_refresh, [this] {
-    refresh_event_ = sim::kInvalidEventId;
-    if (!stopping_) return;
+  state_.refresh_event = simulator_.schedule_in(config_.stop_refresh, [this] {
+    state_.refresh_event = sim::kInvalidEventId;
+    if (!state_.stopping) return;
     emit(ControlSymbol::kStop);
     arm_refresh();
   });

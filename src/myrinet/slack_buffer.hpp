@@ -61,13 +61,17 @@ class SlackBuffer {
   std::optional<link::Symbol> pop();
 
   [[nodiscard]] const link::Symbol* front() const noexcept {
-    return queue_.empty() ? nullptr : &queue_.front();
+    return state_.queue.empty() ? nullptr : &state_.queue.front();
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return queue_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
-  [[nodiscard]] bool stopping() const noexcept { return stopping_; }
-  [[nodiscard]] std::uint64_t overflow_drops() const noexcept { return drops_; }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return state_.queue.size();
+  }
+  [[nodiscard]] bool empty() const noexcept { return state_.queue.empty(); }
+  [[nodiscard]] bool stopping() const noexcept { return state_.stopping; }
+  [[nodiscard]] std::uint64_t overflow_drops() const noexcept {
+    return state_.drops;
+  }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
   /// Probe called on every occupancy change and flow emission; drives the
@@ -85,15 +89,8 @@ class SlackBuffer {
     std::uint64_t drops = 0;
   };
 
-  [[nodiscard]] State capture_state() const {
-    return State{queue_, stopping_, refresh_event_, drops_};
-  }
-  void restore_state(const State& state) {
-    queue_ = state.queue;
-    stopping_ = state.stopping;
-    refresh_event_ = state.refresh_event;
-    drops_ = state.drops;
-  }
+  [[nodiscard]] State capture_state() const { return state_; }
+  void restore_state(const State& state) { state_ = state; }
 
  private:
   void after_occupancy_change();
@@ -103,10 +100,7 @@ class SlackBuffer {
   sim::Simulator& simulator_;
   Config config_;
   std::function<void(ControlSymbol)> send_flow_;
-  std::deque<link::Symbol> queue_;
-  bool stopping_ = false;
-  sim::EventId refresh_event_ = sim::kInvalidEventId;
-  std::uint64_t drops_ = 0;
+  State state_;
   Probe probe_;
 };
 

@@ -314,23 +314,9 @@ void Switch::pump(std::size_t port) {
 Switch::State Switch::capture_state() const {
   State state;
   state.ports.reserve(ports_.size());
-  for (const auto& port : ports_) {
-    const Port& p = *port;
-    State::PortState ps;
-    ps.slack = p.slack->capture_state();
-    ps.gate = p.gate->capture_state();
-    ps.in_state = static_cast<std::uint8_t>(p.state);
-    ps.out_port = p.out_port;
-    ps.held = p.held;
-    ps.crc_in = p.crc_in;
-    ps.crc_out = p.crc_out;
-    ps.long_timeout_event = p.long_timeout_event;
-    ps.owner_input = p.owner_input;
-    ps.waiters = p.waiters;
-    ps.pending_chars = p.pending_chars;
-    ps.pump_scheduled = p.pump_scheduled;
-    ps.stats = p.stats;
-    state.ports.push_back(std::move(ps));
+  for (const auto& p : ports_) {
+    state.ports.push_back(
+        {p->slack->capture_state(), p->gate->capture_state(), *p});
   }
   return state;
 }
@@ -339,20 +325,9 @@ void Switch::restore_state(const State& state) {
   assert(state.ports.size() == ports_.size());
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     Port& p = *ports_[i];
-    const State::PortState& ps = state.ports[i];
-    p.slack->restore_state(ps.slack);
-    p.gate->restore_state(ps.gate);
-    p.state = static_cast<InState>(ps.in_state);
-    p.out_port = ps.out_port;
-    p.held = ps.held;
-    p.crc_in = ps.crc_in;
-    p.crc_out = ps.crc_out;
-    p.long_timeout_event = ps.long_timeout_event;
-    p.owner_input = ps.owner_input;
-    p.waiters = ps.waiters;
-    p.pending_chars = ps.pending_chars;
-    p.pump_scheduled = ps.pump_scheduled;
-    p.stats = ps.stats;
+    p.slack->restore_state(state.ports[i].slack);
+    p.gate->restore_state(state.ports[i].gate);
+    static_cast<PortFields&>(p) = state.ports[i].fields;
   }
 }
 

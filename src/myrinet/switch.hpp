@@ -106,53 +106,12 @@ class Switch {
     port_event_ = std::move(handler);
   }
 
-  /// Snapshot state: per-port routing FSM, slack/gate state, arbitration,
-  /// and counters. The batch pool and the working pump batch are excluded —
-  /// the batch is only live inside pump(), and pool contents never affect
-  /// delivery order. EventIds stay valid across a fork (the simulator
-  /// restores queue slots/generations verbatim).
-  struct State {
-    struct PortState {
-      SlackBuffer::State slack;
-      FlowGate::State gate;
-      std::uint8_t in_state = 0;  ///< InState, stored flat
-      std::size_t out_port = 0;
-      std::optional<std::uint8_t> held;
-      Crc8 crc_in;
-      Crc8 crc_out;
-      sim::EventId long_timeout_event = sim::kInvalidEventId;
-      std::size_t owner_input = static_cast<std::size_t>(-1);
-      std::deque<std::size_t> waiters;
-      std::size_t pending_chars = 0;
-      bool pump_scheduled = false;
-      PortStats stats;
-    };
-    std::vector<PortState> ports;
-  };
-
-  [[nodiscard]] State capture_state() const;
-  void restore_state(const State& state);
-
- private:
-  struct Port;
-
-  /// SymbolSink adapter: routes a received burst into the owning port.
-  struct RxSink final : link::SymbolSink {
-    Switch* self = nullptr;
-    std::size_t port = 0;
-    void on_burst(const link::Burst& burst) override {
-      self->on_burst(port, burst);
-    }
-  };
-
   enum class InState : std::uint8_t { kIdle, kConnected, kConsuming };
 
-  struct Port {
-    std::unique_ptr<SlackBuffer> slack;  // input-side slack buffer
-    std::unique_ptr<FlowGate> gate;      // output-side transmit permission
-    RxSink sink;
-    link::Channel* tx = nullptr;
-
+  /// A port's own mutable fields: the input routing FSM, the output
+  /// arbitration and the counters. EventIds stay valid across a fork (the
+  /// simulator restores queue slots/generations verbatim).
+  struct PortFields {
     // Input routing FSM.
     InState state = InState::kIdle;
     std::size_t out_port = 0;
@@ -173,6 +132,39 @@ class Switch {
 
     bool pump_scheduled = false;
     PortStats stats;
+  };
+
+  /// Snapshot state: each port's slack buffer, gate and own fields. The
+  /// batch pool and the working pump batch are excluded — the batch is
+  /// only live inside pump(), and pool contents never affect delivery
+  /// order.
+  struct State {
+    struct PortState {
+      SlackBuffer::State slack;
+      FlowGate::State gate;
+      PortFields fields;
+    };
+    std::vector<PortState> ports;
+  };
+
+  [[nodiscard]] State capture_state() const;
+  void restore_state(const State& state);
+
+ private:
+  /// SymbolSink adapter: routes a received burst into the owning port.
+  struct RxSink final : link::SymbolSink {
+    Switch* self = nullptr;
+    std::size_t port = 0;
+    void on_burst(const link::Burst& burst) override {
+      self->on_burst(port, burst);
+    }
+  };
+
+  struct Port : PortFields {
+    std::unique_ptr<SlackBuffer> slack;  // input-side slack buffer
+    std::unique_ptr<FlowGate> gate;      // output-side transmit permission
+    RxSink sink;
+    link::Channel* tx = nullptr;
   };
 
   void on_burst(std::size_t port, const link::Burst& burst);

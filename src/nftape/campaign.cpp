@@ -122,12 +122,6 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec,
   r.manifestations = outcome.breakdown;
   r.secondary_effects = outcome.secondary_effects;
   r.manifestation_latency = outcome.latency;
-  for (const auto m : analysis::all_manifestations()) {
-    metrics_.counter("manifest." + std::string(analysis::to_string(m))) +=
-        outcome.breakdown[m];
-  }
-  metrics_.counter("secondary_effects") += outcome.secondary_effects;
-  metrics_.histogram("manifestation_latency").merge(outcome.latency);
   return r;
 }
 

@@ -265,22 +265,12 @@ class CampaignRunner {
                      const RunControl* control = nullptr,
                      sim::Duration elapsed_before = 0);
 
-  /// Cumulative across runs on this runner: one counter per manifestation
-  /// class ("manifest.<class>"), "secondary_effects", and the
-  /// "manifestation_latency" histogram. Deterministic (simulated time
-  /// only), so it is byte-stable across hosts and worker counts.
-  [[nodiscard]] const analysis::MetricsRegistry& metrics() const noexcept {
-    return metrics_;
-  }
-  void clear_metrics() { metrics_.clear(); }
-
  private:
   void settle_checked(sim::Duration span, const RunControl* control,
                       sim::Duration* elapsed);
 
   std::unique_ptr<Fabric> owned_;  ///< set by the Testbed& constructor
   Fabric& fabric_;
-  analysis::MetricsRegistry metrics_;
 };
 
 }  // namespace hsfi::nftape

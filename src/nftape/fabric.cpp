@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "nftape/faults.hpp"
 #include "sim/rng.hpp"
 
 namespace hsfi::nftape {
@@ -58,6 +57,15 @@ Manifestation classify(myrinet::Switch::PortEvent e) {
 
 }  // namespace
 
+bool payload_intact(const WorkloadSpec& workload,
+                    std::span<const std::uint8_t> payload) {
+  return payload.size() == workload.payload_size &&
+         std::all_of(payload.begin(), payload.end(),
+                     [fill = workload.payload_fill](std::uint8_t b) {
+                       return b == fill;
+                     });
+}
+
 MyrinetFabric::MyrinetFabric(TestbedConfig config)
     : owned_(std::make_unique<Testbed>(std::move(config))), bed_(*owned_) {}
 
@@ -69,39 +77,8 @@ std::uint64_t MyrinetFabric::base_seed() const noexcept {
   return bed_.config().seed;
 }
 
-void MyrinetFabric::program_fault(core::Direction dir,
-                                  const core::InjectorConfig& config,
-                                  bool via_serial) {
-  if (via_serial) {
-    for (const auto& cmd : to_serial_commands(config, dir)) {
-      bed_.control().send_command(cmd);
-    }
-  } else {
-    bed_.injector().apply(dir, config);
-  }
-}
-
-void MyrinetFabric::disarm_faults(bool via_serial) {
-  if (via_serial) {
-    bed_.control().send_command("MODE L OFF");
-    bed_.control().send_command("MODE R OFF");
-  } else {
-    for (const auto dir :
-         {core::Direction::kLeftToRight, core::Direction::kRightToLeft}) {
-      auto cfg = bed_.injector().config(dir);
-      cfg.match_mode = core::MatchMode::kOff;
-      bed_.injector().apply(dir, cfg);
-    }
-  }
-}
-
 void MyrinetFabric::attach_monitors(analysis::ManifestationAnalyzer& analyzer) {
-  if (bed_.config().with_injector) {
-    bed_.injector().set_injection_hook(
-        [&analyzer](core::Direction, sim::SimTime when) {
-          analyzer.record_injection(when);
-        });
-  }
+  bed_.board().report_injections(&analyzer);
   for (std::size_t i = 0; i < bed_.node_count(); ++i) {
     const auto src = static_cast<std::uint32_t>(i);
     bed_.nic(i).on_rx_error([&analyzer, src](myrinet::HostInterface::RxError e,
@@ -132,9 +109,7 @@ void MyrinetFabric::detach_monitors() {
     bed_.host(i).mcp().on_confused_round(nullptr);
   }
   bed_.network_switch().on_port_event(nullptr);
-  if (bed_.config().with_injector) {
-    bed_.injector().set_injection_hook(nullptr);
-  }
+  bed_.board().report_injections(nullptr);
 }
 
 void MyrinetFabric::start_workload(const WorkloadSpec& workload,
@@ -143,23 +118,11 @@ void MyrinetFabric::start_workload(const WorkloadSpec& workload,
   for (std::size_t i = 0; i < bed_.node_count(); ++i) {
     sinks_.push_back(
         std::make_unique<host::UdpSink>(bed_.host(i), workload.port));
-    // The workload's constant size/fill makes corruption detectable at the
-    // sink: a datagram that passed every check below but carries the wrong
-    // bytes was delivered corrupted (the taxonomy's worst class — nothing
-    // upstream noticed).
     const auto src = 400 + static_cast<std::uint32_t>(i);
-    const auto expected_size = workload.payload_size;
-    const auto expected_fill = workload.payload_fill;
-    sinks_.back()->on_receive([&analyzer, src, expected_size, expected_fill](
+    sinks_.back()->on_receive([&analyzer, src, workload](
                                   host::HostId, const host::UdpDatagram& dgram,
                                   sim::SimTime when) {
-      const bool corrupted =
-          dgram.payload.size() != expected_size ||
-          std::any_of(dgram.payload.begin(), dgram.payload.end(),
-                      [expected_fill](std::uint8_t b) {
-                        return b != expected_fill;
-                      });
-      if (corrupted) {
+      if (!payload_intact(workload, dgram.payload)) {
         analyzer.record_observation(
             when, Manifestation::kPayloadCorruptedDelivered, src);
       }
@@ -234,12 +197,7 @@ FabricCounters MyrinetFabric::snapshot() const {
     s.slack_overflow += ps.slack_overflow;
     s.long_timeouts += ps.long_timeouts;
   }
-  if (bed_.config().with_injector) {
-    s.injections +=
-        bed_.injector().fifo_stats(core::Direction::kLeftToRight).injections;
-    s.injections +=
-        bed_.injector().fifo_stats(core::Direction::kRightToLeft).injections;
-  }
+  s.injections += bed_.board().injections();
   if (scenario_driver_) {
     s.scenario_steps = scenario_driver_->fired();
     s.injections += s.scenario_steps;

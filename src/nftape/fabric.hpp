@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
@@ -164,8 +165,12 @@ class MyrinetFabric final : public Fabric {
     bed_.reset_to_known_good(seed);
   }
   void program_fault(core::Direction dir, const core::InjectorConfig& config,
-                     bool via_serial) override;
-  void disarm_faults(bool via_serial) override;
+                     bool via_serial) override {
+    bed_.board().program_fault(dir, config, via_serial);
+  }
+  void disarm_faults(bool via_serial) override {
+    bed_.board().disarm_faults(via_serial);
+  }
   void attach_monitors(analysis::ManifestationAnalyzer& analyzer) override;
   void detach_monitors() override;
   void start_workload(const WorkloadSpec& workload, std::uint64_t seed,
@@ -190,6 +195,13 @@ class MyrinetFabric final : public Fabric {
   std::vector<std::unique_ptr<host::UdpFlood>> floods_;
   std::unique_ptr<scenario::MyrinetScenarioDriver> scenario_driver_;
 };
+
+/// True when `payload` has the workload's constant size and fill. Both
+/// media check every delivered payload with it: a delivery that passed
+/// every protocol check but fails this was corrupted in flight with nothing
+/// upstream noticing (the taxonomy's worst class).
+[[nodiscard]] bool payload_intact(const WorkloadSpec& workload,
+                                  std::span<const std::uint8_t> payload);
 
 /// Builds the fabric realization for `medium` from one medium-neutral
 /// config — the orchestrator's per-run construction point.

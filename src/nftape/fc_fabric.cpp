@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "nftape/faults.hpp"
 #include "sim/rng.hpp"
 
 namespace hsfi::nftape {
@@ -126,7 +125,8 @@ FcFabric::FcFabric(TestbedConfig config)
     : config_([&config] {
         config.injector_config.character_period = config.fc.character_period;
         return config;
-      }()) {
+      }()),
+      board_(sim_, config_, config_.fc.character_period, "fcable") {
   fc::FcPort::Config pc;
   pc.bb_credit = config_.fc.bb_credit;
   pc.rx_buffers = config_.fc.rx_buffers;
@@ -141,46 +141,15 @@ FcFabric::FcFabric(TestbedConfig config)
 
   for (std::size_t i = 0; i < config_.nodes; ++i) {
     auto node = std::make_unique<Node>();
-    const std::string tag = std::to_string(i);
-    const bool spliced = config_.with_injector && i == config_.injected_node;
-
-    node->cable = std::make_unique<link::DuplexLink>(
-        sim_, "fcable" + tag, config_.fc.character_period,
-        config_.cable_delay);
+    const auto ends = board_.ends(i);
     fc::FcPort::Config npc = pc;
     npc.port_id = port_id_of(i);
     node->port =
-        std::make_unique<fc::FcPort>(sim_, "np" + tag, npc);
-    // Node side: end A of the first cable segment.
-    node->port->attach(/*rx=*/node->cable->b_to_a(),
-                       /*tx=*/node->cable->a_to_b());
-
-    if (spliced) {
-      node->cable2 = std::make_unique<link::DuplexLink>(
-          sim_, "fcable" + tag + "b", config_.fc.character_period,
-          config_.cable_delay);
-      injector_ =
-          std::make_unique<core::InjectorDevice>(sim_, "fi0",
-                                                 config_.injector_config);
-      // Device between the two segments: left = node, right = fabric.
-      injector_->attach_left(/*rx=*/node->cable->a_to_b(),
-                             /*tx=*/node->cable->b_to_a());
-      injector_->attach_right(/*rx=*/node->cable2->b_to_a(),
-                              /*tx=*/node->cable2->a_to_b());
-      element_->attach_port(i, /*rx=*/node->cable2->a_to_b(),
-                            /*tx=*/node->cable2->b_to_a());
-    } else {
-      element_->attach_port(i, /*rx=*/node->cable->a_to_b(),
-                            /*tx=*/node->cable->b_to_a());
-    }
+        std::make_unique<fc::FcPort>(sim_, "np" + std::to_string(i), npc);
+    node->port->attach(ends.node_rx, ends.node_tx);
+    element_->attach_port(i, ends.element_rx, ends.element_tx);
     element_->set_route(static_cast<std::uint8_t>(i + 1), i);
     nodes_.push_back(std::move(node));
-  }
-
-  if (config_.with_injector) {
-    uart_ = std::make_unique<core::Uart>(sim_);
-    comm_ = std::make_unique<core::CommHandler>(sim_, *uart_, *injector_);
-    control_ = std::make_unique<core::SerialControlHost>(sim_, *uart_);
   }
 }
 
@@ -208,43 +177,12 @@ void FcFabric::reset_to_known_good(std::uint64_t seed) {
     node->delivered = 0;
   }
   element_->reset_for_campaign();
-  if (injector_) injector_->clear_stats();
-}
-
-void FcFabric::program_fault(core::Direction dir,
-                             const core::InjectorConfig& config,
-                             bool via_serial) {
-  if (via_serial) {
-    for (const auto& cmd : to_serial_commands(config, dir)) {
-      control_->send_command(cmd);
-    }
-  } else {
-    injector_->apply(dir, config);
-  }
-}
-
-void FcFabric::disarm_faults(bool via_serial) {
-  if (via_serial) {
-    control_->send_command("MODE L OFF");
-    control_->send_command("MODE R OFF");
-  } else {
-    for (const auto dir :
-         {core::Direction::kLeftToRight, core::Direction::kRightToLeft}) {
-      auto cfg = injector_->config(dir);
-      cfg.match_mode = core::MatchMode::kOff;
-      injector_->apply(dir, cfg);
-    }
-  }
+  board_.clear_stats();
 }
 
 void FcFabric::attach_monitors(analysis::ManifestationAnalyzer& analyzer) {
   analyzer_ = &analyzer;
-  if (config_.with_injector) {
-    injector_->set_injection_hook(
-        [&analyzer](core::Direction, sim::SimTime when) {
-          analyzer.record_injection(when);
-        });
-  }
+  board_.report_injections(&analyzer);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const auto src = static_cast<std::uint32_t>(i);
     nodes_[i]->port->on_event(
@@ -270,7 +208,7 @@ void FcFabric::detach_monitors() {
     element_->port(p).on_event(nullptr);
   }
   element_->on_discard(nullptr);
-  if (config_.with_injector) injector_->set_injection_hook(nullptr);
+  board_.report_injections(nullptr);
   analyzer_ = nullptr;
 }
 
@@ -280,23 +218,14 @@ void FcFabric::start_workload(const WorkloadSpec& workload, std::uint64_t seed,
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     Node& node = *nodes_[i];
     node.delivered = 0;
-    // Constant size/fill makes corruption detectable after reassembly: a
-    // sequence that cleared CRC-32 and in-order SEQ_CNT but carries wrong
-    // bytes was delivered corrupted — nothing upstream noticed.
+    // A reassembled sequence cleared CRC-32 and in-order SEQ_CNT; a
+    // payload_intact failure past that is corruption nothing noticed.
     const auto src = 400 + static_cast<std::uint32_t>(i);
-    const auto expected_size = workload.payload_size;
-    const auto expected_fill = workload.payload_fill;
     node.reassembler = std::make_unique<fc::SequenceReassembler>(
-        [this, &node, &analyzer, src, expected_size, expected_fill](
+        [this, &node, &analyzer, src, workload](
             std::uint32_t, std::uint8_t, std::vector<std::uint8_t> payload) {
           ++node.delivered;
-          const bool corrupted =
-              payload.size() != expected_size ||
-              std::any_of(payload.begin(), payload.end(),
-                          [expected_fill](std::uint8_t b) {
-                            return b != expected_fill;
-                          });
-          if (corrupted) {
+          if (!payload_intact(workload, payload)) {
             analyzer.record_observation(
                 sim_.now(), Manifestation::kPayloadCorruptedDelivered, src);
           }
@@ -396,30 +325,12 @@ FabricCounters FcFabric::snapshot() const {
   }
   s.unroutable += element_->stats().frames_discarded;
   for (const auto& f : floods_) s.messages_sent += f->sent();
-  if (config_.with_injector) {
-    s.injections +=
-        injector_->fifo_stats(core::Direction::kLeftToRight).injections;
-    s.injections +=
-        injector_->fifo_stats(core::Direction::kRightToLeft).injections;
-  }
+  s.injections += board_.injections();
   if (scenario_driver_) {
     s.scenario_steps = scenario_driver_->fired();
     s.injections += s.scenario_steps;
   }
   return s;
-}
-
-std::uint64_t FcFabric::symbols_sent() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& node : nodes_) {
-    total += node->cable->a_to_b().symbols_sent();
-    total += node->cable->b_to_a().symbols_sent();
-    if (node->cable2) {
-      total += node->cable2->a_to_b().symbols_sent();
-      total += node->cable2->b_to_a().symbols_sent();
-    }
-  }
-  return total;
 }
 
 sim::Duration FcFabric::recovery_time() const {
@@ -429,26 +340,14 @@ sim::Duration FcFabric::recovery_time() const {
 }
 
 namespace {
-/// The FC fabric's snapshot payload. Workload state (floods, reassemblers)
-/// is per-run and empty at the quiescent settle boundary where snapshots
-/// are taken; per-node delivered counters ride along for completeness.
+/// The FC fabric's snapshot payload. Workload state (floods, reassemblers,
+/// delivered counts) is per-run: empty at the quiescent settle boundary
+/// where snapshots are taken, and reset by reset_to_known_good.
 struct FcSnapshot final : FabricSnapshot {
-  struct NodeState {
-    link::Channel::State cable_a2b;
-    link::Channel::State cable_b2a;
-    link::Channel::State cable2_a2b;
-    link::Channel::State cable2_b2a;
-    fc::FcPort::State port;
-    std::uint64_t delivered = 0;
-  };
   sim::Simulator::Snapshot sim;
   fc::FcFabric::State element;
-  std::vector<NodeState> nodes;
-  core::InjectorDevice::State injector;
-  core::Uart::State uart;
-  core::CommandDecoder::State decoder;
-  std::uint64_t output_lines = 0;
-  core::SerialControlHost::State control;
+  std::vector<fc::FcPort::State> ports;
+  InjectorBoard::State board;
 };
 }  // namespace
 
@@ -456,26 +355,11 @@ std::unique_ptr<FabricSnapshot> FcFabric::capture_snapshot() {
   auto snap = std::make_unique<FcSnapshot>();
   snap->sim = sim_.snapshot();
   snap->element = element_->capture_state();
-  snap->nodes.reserve(nodes_.size());
+  snap->ports.reserve(nodes_.size());
   for (const auto& node : nodes_) {
-    FcSnapshot::NodeState ns;
-    ns.cable_a2b = node->cable->a_to_b().capture_state();
-    ns.cable_b2a = node->cable->b_to_a().capture_state();
-    if (node->cable2) {
-      ns.cable2_a2b = node->cable2->a_to_b().capture_state();
-      ns.cable2_b2a = node->cable2->b_to_a().capture_state();
-    }
-    ns.port = node->port->capture_state();
-    ns.delivered = node->delivered;
-    snap->nodes.push_back(std::move(ns));
+    snap->ports.push_back(node->port->capture_state());
   }
-  if (injector_) {
-    snap->injector = injector_->capture_state();
-    snap->uart = uart_->capture_state();
-    snap->decoder = comm_->decoder().capture_state();
-    snap->output_lines = comm_->output().capture_state();
-    snap->control = control_->capture_state();
-  }
+  snap->board = board_.capture_state();
   return snap;
 }
 
@@ -484,24 +368,9 @@ void FcFabric::restore_snapshot(const FabricSnapshot& base) {
   sim_.restore(snap.sim);
   element_->restore_state(snap.element);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    auto& node = *nodes_[i];
-    const auto& ns = snap.nodes.at(i);
-    node.cable->a_to_b().restore_state(ns.cable_a2b);
-    node.cable->b_to_a().restore_state(ns.cable_b2a);
-    if (node.cable2) {
-      node.cable2->a_to_b().restore_state(ns.cable2_a2b);
-      node.cable2->b_to_a().restore_state(ns.cable2_b2a);
-    }
-    node.port->restore_state(ns.port);
-    node.delivered = ns.delivered;
+    nodes_[i]->port->restore_state(snap.ports.at(i));
   }
-  if (injector_) {
-    injector_->restore_state(snap.injector);
-    uart_->restore_state(snap.uart);
-    comm_->decoder().restore_state(snap.decoder);
-    comm_->output().restore_state(snap.output_lines);
-    control_->restore_state(snap.control);
-  }
+  board_.restore_state(snap.board);
 }
 
 std::unique_ptr<Fabric> make_fabric(Medium medium,

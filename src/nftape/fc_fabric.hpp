@@ -16,11 +16,10 @@
 
 #include "core/command_plane.hpp"
 #include "core/device.hpp"
-#include "core/uart.hpp"
 #include "fc/fabric.hpp"
 #include "fc/port.hpp"
 #include "fc/sequence.hpp"
-#include "link/channel.hpp"
+#include "nftape/board.hpp"
 #include "nftape/fabric.hpp"
 #include "scenario/driver_fc.hpp"
 #include "sim/simulator.hpp"
@@ -44,10 +43,12 @@ class FcFabric final : public Fabric {
 
   [[nodiscard]] fc::FcPort& node_port(std::size_t i);
   [[nodiscard]] fc::FcFabric& fabric_element() noexcept { return *element_; }
+  /// The cabling and the spliced injector board.
+  [[nodiscard]] InjectorBoard& board() noexcept { return board_; }
   /// The spliced injector (with_injector must be set).
-  [[nodiscard]] core::InjectorDevice& injector() { return *injector_; }
+  [[nodiscard]] core::InjectorDevice& injector() { return board_.injector(); }
   /// The external system's serial handle to the injector.
-  [[nodiscard]] core::SerialControlHost& control() { return *control_; }
+  [[nodiscard]] core::SerialControlHost& control() { return board_.control(); }
   [[nodiscard]] const TestbedConfig& config() const noexcept { return config_; }
 
   // Fabric interface.
@@ -60,8 +61,12 @@ class FcFabric final : public Fabric {
   void settle(sim::Duration span) override;
   void reset_to_known_good(std::uint64_t seed) override;
   void program_fault(core::Direction dir, const core::InjectorConfig& config,
-                     bool via_serial) override;
-  void disarm_faults(bool via_serial) override;
+                     bool via_serial) override {
+    board_.program_fault(dir, config, via_serial);
+  }
+  void disarm_faults(bool via_serial) override {
+    board_.disarm_faults(via_serial);
+  }
   void attach_monitors(analysis::ManifestationAnalyzer& analyzer) override;
   void detach_monitors() override;
   void start_workload(const WorkloadSpec& workload, std::uint64_t seed,
@@ -72,7 +77,9 @@ class FcFabric final : public Fabric {
                     analysis::ManifestationAnalyzer& analyzer) override;
   void disarm_scenario() override;
   [[nodiscard]] FabricCounters snapshot() const override;
-  [[nodiscard]] std::uint64_t symbols_sent() const noexcept override;
+  [[nodiscard]] std::uint64_t symbols_sent() const noexcept override {
+    return board_.symbols_sent();
+  }
   [[nodiscard]] sim::Duration recovery_time() const override;
   [[nodiscard]] std::unique_ptr<FabricSnapshot> capture_snapshot() override;
   void restore_snapshot(const FabricSnapshot& snap) override;
@@ -80,10 +87,6 @@ class FcFabric final : public Fabric {
  private:
   class SequenceFlood;
   struct Node {
-    /// Cable from the node toward the fabric (or toward the injector).
-    std::unique_ptr<link::DuplexLink> cable;
-    /// Second segment (injector to fabric) for the injected node.
-    std::unique_ptr<link::DuplexLink> cable2;
     std::unique_ptr<fc::FcPort> port;
     /// Per-run receive side (built by start_workload).
     std::unique_ptr<fc::SequenceReassembler> reassembler;
@@ -92,12 +95,9 @@ class FcFabric final : public Fabric {
 
   TestbedConfig config_;
   sim::Simulator sim_;
+  InjectorBoard board_;
   std::unique_ptr<fc::FcFabric> element_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::unique_ptr<core::InjectorDevice> injector_;
-  std::unique_ptr<core::Uart> uart_;
-  std::unique_ptr<core::CommHandler> comm_;
-  std::unique_ptr<core::SerialControlHost> control_;
   std::vector<std::unique_ptr<SequenceFlood>> floods_;
   analysis::ManifestationAnalyzer* analyzer_ = nullptr;
   /// Payload shape of the current workload, so injected scenario sequences

@@ -11,38 +11,15 @@ Testbed::Testbed(TestbedConfig config)
         config.injector_config.character_period = config.character_period;
         return config;
       }()),
-      switch_(sim_, "sw0", config_.switch_config) {
+      switch_(sim_, "sw0", config_.switch_config),
+      board_(sim_, config_, config_.character_period, "cable") {
   for (std::size_t i = 0; i < config_.nodes; ++i) {
     auto node = std::make_unique<Node>();
-    const std::string tag = std::to_string(i);
-    const bool spliced = config_.with_injector && i == config_.injected_node;
-
-    node->cable = std::make_unique<link::DuplexLink>(
-        sim_, "cable" + tag, config_.character_period, config_.cable_delay);
-    node->nic = std::make_unique<myrinet::HostInterface>(sim_, "nic" + tag,
-                                                         config_.nic_config);
-    // Node side: end A of the first cable segment.
-    node->nic->attach(/*rx=*/node->cable->b_to_a(),
-                      /*tx=*/node->cable->a_to_b());
-
-    if (spliced) {
-      node->cable2 = std::make_unique<link::DuplexLink>(
-          sim_, "cable" + tag + "b", config_.character_period,
-          config_.cable_delay);
-      injector_ =
-          std::make_unique<core::InjectorDevice>(sim_, "fi0",
-                                                 config_.injector_config);
-      // Device between the two segments: left = node, right = switch.
-      injector_->attach_left(/*rx=*/node->cable->a_to_b(),
-                             /*tx=*/node->cable->b_to_a());
-      injector_->attach_right(/*rx=*/node->cable2->b_to_a(),
-                              /*tx=*/node->cable2->a_to_b());
-      switch_.attach_port(i, /*rx=*/node->cable2->a_to_b(),
-                          /*tx=*/node->cable2->b_to_a());
-    } else {
-      switch_.attach_port(i, /*rx=*/node->cable->a_to_b(),
-                          /*tx=*/node->cable->b_to_a());
-    }
+    const auto ends = board_.ends(i);
+    node->nic = std::make_unique<myrinet::HostInterface>(
+        sim_, "nic" + std::to_string(i), config_.nic_config);
+    node->nic->attach(ends.node_rx, ends.node_tx);
+    switch_.attach_port(i, ends.element_rx, ends.element_tx);
 
     host::Host::Config hc;
     hc.id = static_cast<host::HostId>(i + 1);
@@ -58,12 +35,6 @@ Testbed::Testbed(TestbedConfig config)
     hc.seed = config_.seed + i;
     node->host = std::make_unique<host::Host>(sim_, *node->nic, hc);
     nodes_.push_back(std::move(node));
-  }
-
-  if (config_.with_injector) {
-    uart_ = std::make_unique<core::Uart>(sim_);
-    comm_ = std::make_unique<core::CommHandler>(sim_, *uart_, *injector_);
-    control_ = std::make_unique<core::SerialControlHost>(sim_, *uart_);
   }
 }
 
@@ -83,23 +54,10 @@ void Testbed::settle(sim::Duration span) {
   sim_.run_until(sim_.now() + span);
 }
 
-std::uint64_t Testbed::symbols_sent() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& node : nodes_) {
-    total += node->cable->a_to_b().symbols_sent();
-    total += node->cable->b_to_a().symbols_sent();
-    if (node->cable2) {
-      total += node->cable2->a_to_b().symbols_sent();
-      total += node->cable2->b_to_a().symbols_sent();
-    }
-  }
-  return total;
-}
-
 void Testbed::set_trace(sim::TraceLog* trace) {
   switch_.set_trace(trace);
   for (auto& node : nodes_) node->host->mcp().set_trace(trace);
-  if (injector_) injector_->set_trace(trace);
+  board_.set_trace(trace);
 }
 
 Testbed::State Testbed::capture_state() const {
@@ -108,24 +66,10 @@ Testbed::State Testbed::capture_state() const {
   state.switch_state = switch_.capture_state();
   state.nodes.reserve(nodes_.size());
   for (const auto& node : nodes_) {
-    State::NodeState ns;
-    ns.cable_a2b = node->cable->a_to_b().capture_state();
-    ns.cable_b2a = node->cable->b_to_a().capture_state();
-    if (node->cable2) {
-      ns.cable2_a2b = node->cable2->a_to_b().capture_state();
-      ns.cable2_b2a = node->cable2->b_to_a().capture_state();
-    }
-    ns.nic = node->nic->capture_state();
-    ns.host = node->host->capture_state();
-    state.nodes.push_back(std::move(ns));
+    state.nodes.push_back({node->nic->capture_state(),
+                           node->host->capture_state()});
   }
-  if (injector_) {
-    state.injector = injector_->capture_state();
-    state.uart = uart_->capture_state();
-    state.decoder = comm_->decoder().capture_state();
-    state.output_lines = comm_->output().capture_state();
-    state.control = control_->capture_state();
-  }
+  state.board = board_.capture_state();
   return state;
 }
 
@@ -133,24 +77,10 @@ void Testbed::restore_state(const State& state) {
   sim_.restore(state.sim);
   switch_.restore_state(state.switch_state);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    auto& node = *nodes_[i];
-    const auto& ns = state.nodes.at(i);
-    node.cable->a_to_b().restore_state(ns.cable_a2b);
-    node.cable->b_to_a().restore_state(ns.cable_b2a);
-    if (node.cable2) {
-      node.cable2->a_to_b().restore_state(ns.cable2_a2b);
-      node.cable2->b_to_a().restore_state(ns.cable2_b2a);
-    }
-    node.nic->restore_state(ns.nic);
-    node.host->restore_state(ns.host);
+    nodes_[i]->nic->restore_state(state.nodes.at(i).nic);
+    nodes_[i]->host->restore_state(state.nodes.at(i).host);
   }
-  if (injector_) {
-    injector_->restore_state(state.injector);
-    uart_->restore_state(state.uart);
-    comm_->decoder().restore_state(state.decoder);
-    comm_->output().restore_state(state.output_lines);
-    control_->restore_state(state.control);
-  }
+  board_.restore_state(state.board);
 }
 
 void Testbed::reset_to_known_good(std::uint64_t seed) {
@@ -163,7 +93,7 @@ void Testbed::reset_to_known_good(std::uint64_t seed) {
       nodes_[i]->host->seed_peer(static_cast<host::HostId>(j + 1), eth_of(j));
     }
   }
-  if (injector_) injector_->clear_stats();
+  board_.clear_stats();
 }
 
 }  // namespace hsfi::nftape

@@ -15,11 +15,10 @@
 
 #include "core/command_plane.hpp"
 #include "core/device.hpp"
-#include "core/uart.hpp"
 #include "host/node.hpp"
-#include "link/channel.hpp"
 #include "myrinet/host_iface.hpp"
 #include "myrinet/switch.hpp"
+#include "nftape/board.hpp"
 #include "sim/simulator.hpp"
 
 namespace hsfi::nftape {
@@ -117,46 +116,41 @@ class Testbed {
   }
   [[nodiscard]] myrinet::Switch& network_switch() noexcept { return switch_; }
 
+  /// The cabling and the spliced injector board.
+  [[nodiscard]] InjectorBoard& board() noexcept { return board_; }
   /// The spliced injector (with_injector must be set).
-  [[nodiscard]] core::InjectorDevice& injector() { return *injector_; }
+  [[nodiscard]] core::InjectorDevice& injector() { return board_.injector(); }
   /// The external system's serial handle to the injector.
-  [[nodiscard]] core::SerialControlHost& control() { return *control_; }
+  [[nodiscard]] core::SerialControlHost& control() { return board_.control(); }
   [[nodiscard]] const TestbedConfig& config() const noexcept { return config_; }
 
   /// Total symbols transmitted across every link segment, both directions —
   /// the datapath-work measure the bench harness reports next to kernel
   /// events (an events/s gain with flat symbols/s is scheduling overhead
   /// removed; both rising together is more traffic simulated).
-  [[nodiscard]] std::uint64_t symbols_sent() const noexcept;
+  [[nodiscard]] std::uint64_t symbols_sent() const noexcept {
+    return board_.symbols_sent();
+  }
 
   /// Attaches an event trace to the switch, every MCP, and the injector.
   void set_trace(sim::TraceLog* trace);
 
-  /// Full mutable state of the bed: the simulator event queue plus every
-  /// model layer. Capture only at quiescent settle boundaries (after
-  /// start() + settle) — pending serial commands or workload objects are
-  /// outside the contract. Restore rewinds a bed of identical construction
-  /// parameters; EventIds stay valid because the simulator queue's slots
-  /// and generations are restored verbatim into the same object graph.
+  /// Full mutable state of the bed: the simulator event queue, the switch,
+  /// every node's NIC and host, and the cabling with the board. Capture
+  /// only at quiescent settle boundaries (after start() + settle) —
+  /// pending serial commands or workload objects are outside the contract.
+  /// Restore rewinds a bed of identical construction parameters; EventIds
+  /// stay valid because the simulator queue's slots and generations are
+  /// restored verbatim into the same object graph.
   struct State {
     struct NodeState {
-      link::Channel::State cable_a2b;
-      link::Channel::State cable_b2a;
-      /// Second segment, meaningful only for the injected node.
-      link::Channel::State cable2_a2b;
-      link::Channel::State cable2_b2a;
       myrinet::HostInterface::State nic;
       host::Host::State host;
     };
     sim::Simulator::Snapshot sim;
     myrinet::Switch::State switch_state;
     std::vector<NodeState> nodes;
-    /// Injector-side state, meaningful only when with_injector is set.
-    core::InjectorDevice::State injector;
-    core::Uart::State uart;
-    core::CommandDecoder::State decoder;
-    std::uint64_t output_lines = 0;
-    core::SerialControlHost::State control;
+    InjectorBoard::State board;
   };
 
   [[nodiscard]] State capture_state() const;
@@ -164,10 +158,6 @@ class Testbed {
 
  private:
   struct Node {
-    /// Cable from the node toward the switch (or toward the injector).
-    std::unique_ptr<link::DuplexLink> cable;
-    /// Second segment (injector to switch) for the injected node.
-    std::unique_ptr<link::DuplexLink> cable2;
     std::unique_ptr<myrinet::HostInterface> nic;
     std::unique_ptr<host::Host> host;
   };
@@ -175,11 +165,8 @@ class Testbed {
   TestbedConfig config_;
   sim::Simulator sim_;
   myrinet::Switch switch_;
+  InjectorBoard board_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::unique_ptr<core::InjectorDevice> injector_;
-  std::unique_ptr<core::Uart> uart_;
-  std::unique_ptr<core::CommHandler> comm_;
-  std::unique_ptr<core::SerialControlHost> control_;
 };
 
 }  // namespace hsfi::nftape

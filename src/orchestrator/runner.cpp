@@ -353,7 +353,7 @@ nftape::Report summarize(const std::string& title,
       timed_out, errors, wall_ms / 1e3));
   if (skipped != 0) {
     report.add_note(nftape::cell(
-        "%zu skipped (early-cancelled by the streaming feed)", skipped));
+        "%zu skipped (early-cancelled)", skipped));
   }
   if (duplicates != 0) {
     report.add_note(nftape::cell(
@@ -517,7 +517,7 @@ std::vector<RunRecord> Runner::run_batch(const std::vector<RunSpec>& runs) {
         RunRecord& rec = records[idx];
         stamp_identity(runs[idx], rec);
         rec.outcome = RunOutcome::kSkipped;
-        rec.error = "skipped: cell resolved by streaming feed";
+        rec.error = "skipped: cell resolved by early-cancel";
       } else {
         {
           const std::lock_guard<std::mutex> lock(mu);

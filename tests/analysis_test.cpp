@@ -1,5 +1,5 @@
 // Unit tests for the manifestation-analysis subsystem: the taxonomy,
-// breakdown arithmetic, the metrics registry, and the analyzer's
+// breakdown arithmetic, histograms, and the analyzer's
 // chronological correlation (matching, masking, windows, coalescing,
 // reconciliation against the authoritative firing count).
 #include <gtest/gtest.h>
@@ -81,23 +81,6 @@ TEST(HistogramTest, MergeAccumulatesMatchingBounds) {
   c.add(sim::microseconds(1));
   a.merge(c);
   EXPECT_EQ(a.count(), 2u);
-}
-
-TEST(MetricsRegistryTest, CountersAndHistogramsCreateOnFirstUse) {
-  MetricsRegistry reg;
-  EXPECT_EQ(reg.counter_value("x"), 0u);
-  reg.counter("x") += 3;
-  EXPECT_EQ(reg.counter_value("x"), 3u);
-  EXPECT_EQ(reg.find_histogram("lat"), nullptr);
-  reg.histogram("lat").add(sim::microseconds(2));
-  ASSERT_NE(reg.find_histogram("lat"), nullptr);
-  EXPECT_EQ(reg.find_histogram("lat")->count(), 1u);
-  const std::string text = reg.render();
-  EXPECT_NE(text.find("x=3"), std::string::npos);
-  EXPECT_NE(text.find("lat (n=1):"), std::string::npos);
-  reg.clear();
-  EXPECT_EQ(reg.counter_value("x"), 0u);
-  EXPECT_EQ(reg.find_histogram("lat"), nullptr);
 }
 
 TEST(AnalyzerTest, MatchesEachInjectionToEarliestFollowingObservation) {

@@ -521,6 +521,85 @@ TEST(RunnerTest, ProgressAndRecordCallbacksAccount) {
   EXPECT_EQ(records.size(), runs.size());
 }
 
+// Early-cancel: a declined run never starts, yet its record carries the
+// run's identity, says why it was skipped, writes no result fields, and
+// reaches every consumer like any other record.
+TEST(RunnerTest, SkippedRunsAreStampedAndReachEverySink) {
+  auto runs = expand(small_sweep());
+  ASSERT_EQ(runs.size(), 4u);
+  for (auto& run : runs) {
+    run.round = 3;
+    run.strategy = "coverage";
+    run.campaign.medium = nftape::Medium::kFc;
+  }
+  struct CollectingSink final : RecordSink {
+    std::vector<RunRecord> seen;
+    void on_record(const RunRecord& r) override { seen.push_back(r); }
+  };
+  CollectingSink first;
+  CollectingSink second;
+  std::vector<RunRecord> streamed;
+  Progress last;
+  RunnerConfig rc;
+  rc.workers = 2;
+  rc.executor = [](const RunSpec&, const nftape::RunControl&) {
+    nftape::CampaignResult r;
+    r.counters.messages_sent = r.counters.messages_received = 5;
+    return r;
+  };
+  rc.should_skip = [](const RunSpec& run) { return run.index % 2 == 1; };
+  rc.on_record = [&streamed](const RunRecord& r) { streamed.push_back(r); };
+  rc.on_progress = [&last](const Progress& p) { last = p; };
+  rc.sinks = {&first, &second};
+  const auto records = Runner(rc).run_all(runs);
+  ASSERT_EQ(records.size(), runs.size());
+
+  const auto delivered = [](const std::vector<RunRecord>& seen,
+                            std::size_t index) {
+    return std::count_if(seen.begin(), seen.end(),
+                         [index](const RunRecord& r) {
+                           return r.index == index &&
+                                  r.outcome == RunOutcome::kSkipped;
+                         });
+  };
+  std::size_t declined = 0;
+  for (const auto& run : runs) {
+    const RunRecord& rec = records[run.index];
+    if (run.index % 2 == 0) {
+      EXPECT_EQ(rec.outcome, RunOutcome::kOk) << rec.name;
+      continue;
+    }
+    ++declined;
+    EXPECT_EQ(rec.outcome, RunOutcome::kSkipped);
+    EXPECT_EQ(rec.attempts, 0);
+    EXPECT_EQ(rec.name, run.campaign.name);
+    EXPECT_EQ(rec.seed, run.seed);
+    EXPECT_EQ(rec.medium, nftape::Medium::kFc);
+    EXPECT_EQ(rec.round, 3u);
+    EXPECT_EQ(rec.strategy, "coverage");
+    EXPECT_EQ(rec.error, "skipped: cell resolved by early-cancel");
+    const std::string line = to_jsonl(rec);
+    EXPECT_NE(line.find("\"outcome\":\"skipped\""), std::string::npos);
+    EXPECT_NE(
+        line.find("\"error\":\"skipped: cell resolved by early-cancel\""),
+        std::string::npos)
+        << line;
+    for (const char* key : {"\"sent\"", "\"received\"", "\"loss_pct\"",
+                            "\"injections\"", "\"events\"",
+                            "\"secondary_effects\"", "\"fc_credit_stalls\""}) {
+      EXPECT_EQ(line.find(key), std::string::npos) << key << " in " << line;
+    }
+    EXPECT_EQ(delivered(streamed, run.index), 1);
+    EXPECT_EQ(delivered(first.seen, run.index), 1);
+    EXPECT_EQ(delivered(second.seen, run.index), 1);
+  }
+  EXPECT_EQ(declined, 2u);
+  EXPECT_EQ(last.skipped, declined);
+  EXPECT_EQ(streamed.size(), runs.size());
+  EXPECT_EQ(first.seen.size(), runs.size());
+  EXPECT_EQ(second.seen.size(), runs.size());
+}
+
 TEST(RunnerTest, JsonlSinkWritesOneLinePerRecord) {
   std::ostringstream out;
   JsonlSink sink(out);
