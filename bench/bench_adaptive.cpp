@@ -15,7 +15,6 @@
 // the BENCH_sim_kernel.json record schema so results diff across commits.
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -163,33 +162,17 @@ int main(int argc, char** argv) {
       cell_count, r.tolerance, r.bisect_runs, r.grid_runs, ratio,
       r.max_threshold_error);
 
-  if (!options.out_path.empty()) {
-    const std::string commit = bench::current_commit();
-    std::ofstream out(options.out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", options.out_path.c_str());
-      return 1;
-    }
-    out << "[\n";
-    bool first = true;
-    const auto record = [&](const char* metric, double v, int decimals,
-                            const char* unit) {
-      if (!first) out << ",\n";
-      first = false;
-      orchestrator::JsonObject o;
-      o.add("bench", "bench_adaptive");
-      o.add("metric", metric);
-      o.add_fixed("value", v, decimals);
-      o.add("unit", unit);
-      o.add("commit", commit);
-      out << "  " << o.str();
-    };
-    record("bisect_runs", static_cast<double>(r.bisect_runs), 0, "count");
-    record("grid_runs", static_cast<double>(r.grid_runs), 0, "count");
-    record("run_ratio", ratio, 3, "ratio");
-    record("threshold_error_max", r.max_threshold_error, 2, "us");
-    out << "\n]\n";
-    if (!out) return 1;
+  if (!options.out_path.empty() &&
+      !orchestrator::write_bench_records(
+          options.out_path,
+          {{"bench_adaptive", "bisect_runs",
+            static_cast<double>(r.bisect_runs), 0, "count"},
+           {"bench_adaptive", "grid_runs", static_cast<double>(r.grid_runs),
+            0, "count"},
+           {"bench_adaptive", "run_ratio", ratio, 3, "ratio"},
+           {"bench_adaptive", "threshold_error_max", r.max_threshold_error, 2,
+            "us"}})) {
+    return 1;
   }
   return r.ok ? 0 : 1;
 }

@@ -8,11 +8,17 @@
 // sec431 throughput, seu sweep, manifestations) but measure the one thing
 // those don't: simulation events per wall second, the number every campaign
 // in the paper's tables is bounded by. Each scenario is deterministic — the
-// harness fails the run if an event count differs between repetitions.
+// harness fails the run if an event count differs between repetitions, or
+// if a scenario throws: a failed campaign run, or an A/B pair whose arms
+// executed different event counts. The A/B wall-clock budgets (5%
+// overhead, 1.5x fork speedup) are reported but gate nothing: a breach
+// records 0 events for that repetition.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "harness.hpp"
@@ -31,6 +37,32 @@ using namespace hsfi;
 using myrinet::ControlSymbol;
 
 namespace {
+
+/// Throws unless every run finished ok; returns their summed events.
+std::uint64_t events_of(const char* scenario,
+                        const std::vector<orchestrator::RunRecord>& records) {
+  std::uint64_t events = 0;
+  for (const auto& r : records) {
+    if (r.outcome != orchestrator::RunOutcome::kOk) {
+      throw std::runtime_error(
+          std::string(scenario) + " run " + std::to_string(r.index) + ": " +
+          std::string(orchestrator::to_string(r.outcome)) + " " + r.error);
+    }
+    events += r.result.events_executed;
+  }
+  return events;
+}
+
+/// Throws when the two arms of an A/B pair executed different event
+/// counts: the difference under test perturbed the simulation.
+void require_same_events(const char* scenario, const char* what,
+                         std::uint64_t a, std::uint64_t b) {
+  if (a != b) {
+    throw std::runtime_error(std::string(scenario) + ": " + what + " (" +
+                             std::to_string(a) + " vs " + std::to_string(b) +
+                             " events)");
+  }
+}
 
 nftape::TestbedConfig standard_testbed() {
   nftape::TestbedConfig config;
@@ -115,17 +147,8 @@ std::uint64_t scenario_seu_sweep(bool smoke) {
     sweep.faults.push_back({nftape::cell("seu-%04X", masks[i]),
                             nftape::random_bit_flip_seu(masks[i]), ""});
   }
-  const auto records = orchestrator::Runner().run_all(orchestrator::expand(sweep));
-  std::uint64_t events = 0;
-  for (const auto& r : records) {
-    if (r.outcome != orchestrator::RunOutcome::kOk) {
-      std::fprintf(stderr, "seu_sweep run %zu: %s\n", r.index,
-                   std::string(orchestrator::to_string(r.outcome)).c_str());
-      return 0;  // a failed run shows up as a nondeterministic event count
-    }
-    events += r.result.events_executed;
-  }
-  return events;
+  return events_of("seu_sweep",
+                   orchestrator::Runner().run_all(orchestrator::expand(sweep)));
 }
 
 /// Manifestation-analysis campaigns on one shared testbed: the monitor-hook
@@ -167,9 +190,9 @@ std::uint64_t scenario_manifestations(bool smoke) {
 /// sink — interleaved, best-of-N wall time per arm. The sink costs one map
 /// lookup plus a few dozen counter folds per *completed run* (never per
 /// event), so the monitored arm must stay within 5% of the bare arm's
-/// events/s. A violation (or an event-count mismatch between arms, which
-/// would mean the sink perturbed the simulation) reports 0 events, the same
-/// convention seu_sweep uses for a failed run.
+/// events/s; a breach reports 0 events for the repetition. A failed run,
+/// or an event-count mismatch between arms (the sink perturbed the
+/// simulation), throws.
 std::uint64_t scenario_monitor_overhead(bool smoke) {
   orchestrator::SweepSpec sweep;
   sweep.name = "monitor-overhead";
@@ -189,7 +212,7 @@ std::uint64_t scenario_monitor_overhead(bool smoke) {
   // service. Event totals are per-run deterministic, so both arms must
   // agree exactly.
   const auto pass = [&runs](monitor::MonitorService* service, double& wall_s,
-                            std::uint64_t& events) -> bool {
+                            std::uint64_t& events) {
     orchestrator::RunnerConfig rc;
     rc.workers = 1;  // serial: wall time measures the hot path, not the pool
     if (service != nullptr) rc.sinks.push_back(service);
@@ -197,16 +220,7 @@ std::uint64_t scenario_monitor_overhead(bool smoke) {
     const auto records = orchestrator::Runner(rc).run_all(runs);
     const auto t1 = std::chrono::steady_clock::now();
     wall_s = std::chrono::duration<double>(t1 - t0).count();
-    events = 0;
-    for (const auto& r : records) {
-      if (r.outcome != orchestrator::RunOutcome::kOk) {
-        std::fprintf(stderr, "monitor_overhead run %zu: %s\n", r.index,
-                     std::string(orchestrator::to_string(r.outcome)).c_str());
-        return false;
-      }
-      events += r.result.events_executed;
-    }
-    return true;
+    events = events_of("monitor_overhead", records);
   };
 
   const int passes = smoke ? 1 : 3;
@@ -219,24 +233,18 @@ std::uint64_t scenario_monitor_overhead(bool smoke) {
   for (int i = 0; i < passes; ++i) {
     double wall = 0.0;
     std::uint64_t events = 0;
-    if (!pass(nullptr, wall, events)) return 0;
+    pass(nullptr, wall, events);
     bare_wall = (i == 0) ? wall : std::min(bare_wall, wall);
     bare_events = events;
     timed_events += events;
-    if (!pass(&service, wall, events)) return 0;
+    pass(&service, wall, events);
     monitored_wall = (i == 0) ? wall : std::min(monitored_wall, wall);
     monitored_events = events;
     timed_events += events;
   }
 
-  if (monitored_events != bare_events) {
-    std::fprintf(stderr,
-                 "monitor_overhead: sink perturbed the run (%llu vs %llu "
-                 "events)\n",
-                 static_cast<unsigned long long>(monitored_events),
-                 static_cast<unsigned long long>(bare_events));
-    return 0;
-  }
+  require_same_events("monitor_overhead", "sink perturbed the run",
+                      monitored_events, bare_events);
   // events/s ratio == inverse wall ratio (identical event totals).
   if (monitored_wall > bare_wall * 1.05) {
     std::fprintf(stderr,
@@ -254,9 +262,10 @@ std::uint64_t scenario_monitor_overhead(bool smoke) {
 /// hooks (tx mutators on every NIC/switch port) even when no step ever
 /// fires, so the armed-idle arm isolates the pure hook cost every
 /// non-scenario campaign would pay if the hooks were unconditional. Event
-/// totals must match exactly (idle hooks must not perturb the simulation)
-/// and the armed arm must stay within 5% of the bare arm's events/s; any
-/// violation reports 0 events, the harness's failure convention.
+/// totals must match exactly (idle hooks must not perturb the simulation;
+/// a mismatch or a failed run throws), and the armed arm must stay within
+/// 5% of the bare arm's events/s (a breach reports 0 events for the
+/// repetition).
 std::uint64_t scenario_scenario_overhead(bool smoke) {
   orchestrator::SweepSpec sweep;
   sweep.name = "scenario-overhead";
@@ -272,23 +281,14 @@ std::uint64_t scenario_scenario_overhead(bool smoke) {
       {nftape::cell("seu-%04X", 0x00FF), nftape::random_bit_flip_seu(0x00FF), ""});
 
   const auto pass = [](const std::vector<orchestrator::RunSpec>& runs,
-                       double& wall_s, std::uint64_t& events) -> bool {
+                       double& wall_s, std::uint64_t& events) {
     orchestrator::RunnerConfig rc;
     rc.workers = 1;  // serial: wall time measures the hot path, not the pool
     const auto t0 = std::chrono::steady_clock::now();
     const auto records = orchestrator::Runner(rc).run_all(runs);
     const auto t1 = std::chrono::steady_clock::now();
     wall_s = std::chrono::duration<double>(t1 - t0).count();
-    events = 0;
-    for (const auto& r : records) {
-      if (r.outcome != orchestrator::RunOutcome::kOk) {
-        std::fprintf(stderr, "scenario_overhead run %zu: %s\n", r.index,
-                     std::string(orchestrator::to_string(r.outcome)).c_str());
-        return false;
-      }
-      events += r.result.events_executed;
-    }
-    return true;
+    events = events_of("scenario_overhead", records);
   };
 
   const auto bare_runs = orchestrator::expand(sweep);
@@ -304,24 +304,18 @@ std::uint64_t scenario_scenario_overhead(bool smoke) {
   for (int i = 0; i < passes; ++i) {
     double wall = 0.0;
     std::uint64_t events = 0;
-    if (!pass(bare_runs, wall, events)) return 0;
+    pass(bare_runs, wall, events);
     bare_wall = (i == 0) ? wall : std::min(bare_wall, wall);
     bare_events = events;
     timed_events += events;
-    if (!pass(armed_runs, wall, events)) return 0;
+    pass(armed_runs, wall, events);
     armed_wall = (i == 0) ? wall : std::min(armed_wall, wall);
     armed_events = events;
     timed_events += events;
   }
 
-  if (armed_events != bare_events) {
-    std::fprintf(stderr,
-                 "scenario_overhead: idle hooks perturbed the run (%llu vs "
-                 "%llu events)\n",
-                 static_cast<unsigned long long>(armed_events),
-                 static_cast<unsigned long long>(bare_events));
-    return 0;
-  }
+  require_same_events("scenario_overhead", "idle hooks perturbed the run",
+                      armed_events, bare_events);
   // events/s ratio == inverse wall ratio (identical event totals).
   if (armed_wall > bare_wall * 1.05) {
     std::fprintf(stderr,
@@ -339,13 +333,13 @@ std::uint64_t scenario_scenario_overhead(bool smoke) {
 /// settle is made expensive relative to the measurement window (a 1 ms
 /// mapping period packs hundreds of mapping rounds into the settle, while
 /// the campaign itself spans ~4 ms), mirroring the sweeps snapshots exist
-/// for — settle-dominated cells with many replicates each. Two hard
-/// gates, both reported as 0 events (the harness's failure convention):
+/// for — settle-dominated cells with many replicates each. Two gates:
 ///   * every replicate's executed-event count must be identical between
 ///     arms — a fork that perturbs the simulation is a correctness bug,
-///     not a slow path;
-///   * the fork arm must be at least 1.5x faster than the cold arm
-///     (best-of-N wall, interleaved passes).
+///     not a slow path, and throws (so does a fabric without snapshots);
+///   * the fork arm should be at least 1.5x faster than the cold arm
+///     (best-of-N wall, interleaved passes); a breach reports 0 events
+///     for the repetition.
 std::uint64_t scenario_snapshot_fork(bool smoke) {
   nftape::TestbedConfig config;
   config.map_period = sim::milliseconds(1);
@@ -371,8 +365,7 @@ std::uint64_t scenario_snapshot_fork(bool smoke) {
     return spec;
   };
 
-  // One arm: returns per-replicate event counts, or empty on a cold-path
-  // failure (never expected — no watchdog here).
+  // One arm: returns per-replicate event counts.
   const auto cold_pass = [&](double& wall_s) {
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<std::uint64_t> events;
@@ -396,8 +389,7 @@ std::uint64_t scenario_snapshot_fork(bool smoke) {
     fabric->settle(settle);
     const auto snap = fabric->capture_snapshot();
     if (snap == nullptr) {
-      std::fprintf(stderr, "snapshot_fork: fabric has no snapshot support\n");
-      return events;  // empty = failure
+      throw std::runtime_error("snapshot_fork: fabric has no snapshot support");
     }
     nftape::CampaignRunner runner(*fabric);
     for (std::size_t i = 0; i < replicates; ++i) {
@@ -421,17 +413,15 @@ std::uint64_t scenario_snapshot_fork(bool smoke) {
     cold_events = cold_pass(wall);
     cold_wall = (i == 0) ? wall : std::min(cold_wall, wall);
     fork_events = fork_pass(wall);
-    if (fork_events.empty()) return 0;
     fork_wall = (i == 0) ? wall : std::min(fork_wall, wall);
     for (const auto e : cold_events) timed_events += e;
     for (const auto e : fork_events) timed_events += e;
   }
 
   if (fork_events != cold_events) {
-    std::fprintf(stderr,
-                 "snapshot_fork: forked replicates perturbed the simulation "
-                 "(per-replicate event counts differ from cold starts)\n");
-    return 0;
+    throw std::runtime_error(
+        "snapshot_fork: forked replicates perturbed the simulation "
+        "(per-replicate event counts differ from cold starts)");
   }
   const double speedup = cold_wall / fork_wall;
   std::fprintf(stderr,

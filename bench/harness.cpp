@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <exception>
 
 #include "orchestrator/jsonl.hpp"
 
@@ -92,60 +92,6 @@ Options parse_options(int argc, char** argv) {
   return options;
 }
 
-std::string current_commit() {
-  if (const char* env = std::getenv("HSFI_COMMIT"); env != nullptr && *env) {
-    return env;
-  }
-  std::string commit = "unknown";
-  if (std::FILE* pipe = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-    char buffer[64] = {};
-    if (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) {
-      std::string line(buffer);
-      while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-        line.pop_back();
-      }
-      if (!line.empty()) commit = line;
-    }
-    pclose(pipe);
-  }
-  return commit;
-}
-
-bool write_bench_json(const std::string& path,
-                      const std::vector<Summary>& summaries,
-                      const std::string& commit) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  out << "[\n";
-  bool first = true;
-  const auto record = [&](const std::string& bench, const char* metric,
-                          double value, int decimals, const char* unit) {
-    if (!first) out << ",\n";
-    first = false;
-    orchestrator::JsonObject o;
-    o.add("bench", bench);
-    o.add("metric", metric);
-    o.add_fixed("value", value, decimals);
-    o.add("unit", unit);
-    o.add("commit", commit);
-    out << "  " << o.str();
-  };
-  for (const auto& s : summaries) {
-    record(s.bench, "events_per_sec_median", s.median_events_per_sec, 1,
-           "events/s");
-    record(s.bench, "events_per_sec_iqr", s.iqr_events_per_sec, 1,
-           "events/s");
-    record(s.bench, "wall_s_median", s.median_wall_s, 6, "s");
-    record(s.bench, "events", static_cast<double>(s.events), 0, "count");
-    record(s.bench, "reps", static_cast<double>(s.reps), 0, "count");
-  }
-  out << "\n]\n";
-  return static_cast<bool>(out);
-}
-
 Harness::Harness(Options options) : options_(std::move(options)) {}
 
 void Harness::measure(const std::string& name,
@@ -153,30 +99,35 @@ void Harness::measure(const std::string& name,
   if (!options_.only.empty() && options_.only != name) return;
   std::fprintf(stderr, "%s: %d warm-up + %d reps...\n", name.c_str(),
                options_.warmup, options_.reps);
-  for (int i = 0; i < options_.warmup; ++i) (void)body();
-
   std::vector<double> wall_s;
   std::vector<double> events_per_sec;
   std::uint64_t events = 0;
-  for (int i = 0; i < options_.reps; ++i) {
-    const auto start = std::chrono::steady_clock::now();
-    const std::uint64_t rep_events = body();
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    if (i == 0) {
-      events = rep_events;
-    } else if (rep_events != events) {
-      std::fprintf(stderr,
-                   "%s: NONDETERMINISTIC: rep %d executed %llu events, "
-                   "rep 0 executed %llu\n",
-                   name.c_str(), i, (unsigned long long)rep_events,
-                   (unsigned long long)events);
-      nondeterministic_ = true;
+  try {
+    for (int i = 0; i < options_.warmup; ++i) (void)body();
+    for (int i = 0; i < options_.reps; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      const std::uint64_t rep_events = body();
+      const double secs = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+      if (i == 0) {
+        events = rep_events;
+      } else if (rep_events != events) {
+        std::fprintf(stderr,
+                     "%s: NONDETERMINISTIC: rep %d executed %llu events, "
+                     "rep 0 executed %llu\n",
+                     name.c_str(), i, (unsigned long long)rep_events,
+                     (unsigned long long)events);
+        failed_ = true;
+      }
+      wall_s.push_back(secs);
+      events_per_sec.push_back(
+          secs > 0 ? static_cast<double>(rep_events) / secs : 0);
     }
-    wall_s.push_back(secs);
-    events_per_sec.push_back(secs > 0 ? static_cast<double>(rep_events) / secs
-                                      : 0);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: FAILED: %s\n", name.c_str(), e.what());
+    failed_ = true;
+    return;
   }
   std::sort(wall_s.begin(), wall_s.end());
   std::sort(events_per_sec.begin(), events_per_sec.end());
@@ -200,12 +151,24 @@ int Harness::finish() {
                 s.median_wall_s);
   }
   if (!options_.out_path.empty()) {
-    if (!write_bench_json(options_.out_path, summaries_, current_commit())) {
+    std::vector<orchestrator::BenchRecord> records;
+    for (const auto& s : summaries_) {
+      records.push_back({s.bench, "events_per_sec_median",
+                         s.median_events_per_sec, 1, "events/s"});
+      records.push_back({s.bench, "events_per_sec_iqr", s.iqr_events_per_sec,
+                         1, "events/s"});
+      records.push_back({s.bench, "wall_s_median", s.median_wall_s, 6, "s"});
+      records.push_back(
+          {s.bench, "events", static_cast<double>(s.events), 0, "count"});
+      records.push_back(
+          {s.bench, "reps", static_cast<double>(s.reps), 0, "count"});
+    }
+    if (!orchestrator::write_bench_records(options_.out_path, records)) {
       return 1;
     }
     std::fprintf(stderr, "wrote %s\n", options_.out_path.c_str());
   }
-  return nondeterministic_ ? 1 : 0;
+  return failed_ ? 1 : 0;
 }
 
 }  // namespace hsfi::bench

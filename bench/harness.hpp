@@ -4,7 +4,8 @@
 // deterministic workload, and returns the number of kernel events it
 // executed. The harness times warm-up plus N repetitions, reports median
 // and IQR events/sec and wall time, and writes the results in the stable
-// BENCH_sim_kernel.json schema — a JSON array of flat records
+// BENCH_sim_kernel.json schema (orchestrator::write_bench_records) — a JSON
+// array of flat records
 //   {"bench": ..., "metric": ..., "value": ..., "unit": ..., "commit": ...}
 // so numbers from different commits diff and join trivially (see README
 // "Benchmarking").
@@ -39,16 +40,6 @@ struct Summary {
   double median_wall_s = 0;
 };
 
-/// `git rev-parse --short HEAD` (overridable via HSFI_COMMIT), else
-/// "unknown" — stamped into every JSON record.
-[[nodiscard]] std::string current_commit();
-
-/// Writes the records for `summaries` to `path`. Returns false (with a
-/// message on stderr) if the file cannot be written.
-bool write_bench_json(const std::string& path,
-                      const std::vector<Summary>& summaries,
-                      const std::string& commit);
-
 class Harness {
  public:
   explicit Harness(Options options);
@@ -57,13 +48,16 @@ class Harness {
   /// `body` returns the kernel events executed by that repetition; the
   /// harness checks the count is identical across repetitions, since a
   /// run-to-run difference means the scenario is not deterministic and its
-  /// numbers are garbage.
+  /// numbers are garbage. A body that throws (a failed run, or a broken
+  /// deterministic check) fails the scenario: it is reported on stderr and
+  /// leaves no summary.
   void measure(const std::string& name,
                const std::function<std::uint64_t()>& body);
 
   /// Renders the results table to stdout, writes the JSON file when --out
   /// was given, and returns the process exit code (non-zero when a
-  /// scenario was nondeterministic or the file could not be written).
+  /// scenario failed or was nondeterministic, or the file could not be
+  /// written).
   int finish();
 
   [[nodiscard]] const std::vector<Summary>& summaries() const noexcept {
@@ -74,7 +68,7 @@ class Harness {
  private:
   Options options_;
   std::vector<Summary> summaries_;
-  bool nondeterministic_ = false;
+  bool failed_ = false;
 };
 
 }  // namespace hsfi::bench

@@ -11,6 +11,7 @@
 //   cmp a.jsonl b.jsonl                                 # byte-identical
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -196,7 +197,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--replicates") {
       grid.replicates = static_cast<std::size_t>(numeric());
     } else if (arg == "--duration-ms") {
-      grid.duration = sim::milliseconds(numeric());
+      const auto ms = numeric();
+      if (static_cast<double>(ms) > orchestrator::kMaxDurationMs) {
+        refuse("--duration-ms must be at most 1000000");
+      }
+      grid.duration = sim::milliseconds(ms);
     } else if (arg == "--spec") {
       spec_path = value();
     } else if (arg == "--shard") {
@@ -261,7 +266,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--tolerance") {
       strategy.tolerance_us = static_cast<double>(positive());
     } else if (arg == "--max-rounds") {
-      strategy.max_rounds = static_cast<std::uint32_t>(numeric());
+      const auto n = numeric();
+      if (n > UINT32_MAX) refuse("--max-rounds must be at most 4294967295");
+      strategy.max_rounds = static_cast<std::uint32_t>(n);
     } else if (arg == "--target-count") {
       strategy.target_count = static_cast<std::uint64_t>(numeric());
     } else if (arg == "--monitor") {

@@ -29,27 +29,6 @@ using orchestrator::CampaignFile;
 using orchestrator::CampaignTarget;
 using orchestrator::RunRecord;
 
-/// Commit stamp for --bench-out records: HSFI_COMMIT env when set (the
-/// before/after measurement scripts pin it), else git, else "unknown".
-std::string commit_id() {
-  if (const char* env = std::getenv("HSFI_COMMIT"); env != nullptr && *env) {
-    return env;
-  }
-  std::string commit = "unknown";
-  if (std::FILE* pipe = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-    char buffer[64] = {};
-    if (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) {
-      std::string line(buffer);
-      while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-        line.pop_back();
-      }
-      if (!line.empty()) commit = line;
-    }
-    pclose(pipe);
-  }
-  return commit;
-}
-
 /// Campaign throughput in the BENCH_sim_kernel.json schema
 /// ({bench, metric, value, unit, commit}).
 bool write_bench_out(const std::string& path,
@@ -60,38 +39,23 @@ bool write_bench_out(const std::string& path,
     events += r.result.events_executed;
     symbols += r.result.symbols_sent;
   }
-  const std::string commit = commit_id();
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  out << "[\n";
-  bool first = true;
-  const auto record = [&](const char* metric, double v, int decimals,
-                          const char* unit) {
-    if (!first) out << ",\n";
-    first = false;
-    orchestrator::JsonObject o;
-    o.add("bench", "run_sweep");
-    o.add("metric", metric);
-    o.add_fixed("value", v, decimals);
-    o.add("unit", unit);
-    o.add("commit", commit);
-    out << "  " << o.str();
+  const auto record = [](const char* metric, double v, int decimals,
+                         const char* unit) {
+    return orchestrator::BenchRecord{"run_sweep", metric, v, decimals, unit};
   };
-  record("events_per_sec_median",
-         total_s > 0 ? static_cast<double>(events) / total_s : 0, 1,
-         "events/s");
-  record("wall_s_median", total_s, 6, "s");
-  record("events", static_cast<double>(events), 0, "count");
-  // Link symbols carried over the same runs: invariant under kernel-level
-  // batching, so events-per-symbol trending down means the refactor is
-  // removing scheduling overhead rather than simulating less traffic.
-  record("symbols", static_cast<double>(symbols), 0, "count");
-  record("runs", static_cast<double>(records.size()), 0, "count");
-  out << "\n]\n";
-  return static_cast<bool>(out);
+  return orchestrator::write_bench_records(
+      path,
+      {record("events_per_sec_median",
+              total_s > 0 ? static_cast<double>(events) / total_s : 0, 1,
+              "events/s"),
+       record("wall_s_median", total_s, 6, "s"),
+       record("events", static_cast<double>(events), 0, "count"),
+       // Link symbols carried over the same runs: invariant under
+       // kernel-level batching, so events-per-symbol trending down means a
+       // refactor removed scheduling overhead rather than simulated less
+       // traffic.
+       record("symbols", static_cast<double>(symbols), 0, "count"),
+       record("runs", static_cast<double>(records.size()), 0, "count")});
 }
 
 /// Re-renders the monitor table to stderr at most once per interval,

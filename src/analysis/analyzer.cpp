@@ -4,10 +4,91 @@
 
 namespace hsfi::analysis {
 
+Evidence evidence(sim::Observed kind) noexcept {
+  using K = sim::Observed;
+  using M = Manifestation;
+  const auto effect = [](M what) {
+    return Evidence{Evidence::Role::kEffect, what};
+  };
+  switch (kind) {
+    case K::kInjectorFired:
+    case K::kScenarioStep:
+      return Evidence{Evidence::Role::kInjection, M::kMasked};
+    case K::kInjectorApplied:
+    case K::kMappingRoundBegun:
+    case K::kMapInstalled:
+      return Evidence{};
+    // The FC CRC-32 drop is the CRC-8 drop's twin, and a mangled ordered
+    // set is delimiter damage, the marker analogue (DESIGN §9).
+    case K::kNicCrcError:
+    case K::kFcCrcError:
+      return effect(M::kCrcDropped);
+    case K::kNicMarkerError:
+    case K::kFcMalformedSet:
+      return effect(M::kMarkerError);
+    case K::kHostMisaddressed:
+    case K::kInvalidRoute:
+    case K::kFcDiscard:
+      return effect(M::kMisrouted);
+    // A failed send-side resolution means the routing/address state itself
+    // is damaged: the paper's "removed from the network".
+    case K::kHostUnknownPeer:
+    case K::kHostUnroutable:
+    case K::kMappingConfused:
+      return effect(M::kMappingDisruption);
+    // Credit exhaustion stalls the sender the way the paper's STOP faults
+    // throttle Myrinet.
+    case K::kLongTimeout:
+    case K::kFcCreditStall:
+      return effect(M::kTimeout);
+    case K::kPayloadCorrupted:
+      return effect(M::kPayloadCorruptedDelivered);
+    case K::kNicTooShort:
+    case K::kNicRingOverflow:
+    case K::kHostBadChecksum:
+    case K::kHostBadLength:
+    case K::kHostMalformed:
+    case K::kHostUnknownType:
+    case K::kHostUnboundPort:
+    case K::kSlackOverflow:
+    case K::kFcRxOverflow:
+    case K::kFcStrayData:
+    case K::kSequenceAborted:
+    case K::kFrameRejected:
+      return effect(M::kDroppedOther);
+  }
+  return Evidence{};
+}
+
 ManifestationAnalyzer::ManifestationAnalyzer() : ManifestationAnalyzer(Config{}) {}
 
 ManifestationAnalyzer::ManifestationAnalyzer(Config config)
     : config_(config) {}
+
+void ManifestationAnalyzer::on_observation(const sim::Observation& o) {
+  const Evidence e = evidence(o.kind);
+  switch (e.role) {
+    case Evidence::Role::kNone:
+      return;
+    case Evidence::Role::kInjection:
+      record_injection(o.when);
+      return;
+    case Evidence::Role::kEffect:
+      record_observation(o.when, e.what, source_of(o.where, o.unit));
+      return;
+  }
+}
+
+std::uint32_t ManifestationAnalyzer::source_of(std::string_view where,
+                                               std::uint32_t unit) {
+  for (std::size_t i = 0; i < emitters_.size(); ++i) {
+    if (emitters_[i].second == unit && emitters_[i].first == where) {
+      return static_cast<std::uint32_t>(i);
+    }
+  }
+  emitters_.emplace_back(std::string(where), unit);
+  return static_cast<std::uint32_t>(emitters_.size() - 1);
+}
 
 void ManifestationAnalyzer::record_injection(sim::SimTime when) {
   injections_.push_back(when);
@@ -105,6 +186,7 @@ ManifestationAnalyzer::Outcome ManifestationAnalyzer::finalize(
 void ManifestationAnalyzer::clear() {
   injections_.clear();
   observations_.clear();
+  emitters_.clear();
 }
 
 }  // namespace hsfi::analysis

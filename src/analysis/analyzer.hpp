@@ -1,18 +1,21 @@
 // Follows each injector firing to its downstream effect.
 //
-// The campaign runner feeds two deterministic event streams recorded in
-// simulated time: injections (the device's trigger, paper §3.3) and
-// observations (a monitor downstream saw a failure effect: a NIC counted a
-// CRC or marker error, a host dropped a misaddressed frame, the switch
-// reclaimed a held path, the mapper announced a damaged map, a sink
-// received a corrupted payload). finalize() then classifies every firing
-// inside the measurement window into exactly one Manifestation class by
-// chronological correlation: each injection claims the earliest unclaimed
-// observation at or after it within the correlation window; firings that
-// claim nothing were masked. Observations no firing claims are secondary
-// effects (one firing can cascade: a single lost GAP merges packets,
-// overflows slack, and times the path out) and are reported separately so
-// nothing is double-counted against the injection total.
+// The analyzer subscribes to the simulator's observation stream and reads
+// two deterministic streams out of it, in simulated time: injections (the
+// device's trigger, paper §3.3, and scenario steps) and effects (a monitor
+// downstream saw a failure: a NIC counted a CRC or marker error, a host
+// dropped a misaddressed frame, the switch reclaimed a held path, the
+// mapper announced a damaged map, a sink received a corrupted payload).
+// evidence() is the one table from observed kinds to taxonomy classes;
+// trace points are neither and never reach the analysis. finalize() then
+// classifies every firing inside the measurement window into exactly one
+// Manifestation class by chronological correlation: each injection claims
+// the earliest unclaimed observation at or after it within the correlation
+// window; firings that claim nothing were masked. Observations no firing
+// claims are secondary effects (one firing can cascade: a single lost GAP
+// merges packets, overflows slack, and times the path out) and are
+// reported separately so nothing is double-counted against the injection
+// total.
 //
 // Determinism: both streams are produced by the single-threaded simulation
 // core, so record order and timestamps are a pure function of the run's
@@ -21,15 +24,30 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/manifestation.hpp"
 #include "analysis/metrics.hpp"
+#include "sim/observation.hpp"
 #include "sim/time.hpp"
 
 namespace hsfi::analysis {
 
-class ManifestationAnalyzer {
+/// What one observed kind is to the analyzer: a firing, an effect of class
+/// `what`, or neither (a trace point).
+struct Evidence {
+  enum class Role : std::uint8_t { kNone, kInjection, kEffect };
+  Role role = Role::kNone;
+  Manifestation what = Manifestation::kMasked;
+};
+
+/// The kind table: the only place an observation becomes a class.
+[[nodiscard]] Evidence evidence(sim::Observed kind) noexcept;
+
+class ManifestationAnalyzer final : public sim::Observer {
  public:
   struct Config {
     /// How long after a firing an effect may surface and still be
@@ -54,6 +72,16 @@ class ManifestationAnalyzer {
 
   ManifestationAnalyzer();
   explicit ManifestationAnalyzer(Config config);
+
+  // A simulator holds a subscribed analyzer by address.
+  ManifestationAnalyzer(const ManifestationAnalyzer&) = delete;
+  ManifestationAnalyzer& operator=(const ManifestationAnalyzer&) = delete;
+
+  /// Stream entry: injections go to record_injection, effects to
+  /// record_observation with their evidence() class. The source is the
+  /// emitter, (where, unit) numbered by first appearance: the analysis
+  /// compares sources only for equality.
+  void on_observation(const sim::Observation& o) override;
 
   /// Records one injector firing ("windows actually corrupted").
   void record_injection(sim::SimTime when);
@@ -90,9 +118,14 @@ class ManifestationAnalyzer {
     std::uint32_t source = 0;
   };
 
+  [[nodiscard]] std::uint32_t source_of(std::string_view where,
+                                       std::uint32_t unit);
+
   Config config_;
   std::vector<sim::SimTime> injections_;
   std::vector<Observation> observations_;
+  /// Emitters seen so far; an emitter's source is its index.
+  std::vector<std::pair<std::string, std::uint32_t>> emitters_;
 };
 
 }  // namespace hsfi::analysis

@@ -1,10 +1,10 @@
 // Fixed-bucket histograms over simulated-time durations.
 //
-// Everything here is driven by simulated-time records (the sim::TraceLog
-// discipline), never wall clocks, so a campaign's histograms are identical
-// regardless of worker count or host machine — the property every other
-// campaign artifact (JSONL, reports) already has. Buckets are fixed at
-// construction, so render() output is stable.
+// Everything here is driven by simulated-time records (the discipline of
+// the simulator's observation stream), never wall clocks, so a campaign's
+// histograms are identical regardless of worker count or host machine —
+// the property every other campaign artifact (JSONL, reports) already
+// has. Buckets are fixed at construction, so render() output is stable.
 #pragma once
 
 #include <cstdint>

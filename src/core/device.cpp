@@ -24,7 +24,9 @@ struct InjectorDevice::Pipeline final : link::SymbolSink {
   link::Channel* out = nullptr;
   /// This direction's entry in the device's State.
   State::PipeState& st;
-  std::function<void(sim::SimTime)> on_injection;
+  /// Firings are observed as (device name, direction).
+  std::string_view where;
+  std::uint32_t unit = 0;
   /// Egress staging buffer, reused across bursts/drain ticks so the
   /// steady-state forwarding path allocates nothing per burst.
   std::vector<link::Symbol> scratch;
@@ -57,7 +59,7 @@ struct InjectorDevice::Pipeline final : link::SymbolSink {
             std::vector<link::Symbol>& outs) {
     if (r.injected) {
       st.capture.trigger(when);
-      if (on_injection) on_injection(when);
+      fired(when);
     }
     if (!r.out) return;
     // IDLE characters (the free-running clock's filler) are never placed on
@@ -66,6 +68,10 @@ struct InjectorDevice::Pipeline final : link::SymbolSink {
     // wire's idles do not (they ARE the idle capacity).
     if (is_idle_character(*r.out)) return;
     st.repatch.feed_into(*r.out, st.fifo.config().crc_repatch, outs);
+  }
+
+  void fired(sim::SimTime when) {
+    simulator->observe(when, sim::Observed::kInjectorFired, where, unit);
   }
 
   void transmit(const std::vector<link::Symbol>& outs) {
@@ -98,7 +104,7 @@ struct InjectorDevice::Pipeline final : link::SymbolSink {
         st.capture.feed_run(in.subspan(prev, f + 1 - prev));
         const auto when = burst.arrival(f);
         st.capture.trigger(when);
-        if (on_injection) on_injection(when);
+        fired(when);
         prev = f + 1;
       }
       st.capture.feed_run(in.subspan(prev));
@@ -130,6 +136,8 @@ InjectorDevice::InjectorDevice(sim::Simulator& simulator, std::string name,
     pipes_[i] = std::make_unique<Pipeline>(state_.pipes[i]);
     pipes_[i]->simulator = &simulator_;
     pipes_[i]->character_period = config_.character_period;
+    pipes_[i]->where = name_;
+    pipes_[i]->unit = static_cast<std::uint32_t>(i);
   }
 }
 
@@ -149,11 +157,8 @@ void InjectorDevice::apply(Direction d, const InjectorConfig& config) {
   auto& fifo = state_.pipes[index(d)].fifo;
   fifo.config() = config;
   fifo.rearm();
-  if (trace_ && trace_->enabled(sim::LogLevel::kInfo)) {
-    trace_->add(simulator_.now(), sim::LogLevel::kInfo, name_,
-                std::string(to_string(d)) + " configured: " +
-                    describe(config));
-  }
+  simulator_.observe(simulator_.now(), sim::Observed::kInjectorApplied, name_,
+                     static_cast<std::uint32_t>(index(d)));
 }
 
 const InjectorConfig& InjectorDevice::config(Direction d) const {
@@ -180,17 +185,6 @@ const StreamStats& InjectorDevice::stream_stats(Direction d) const {
 
 std::uint64_t InjectorDevice::frames_crc_patched(Direction d) const {
   return state_.pipes[index(d)].repatch.frames_patched();
-}
-
-void InjectorDevice::set_injection_hook(InjectionHook hook) {
-  for (const auto d : {Direction::kLeftToRight, Direction::kRightToLeft}) {
-    auto& pipe = *pipes_[index(d)];
-    if (!hook) {
-      pipe.on_injection = nullptr;
-    } else {
-      pipe.on_injection = [d, hook](sim::SimTime when) { hook(d, when); };
-    }
-  }
 }
 
 void InjectorDevice::clear_stats() {

@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -29,7 +28,6 @@
 #include "core/injector_config.hpp"
 #include "core/stats.hpp"
 #include "link/channel.hpp"
-#include "sim/log.hpp"
 #include "sim/simulator.hpp"
 
 namespace hsfi::core {
@@ -68,7 +66,11 @@ class InjectorDevice {
   void attach_right(link::Channel& rx, link::Channel& tx);
 
   /// Live (re)configuration of one direction — what the serial command
-  /// plane ultimately writes. Re-arms a kOnce trigger.
+  /// plane ultimately writes. Re-arms a kOnce trigger. Observed as
+  /// kInjectorApplied; each fired window as kInjectorFired, timestamped
+  /// at its first corrupted character — the anchor the manifestation
+  /// analyzer correlates downstream effects against. Both carry the
+  /// direction as their unit.
   void apply(Direction d, const InjectorConfig& config);
   [[nodiscard]] const InjectorConfig& config(Direction d) const;
 
@@ -91,21 +93,12 @@ class InjectorDevice {
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
-  /// Optional event trace (configuration applications); not owned.
-  void set_trace(sim::TraceLog* trace) noexcept { trace_ = trace; }
-
-  /// Called once per fired injection window with the direction and the
-  /// simulated time of the first corrupted character — the anchor the
-  /// manifestation analyzer correlates downstream effects against.
-  using InjectionHook = std::function<void(Direction, sim::SimTime)>;
-  void set_injection_hook(InjectionHook hook);
-
   /// The device's mutable state, one entry per direction, held as one
   /// member that each direction's pipeline works on. FIFO, repatch,
   /// capture and stream monitor are plain value types copied whole. The
   /// drain EventId stays valid across a fork because the simulator
-  /// restores queue slots/generations verbatim. The injection hook and the
-  /// egress wiring are per-run wiring, not state.
+  /// restores queue slots/generations verbatim. The egress wiring is not
+  /// state.
   struct State {
     struct PipeState {
       FifoInjector fifo;
@@ -128,7 +121,6 @@ class InjectorDevice {
   Config config_;
   State state_;
   std::array<std::unique_ptr<Pipeline>, 2> pipes_;
-  sim::TraceLog* trace_ = nullptr;
 };
 
 }  // namespace hsfi::core

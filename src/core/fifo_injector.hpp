@@ -71,7 +71,7 @@ class FifoInjector {
 
   /// Output of clock_burst(): every character that left the device during
   /// the burst, in pop order, plus the input indices whose even clock fired
-  /// an injection (so callers can replay capture triggers and monitor hooks
+  /// an injection (so callers can replay capture triggers and observations
   /// at the exact per-symbol arrival timestamps).
   struct BatchResult {
     std::vector<link::Symbol> out;

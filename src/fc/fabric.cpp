@@ -36,7 +36,8 @@ void FcFabric::forward(FcFrame frame, sim::SimTime when) {
   const auto it = routes_.find(domain);
   if (it == routes_.end() || it->second >= ports_.size()) {
     ++stats_.frames_discarded;  // class 3: silently discarded
-    if (discard_) discard_(frame, when);
+    simulator_.observe(when, sim::Observed::kFcDiscard, name_, 0,
+                       frame.header.d_id);
     return;
   }
   ++stats_.frames_forwarded;

@@ -44,10 +44,8 @@ class FcFabric {
   /// Routes destination domain `domain` (d_id >> 16) out of `port`.
   void set_route(std::uint8_t domain, std::size_t port);
 
-  /// Tap on every class-3 silent discard (no route for the D_ID) — the
-  /// misroute observable an injection campaign correlates against.
-  using DiscardHandler = std::function<void(const FcFrame&, sim::SimTime)>;
-  void on_discard(DiscardHandler handler) { discard_ = std::move(handler); }
+  // Every class-3 silent discard (no route for the D_ID) is observed as
+  // kFcDiscard — the misroute an injection campaign correlates against.
 
   /// Campaign reset: fabric statistics plus every port's state (stats,
   /// credits, queues) back to fresh-construction values.
@@ -87,7 +85,6 @@ class FcFabric {
   std::string name_;
   std::vector<std::unique_ptr<FcPort>> ports_;
   std::map<std::uint8_t, std::size_t> routes_;
-  DiscardHandler discard_;
   Stats stats_;
 };
 

@@ -57,7 +57,7 @@ void FcPort::pump_tx() {
         if (!state_.stalled_reported) {
           ++state_.stats.credit_stall_events;
           state_.stalled_reported = true;
-          emit_event(Event::kCreditStall, simulator_.now());
+          emit_event(sim::Observed::kFcCreditStall, simulator_.now());
         }
         schedule_credit_recovery();
         return;  // resumes when an R_RDY returns a credit
@@ -111,7 +111,7 @@ void FcPort::on_burst(const link::Burst& burst) {
     } else {
       for (std::size_t j = i; j < run_end; ++j) {
         ++state_.stats.stray_data;
-        emit_event(Event::kStrayData, burst.arrival(j));
+        emit_event(sim::Observed::kFcStrayData, burst.arrival(j));
       }
     }
     i = run_end;
@@ -127,7 +127,7 @@ void FcPort::feed(link::Symbol s, sim::SimTime when) {
       state_.set_accum.clear();
       if (!os) {
         ++state_.stats.malformed_sets;
-        emit_event(Event::kMalformedSet, when);
+        emit_event(sim::Observed::kFcMalformedSet, when);
         // A broken SOF/EOF poisons any open frame.
         if (state_.in_frame) {
           state_.in_frame = false;
@@ -148,7 +148,7 @@ void FcPort::feed(link::Symbol s, sim::SimTime when) {
     return;
   }
   ++state_.stats.stray_data;
-  emit_event(Event::kStrayData, when);
+  emit_event(sim::Observed::kFcStrayData, when);
 }
 
 void FcPort::handle_ordered_set(OrderedSet os, sim::SimTime when) {
@@ -184,17 +184,17 @@ void FcPort::complete_frame(OrderedSet eof, sim::SimTime when) {
   parsed.frame.eof = eof;
   if (parsed.status == FcParseStatus::kCrcError) {
     ++state_.stats.crc_errors;
-    emit_event(Event::kCrcError, when);
+    emit_event(sim::Observed::kFcCrcError, when);
     return;
   }
   if (parsed.status != FcParseStatus::kOk) {
     ++state_.stats.malformed_sets;
-    emit_event(Event::kMalformedSet, when);
+    emit_event(sim::Observed::kFcMalformedSet, when);
     return;
   }
   if (state_.rx_buffers.size() >= config_.rx_buffers) {
     ++state_.stats.rx_overflows;  // sender overran our advertised credit
-    emit_event(Event::kRxOverflow, when);
+    emit_event(sim::Observed::kFcRxOverflow, when);
     return;
   }
   state_.rx_buffers.push_back(std::move(parsed.frame));

@@ -59,15 +59,9 @@ class FcPort final : public link::SymbolSink {
     std::uint64_t tx_queue_drops = 0;
   };
 
-  /// Timestamped failure events for campaign monitors (mirrors
-  /// myrinet::HostInterface::RxError — each maps to one taxonomy class).
-  enum class Event : std::uint8_t {
-    kCrcError,     ///< CRC-32 mismatch; frame dropped
-    kMalformedSet, ///< K28.5-led set that parsed to nothing
-    kRxOverflow,   ///< sender overran our advertised credit
-    kCreditStall,  ///< BB credit exhausted; transmit blocked
-    kStrayData,    ///< data characters outside any frame
-  };
+  // Receive and credit failures are observed on the simulator (where =
+  // the port's name): kFcCrcError, kFcMalformedSet, kFcRxOverflow,
+  // kFcCreditStall and kFcStrayData.
 
   FcPort(sim::Simulator& simulator, std::string name, Config config);
 
@@ -91,9 +85,6 @@ class FcPort final : public link::SymbolSink {
   using FrameHandler = std::function<void(FcFrame frame, sim::SimTime when)>;
   void on_frame(FrameHandler handler) { handler_ = std::move(handler); }
 
-  using EventHandler = std::function<void(Event e, sim::SimTime when)>;
-  void on_event(EventHandler handler) { event_ = std::move(handler); }
-
   void clear_stats() noexcept { state_.stats = Stats{}; }
 
   /// Campaign reset to the fresh-construction state: statistics, BB
@@ -109,8 +100,8 @@ class FcPort final : public link::SymbolSink {
 
   /// Snapshot state: credit count, transmit cursor, half-parsed receive
   /// state, and counters. EventIds stay valid across a fabric fork (the
-  /// simulator restores queue slots/generations verbatim); frame/event
-  /// handlers are per-run wiring and stay attached.
+  /// simulator restores queue slots/generations verbatim); the frame
+  /// handler is per-run wiring and stays attached.
   struct State {
     // Transmit.
     std::deque<std::vector<link::Symbol>> tx_queue;
@@ -145,8 +136,8 @@ class FcPort final : public link::SymbolSink {
   void schedule_credit_recovery();
   void cancel_credit_recovery();
   void schedule_rx_drain();
-  void emit_event(Event e, sim::SimTime when) {
-    if (event_) event_(e, when);
+  void emit_event(sim::Observed kind, sim::SimTime when) {
+    simulator_.observe(when, kind, name_);
   }
 
   sim::Simulator& simulator_;
@@ -154,7 +145,6 @@ class FcPort final : public link::SymbolSink {
   Config config_;
   link::Channel* tx_ = nullptr;
   FrameHandler handler_;
-  EventHandler event_;
 
   // Frame serializations go through a buffer pool: a completed frame's
   // symbol vector is parked and its capacity reused by the next send()

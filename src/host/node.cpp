@@ -57,13 +57,13 @@ bool Host::send_udp(HostId dest, UdpDatagram dgram) {
   const auto dest_eth = peer(dest);
   if (!dest_eth) {
     ++fields_.stats.drop_unknown_peer;
-    note_drop(DropReason::kUnknownPeer, simulator_.now());
+    note_drop(sim::Observed::kHostUnknownPeer, simulator_.now());
     return false;
   }
   const auto route = mcp_->resolve_route(*dest_eth);
   if (!route) {
     ++fields_.stats.drop_unroutable;  // "removed from the network"
-    note_drop(DropReason::kUnroutable, simulator_.now());
+    note_drop(sim::Observed::kHostUnroutable, simulator_.now());
     return false;
   }
 
@@ -107,19 +107,19 @@ void Host::on_deliver(myrinet::Delivered frame, sim::SimTime when) {
   // "most packet types are reserved for relatively obscure protocols" — a
   // corrupted type falls here and is dropped without side effects.
   ++fields_.stats.drop_unknown_type;
-  note_drop(DropReason::kUnknownType, when);
+  note_drop(sim::Observed::kHostUnknownType, when);
 }
 
 void Host::on_data_frame(const myrinet::Delivered& frame, sim::SimTime when) {
   const auto parsed = parse_frame(frame.payload);
   if (!parsed) {
     ++fields_.stats.drop_malformed;
-    note_drop(DropReason::kMalformed, when);
+    note_drop(sim::Observed::kHostMalformed, when);
     return;
   }
   if (parsed->dst_eth != config_.eth || parsed->dst_id != config_.id) {
     ++fields_.stats.drop_misaddressed;
-    note_drop(DropReason::kMisaddressed, when);
+    note_drop(sim::Observed::kHostMisaddressed, when);
     return;
   }
   // Address learning: remember where this peer claims to live. This is the
@@ -128,7 +128,7 @@ void Host::on_data_frame(const myrinet::Delivered& frame, sim::SimTime when) {
 
   if (parsed->proto != Proto::kUdp) {
     ++fields_.stats.drop_malformed;
-    note_drop(DropReason::kMalformed, when);
+    note_drop(sim::Observed::kHostMalformed, when);
     return;
   }
   const auto udp = decode_udp(parsed->body);
@@ -136,15 +136,15 @@ void Host::on_data_frame(const myrinet::Delivered& frame, sim::SimTime when) {
     switch (*udp.error) {
       case UdpParseError::kBadChecksum:
         ++fields_.stats.drop_bad_checksum;
-        note_drop(DropReason::kBadChecksum, when);
+        note_drop(sim::Observed::kHostBadChecksum, when);
         break;
       case UdpParseError::kBadLength:
         ++fields_.stats.drop_bad_length;
-        note_drop(DropReason::kBadLength, when);
+        note_drop(sim::Observed::kHostBadLength, when);
         break;
       case UdpParseError::kTooShort:
         ++fields_.stats.drop_malformed;
-        note_drop(DropReason::kMalformed, when);
+        note_drop(sim::Observed::kHostMalformed, when);
         break;
     }
     return;
@@ -152,7 +152,7 @@ void Host::on_data_frame(const myrinet::Delivered& frame, sim::SimTime when) {
   const auto socket = fields_.sockets.find(udp.datagram->dst_port);
   if (socket == fields_.sockets.end()) {
     ++fields_.stats.drop_unbound_port;
-    note_drop(DropReason::kUnboundPort, when);
+    note_drop(sim::Observed::kHostUnboundPort, when);
     return;
   }
   ++fields_.stats.udp_delivered;

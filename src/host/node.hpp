@@ -73,21 +73,6 @@ class Host {
   using UdpHandler =
       std::function<void(HostId src, const UdpDatagram&, sim::SimTime when)>;
 
-  /// Why the stack dropped a packet (send- or receive-side), mirroring the
-  /// Stats counters one-for-one; the hook adds the timestamp the counters
-  /// lack so the manifestation analyzer can correlate drops to firings.
-  enum class DropReason : std::uint8_t {
-    kUnknownPeer = 0,  ///< send: no address for that host id
-    kUnroutable,       ///< send: not in the Myrinet map
-    kMisaddressed,     ///< receive: wrong dst address or id
-    kBadChecksum,
-    kBadLength,
-    kMalformed,
-    kUnknownType,      ///< reserved/corrupted packet type
-    kUnboundPort,
-  };
-  using DropHandler = std::function<void(DropReason reason, sim::SimTime when)>;
-
   Host(sim::Simulator& simulator, myrinet::HostInterface& nic, Config config);
 
   Host(const Host&) = delete;
@@ -101,7 +86,6 @@ class Host {
   [[nodiscard]] std::optional<myrinet::EthAddr> peer(HostId id) const;
 
   void bind(std::uint16_t port, UdpHandler handler);
-  void on_drop(DropHandler handler) { drop_ = std::move(handler); }
   /// Answers echo datagrams (UDP port 7) by returning the payload — the
   /// ping responder.
   void enable_echo();
@@ -133,8 +117,7 @@ class Host {
 
   /// The host's own mutable fields, held as one member. Bound sockets are
   /// included (their handlers reference this host or its workload driver,
-  /// both of which outlive a snapshot within a campaign); the drop hook is
-  /// per-run monitor wiring and is deliberately not.
+  /// both of which outlive a snapshot within a campaign).
   struct Fields {
     HostClock clock{HostClock::Params{}, 0};
     sim::Duration boot_offset = 0;
@@ -170,8 +153,10 @@ class Host {
  private:
   void on_deliver(myrinet::Delivered frame, sim::SimTime when);
   void on_data_frame(const myrinet::Delivered& frame, sim::SimTime when);
-  void note_drop(DropReason reason, sim::SimTime when) {
-    if (drop_) drop_(reason, when);
+  /// Every drop counter has its kHost* kind; the observation adds the
+  /// timestamp the counters lack, so drops correlate to firings.
+  void note_drop(sim::Observed kind, sim::SimTime when) {
+    simulator_.observe(when, kind, "host", config_.id);
   }
 
   sim::Simulator& simulator_;
@@ -179,7 +164,6 @@ class Host {
   Config config_;
   std::unique_ptr<myrinet::Mcp> mcp_;
   Fields fields_;
-  DropHandler drop_;
 };
 
 }  // namespace hsfi::host

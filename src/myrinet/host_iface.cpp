@@ -97,22 +97,22 @@ void HostInterface::handle_frame(std::vector<std::uint8_t> frame,
   switch (parsed.status) {
     case DeliveryStatus::kCrcError:
       ++fields_.stats.crc_errors;
-      if (rx_error_) rx_error_(RxError::kCrcError, when);
+      simulator_.observe(when, sim::Observed::kNicCrcError, name_);
       return;
     case DeliveryStatus::kMarkerError:
       ++fields_.stats.marker_errors;  // consumed and handled as an error
-      if (rx_error_) rx_error_(RxError::kMarkerError, when);
+      simulator_.observe(when, sim::Observed::kNicMarkerError, name_);
       return;
     case DeliveryStatus::kTooShort:
       ++fields_.stats.too_short;
-      if (rx_error_) rx_error_(RxError::kTooShort, when);
+      simulator_.observe(when, sim::Observed::kNicTooShort, name_);
       return;
     case DeliveryStatus::kOk:
       break;
   }
   if (fields_.rx_ring.size() >= config_.rx_ring_frames) {
     ++fields_.stats.ring_overflows;
-    if (rx_error_) rx_error_(RxError::kRingOverflow, when);
+    simulator_.observe(when, sim::Observed::kNicRingOverflow, name_);
     return;
   }
   fields_.rx_ring.push_back(std::move(parsed));

@@ -70,27 +70,17 @@ class HostInterface final : public link::SymbolSink {
   bool send_raw(std::vector<std::uint8_t> packet_bytes);
 
   /// Handler for frames that pass CRC and marker checks, called at host
-  /// drain speed (one frame per rx_processing_time).
+  /// drain speed (one frame per rx_processing_time). The receive errors the
+  /// NIC consumes itself never reach the host stack; each is observed on
+  /// the simulator (kNic*, where = the NIC's name).
   using DeliverHandler = std::function<void(Delivered frame, sim::SimTime when)>;
   void on_deliver(DeliverHandler handler) { deliver_ = std::move(handler); }
-
-  /// Receive-side error classes the NIC detects and consumes itself; they
-  /// never reach the host stack, so an external monitor (the manifestation
-  /// analyzer) can only see them through this hook.
-  enum class RxError : std::uint8_t {
-    kCrcError = 0,
-    kMarkerError,
-    kTooShort,
-    kRingOverflow,
-  };
-  using RxErrorHandler = std::function<void(RxError error, sim::SimTime when)>;
-  void on_rx_error(RxErrorHandler handler) { rx_error_ = std::move(handler); }
 
   /// Scenario hook: transform a queued packet's serialized bytes (route
   /// prefix through trailing CRC-8) just before framing onto the wire —
   /// e.g. truncate the payload and repatch the CRC so the shortened frame
-  /// is still wire-valid. Like the deliver/rx-error handlers this is
-  /// per-run wiring, not snapshot state. Pass nullptr to uninstall.
+  /// is still wire-valid. Like the deliver handler this is per-run
+  /// wiring, not snapshot state. Pass nullptr to uninstall.
   using TxMutator =
       std::function<std::vector<std::uint8_t>(std::vector<std::uint8_t>)>;
   void set_tx_mutator(TxMutator mutator) { tx_mutator_ = std::move(mutator); }
@@ -127,8 +117,7 @@ class HostInterface final : public link::SymbolSink {
   };
 
   /// Snapshot state: the gate's and the deframer's states plus the
-  /// interface's own fields. Handlers (deliver/rx-error) are wiring and
-  /// stay attached.
+  /// interface's own fields. Handlers are wiring and stay attached.
   struct State {
     FlowGate::State gate;
     Deframer::State deframer;
@@ -161,7 +150,6 @@ class HostInterface final : public link::SymbolSink {
   Deframer deframer_;
   Fields fields_;
   DeliverHandler deliver_;
-  RxErrorHandler rx_error_;
   TxMutator tx_mutator_;
 };
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/log.hpp"
-
 namespace hsfi::myrinet {
 
 std::vector<std::uint8_t> make_scout_payload(McpAddress mapper,
@@ -63,13 +61,9 @@ void Mcp::begin_round() {
 
   if (!acting_controller() || state_.round_open) return;
   ++state_.stats.rounds_initiated;
-  if (trace_ && trace_->enabled(sim::LogLevel::kInfo)) {
-    trace_->add(simulator_.now(), sim::LogLevel::kInfo, "mcp",
-                "mapping round " +
-                    std::to_string(state_.stats.rounds_initiated) +
-                    " initiated by port " +
-                    std::to_string(config_.switch_port));
-  }
+  simulator_.observe(simulator_.now(), sim::Observed::kMappingRoundBegun,
+                     "mcp", config_.switch_port,
+                     state_.stats.rounds_initiated);
   state_.round_open = true;
   state_.duplicate_controller_seen = false;
   state_.collected.clear();
@@ -103,13 +97,9 @@ void Mcp::finish_round() {
     // another controller, and is unable to generate a consistent map. Each
     // attempt to resolve the network fails in an apparently random fashion."
     ++state_.stats.confused_rounds;
-    if (confused_) confused_(simulator_.now());
     map = damaged_map(state_.collected);
-    if (trace_ && trace_->enabled(sim::LogLevel::kWarn)) {
-      trace_->add(simulator_.now(), sim::LogLevel::kWarn, "mcp",
-                  "duplicate controller seen; announcing damaged map of " +
-                      std::to_string(map.size()) + " entries");
-    }
+    simulator_.observe(simulator_.now(), sim::Observed::kMappingConfused,
+                       "mcp", config_.switch_port, map.size());
   }
   std::sort(map.begin(), map.end(),
             [](const MapEntry& a, const MapEntry& b) { return a.port < b.port; });
@@ -194,13 +184,8 @@ void Mcp::handle_announce(const Delivered& frame) {
 void Mcp::install_map(NetworkMap map) {
   std::sort(map.begin(), map.end(),
             [](const MapEntry& a, const MapEntry& b) { return a.port < b.port; });
-  if (trace_ && trace_->enabled(sim::LogLevel::kInfo) &&
-      map.size() != state_.map.size()) {
-    trace_->add(simulator_.now(), sim::LogLevel::kInfo, "mcp",
-                "port " + std::to_string(config_.switch_port) +
-                    " installs map of " + std::to_string(map.size()) +
-                    " nodes (was " + std::to_string(state_.map.size()) + ")");
-  }
+  simulator_.observe(simulator_.now(), sim::Observed::kMapInstalled, "mcp",
+                     config_.switch_port, map.size());
   state_.map = std::move(map);
   state_.last_install = simulator_.now();
 }

@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,7 +39,6 @@
 #include "myrinet/addr.hpp"
 #include "myrinet/host_iface.hpp"
 #include "myrinet/packet.hpp"
-#include "sim/log.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -119,16 +117,10 @@ class Mcp {
     return state_.last_install;
   }
 
-  /// Optional event trace (rounds, installs, confusion); not owned.
-  void set_trace(sim::TraceLog* trace) noexcept { trace_ = trace; }
-
-  /// Called when a round ends confused (duplicate controller seen) and a
-  /// damaged map is about to be announced — the paper's §4.3.3 mapping
-  /// disruption, timestamped for the manifestation analyzer.
-  using ConfusionHandler = std::function<void(sim::SimTime when)>;
-  void on_confused_round(ConfusionHandler handler) {
-    confused_ = std::move(handler);
-  }
+  // Observed on the simulator (where "mcp", unit = switch_port): each
+  // round it begins, each map it installs, and each round that ends
+  // confused (a duplicate controller seen, a damaged map about to be
+  // announced — the paper's §4.3.3 mapping disruption).
 
   /// Rewinds the RNG stream to the state a freshly constructed MCP with
   /// `seed` would have. Campaign runs reset this so a sequence of runs on
@@ -169,8 +161,6 @@ class Mcp {
   HostInterface& nic_;
   Config config_;
   State state_;
-  sim::TraceLog* trace_ = nullptr;
-  ConfusionHandler confused_;
 };
 
 /// Payload builders, exposed so tests and the injector benches can construct

@@ -73,8 +73,9 @@ void Switch::on_burst(std::size_t port, const link::Burst& burst) {
       // Rejected tail: per-symbol pushes keep exact drop accounting and
       // per-symbol overflow event timestamps.
       for (std::size_t j = i + accepted; j < c; ++j) {
-        if (!p.slack->push(burst.symbols[j]) && port_event_) {
-          port_event_(port, PortEvent::kSlackOverflow, burst.arrival(j));
+        if (!p.slack->push(burst.symbols[j])) {
+          simulator_.observe(burst.arrival(j), sim::Observed::kSlackOverflow,
+                             name_, static_cast<std::uint32_t>(port));
         }
       }
     }
@@ -83,8 +84,9 @@ void Switch::on_burst(std::size_t port, const link::Burst& burst) {
     const auto decoded = decode_control(symbol.data);
     if (decoded == ControlSymbol::kStop || decoded == ControlSymbol::kGo) {
       p.gate->on_flow(*decoded);
-    } else if (!p.slack->push(symbol) && port_event_) {
-      port_event_(port, PortEvent::kSlackOverflow, burst.arrival(c));
+    } else if (!p.slack->push(symbol)) {
+      simulator_.observe(burst.arrival(c), sim::Observed::kSlackOverflow,
+                         name_, static_cast<std::uint32_t>(port));
     }
     i = c + 1;
   }
@@ -172,15 +174,9 @@ void Switch::arm_long_timeout(std::size_t port) {
         // its next packet boundary, so the input returns to idle and
         // treats what follows as a fresh header.
         ++q.stats.long_timeouts;
-        if (port_event_) {
-          port_event_(port, PortEvent::kLongTimeout, simulator_.now());
-        }
-        if (trace_ && trace_->enabled(sim::LogLevel::kWarn)) {
-          trace_->add(simulator_.now(), sim::LogLevel::kWarn, name_,
-                      "long-period timeout reclaimed input " +
-                          std::to_string(port) + " -> output " +
-                          std::to_string(q.out_port));
-        }
+        simulator_.observe(simulator_.now(), sim::Observed::kLongTimeout,
+                           name_, static_cast<std::uint32_t>(port),
+                           q.out_port);
         std::vector<link::Symbol> tail;
         if (q.held) tail.push_back(link::data_symbol(*q.held));
         tail.push_back(to_symbol(ControlSymbol::kGap));
@@ -241,9 +237,8 @@ void Switch::pump(std::size_t port) {
         const auto out = static_cast<std::size_t>(head & kRoutePortMask);
         if (out >= ports_.size() || ports_[out]->tx == nullptr) {
           ++p.stats.invalid_route;
-          if (port_event_) {
-            port_event_(port, PortEvent::kInvalidRoute, simulator_.now());
-          }
+          simulator_.observe(simulator_.now(), sim::Observed::kInvalidRoute,
+                             name_, static_cast<std::uint32_t>(port), out);
           p.slack->pop();
           p.state = InState::kConsuming;
           break;

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -28,7 +27,6 @@
 #include "myrinet/crc8.hpp"
 #include "myrinet/flow_gate.hpp"
 #include "myrinet/slack_buffer.hpp"
-#include "sim/log.hpp"
 #include "sim/simulator.hpp"
 
 namespace hsfi::myrinet {
@@ -82,9 +80,6 @@ class Switch {
   /// Slack buffer of a port's input side (exposed for monitoring/Fig 9).
   [[nodiscard]] SlackBuffer& input_slack(std::size_t port);
 
-  /// Optional event trace (long timeouts, invalid routes); not owned.
-  void set_trace(sim::TraceLog* trace) noexcept { trace_ = trace; }
-
   /// Scenario hook: emits a flow-control symbol on `port`'s output channel
   /// regardless of the slack buffer's true state — the mechanism behind
   /// lying-GO/lying-STOP misbehavior scenarios. The slack's own stop/go
@@ -92,19 +87,10 @@ class Switch {
   /// thing, the wire says another.
   void inject_flow(std::size_t port, ControlSymbol c) { send_flow(port, c); }
 
-  /// Failure-relevant port events, timestamped for the manifestation
-  /// analyzer. Counters in PortStats record that these happened; the hook
-  /// records *when*.
-  enum class PortEvent : std::uint8_t {
-    kSlackOverflow = 0,  ///< symbol lost, input slack full
-    kLongTimeout,        ///< held path reclaimed (~50 ms)
-    kInvalidRoute,       ///< head byte named a dead/absent port
-  };
-  using PortEventHandler =
-      std::function<void(std::size_t port, PortEvent event, sim::SimTime when)>;
-  void on_port_event(PortEventHandler handler) {
-    port_event_ = std::move(handler);
-  }
+  // Failure-relevant port events are observed on the simulator (where =
+  // the switch's name, unit = the input port): kSlackOverflow per lost
+  // symbol, kLongTimeout at each reclaim, kInvalidRoute per dead head.
+  // PortStats count them; the observations say when.
 
   enum class InState : std::uint8_t { kIdle, kConnected, kConsuming };
 
@@ -189,8 +175,6 @@ class Switch {
   std::string name_;
   Config config_;
   std::vector<std::unique_ptr<Port>> ports_;
-  sim::TraceLog* trace_ = nullptr;
-  PortEventHandler port_event_;
   /// Freelist for the per-pump forwarding batches: each batch rides inside
   /// a forwarding-latency event and returns here after transmission, so
   /// steady-state forwarding allocates nothing per packet. `pump_batch_` is

@@ -77,18 +77,6 @@ void InjectorBoard::disarm_faults(bool via_serial) {
   }
 }
 
-void InjectorBoard::report_injections(
-    analysis::ManifestationAnalyzer* analyzer) {
-  if (!injector_) return;
-  core::InjectorDevice::InjectionHook hook;
-  if (analyzer != nullptr) {
-    hook = [analyzer](core::Direction, sim::SimTime when) {
-      analyzer->record_injection(when);
-    };
-  }
-  injector_->set_injection_hook(std::move(hook));
-}
-
 std::uint64_t InjectorBoard::injections() const {
   if (!injector_) return 0;
   return injector_->fifo_stats(core::Direction::kLeftToRight).injections +

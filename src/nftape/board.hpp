@@ -15,12 +15,10 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analyzer.hpp"
 #include "core/command_plane.hpp"
 #include "core/device.hpp"
 #include "core/uart.hpp"
 #include "link/channel.hpp"
-#include "sim/log.hpp"
 #include "sim/simulator.hpp"
 
 namespace hsfi::nftape {
@@ -65,16 +63,11 @@ class InjectorBoard {
                      bool via_serial);
   void disarm_faults(bool via_serial);
 
-  /// Reports every fired injection window to `analyzer`; nullptr detaches.
-  void report_injections(analysis::ManifestationAnalyzer* analyzer);
   /// Injections fired by both taps since the last clear_stats() (0 without
   /// an injector).
   [[nodiscard]] std::uint64_t injections() const;
   void clear_stats() {
     if (injector_) injector_->clear_stats();
-  }
-  void set_trace(sim::TraceLog* trace) {
-    if (injector_) injector_->set_trace(trace);
   }
 
   /// Total symbols transmitted across every segment, both directions.

@@ -9,7 +9,7 @@ namespace hsfi::nftape {
 
 namespace {
 
-/// Detaches the monitor hooks and destroys the workload on scope exit so
+/// Unsubscribes the analyzer and destroys the workload on scope exit so
 /// nothing outlives the run's analyzer (runs may also end by RunCancelled).
 struct FabricGuard {
   Fabric& fabric;
@@ -64,9 +64,9 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec,
   fabric_.reset_to_known_good(seed);
   sim::Duration elapsed = elapsed_before;
 
-  // Manifestation monitoring: one analyzer per run, fed by every layer's
-  // timestamp hooks. The guard detaches the hooks however the run ends so
-  // none outlives the analyzer.
+  // Manifestation monitoring: one analyzer per run, subscribed to the
+  // simulator's observation stream. The guard unsubscribes it however the
+  // run ends, so no subscription outlives it.
   analysis::ManifestationAnalyzer analyzer;
   FabricGuard guard{fabric_};
   fabric_.attach_monitors(analyzer);

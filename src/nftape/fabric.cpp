@@ -7,55 +7,16 @@
 
 namespace hsfi::nftape {
 
-namespace {
-
-using analysis::Manifestation;
-
-Manifestation classify(myrinet::HostInterface::RxError e) {
-  switch (e) {
-    case myrinet::HostInterface::RxError::kCrcError:
-      return Manifestation::kCrcDropped;
-    case myrinet::HostInterface::RxError::kMarkerError:
-      return Manifestation::kMarkerError;
-    case myrinet::HostInterface::RxError::kTooShort:
-    case myrinet::HostInterface::RxError::kRingOverflow:
-      return Manifestation::kDroppedOther;
-  }
-  return Manifestation::kDroppedOther;
+void Fabric::attach_monitors(analysis::ManifestationAnalyzer& analyzer) {
+  if (monitor_ != nullptr) sim().unsubscribe(*monitor_);
+  sim().subscribe(analyzer);
+  monitor_ = &analyzer;
 }
 
-Manifestation classify(host::Host::DropReason r) {
-  switch (r) {
-    case host::Host::DropReason::kMisaddressed:
-      return Manifestation::kMisrouted;
-    // Send-side resolution failures mean the routing/address state itself
-    // is damaged — the paper's "removed from the network".
-    case host::Host::DropReason::kUnknownPeer:
-    case host::Host::DropReason::kUnroutable:
-      return Manifestation::kMappingDisruption;
-    case host::Host::DropReason::kBadChecksum:
-    case host::Host::DropReason::kBadLength:
-    case host::Host::DropReason::kMalformed:
-    case host::Host::DropReason::kUnknownType:
-    case host::Host::DropReason::kUnboundPort:
-      return Manifestation::kDroppedOther;
-  }
-  return Manifestation::kDroppedOther;
+void Fabric::detach_monitors() {
+  if (monitor_ != nullptr) sim().unsubscribe(*monitor_);
+  monitor_ = nullptr;
 }
-
-Manifestation classify(myrinet::Switch::PortEvent e) {
-  switch (e) {
-    case myrinet::Switch::PortEvent::kSlackOverflow:
-      return Manifestation::kDroppedOther;
-    case myrinet::Switch::PortEvent::kLongTimeout:
-      return Manifestation::kTimeout;
-    case myrinet::Switch::PortEvent::kInvalidRoute:
-      return Manifestation::kMisrouted;
-  }
-  return Manifestation::kDroppedOther;
-}
-
-}  // namespace
 
 bool payload_intact(const WorkloadSpec& workload,
                     std::span<const std::uint8_t> payload) {
@@ -77,56 +38,21 @@ std::uint64_t MyrinetFabric::base_seed() const noexcept {
   return bed_.config().seed;
 }
 
-void MyrinetFabric::attach_monitors(analysis::ManifestationAnalyzer& analyzer) {
-  bed_.board().report_injections(&analyzer);
-  for (std::size_t i = 0; i < bed_.node_count(); ++i) {
-    const auto src = static_cast<std::uint32_t>(i);
-    bed_.nic(i).on_rx_error([&analyzer, src](myrinet::HostInterface::RxError e,
-                                             sim::SimTime when) {
-      analyzer.record_observation(when, classify(e), src);
-    });
-    bed_.host(i).on_drop(
-        [&analyzer, src](host::Host::DropReason reason, sim::SimTime when) {
-          analyzer.record_observation(when, classify(reason), 100 + src);
-        });
-    bed_.host(i).mcp().on_confused_round([&analyzer, src](sim::SimTime when) {
-      analyzer.record_observation(when, Manifestation::kMappingDisruption,
-                                  300 + src);
-    });
-  }
-  bed_.network_switch().on_port_event(
-      [&analyzer](std::size_t port, myrinet::Switch::PortEvent e,
-                  sim::SimTime when) {
-        analyzer.record_observation(when, classify(e),
-                                    200 + static_cast<std::uint32_t>(port));
-      });
-}
-
-void MyrinetFabric::detach_monitors() {
-  for (std::size_t i = 0; i < bed_.node_count(); ++i) {
-    bed_.nic(i).on_rx_error(nullptr);
-    bed_.host(i).on_drop(nullptr);
-    bed_.host(i).mcp().on_confused_round(nullptr);
-  }
-  bed_.network_switch().on_port_event(nullptr);
-  bed_.board().report_injections(nullptr);
-}
-
 void MyrinetFabric::start_workload(const WorkloadSpec& workload,
                                    std::uint64_t seed,
-                                   analysis::ManifestationAnalyzer& analyzer) {
+                                   analysis::ManifestationAnalyzer&) {
   for (std::size_t i = 0; i < bed_.node_count(); ++i) {
     sinks_.push_back(
         std::make_unique<host::UdpSink>(bed_.host(i), workload.port));
-    const auto src = 400 + static_cast<std::uint32_t>(i);
-    sinks_.back()->on_receive([&analyzer, src, workload](
-                                  host::HostId, const host::UdpDatagram& dgram,
-                                  sim::SimTime when) {
-      if (!payload_intact(workload, dgram.payload)) {
-        analyzer.record_observation(
-            when, Manifestation::kPayloadCorruptedDelivered, src);
-      }
-    });
+    sinks_.back()->on_receive(
+        [&simulator = bed_.sim(), node = static_cast<std::uint32_t>(i),
+         workload](host::HostId, const host::UdpDatagram& dgram,
+                   sim::SimTime when) {
+          if (!payload_intact(workload, dgram.payload)) {
+            simulator.observe(when, sim::Observed::kPayloadCorrupted, "sink",
+                              node);
+          }
+        });
   }
   for (std::size_t i = 0; i < bed_.node_count(); ++i) {
     for (std::size_t j = 0; j < bed_.node_count(); ++j) {
@@ -160,7 +86,7 @@ void MyrinetFabric::clear_workload() {
 
 void MyrinetFabric::arm_scenario(const scenario::ScenarioSpec& spec,
                                  std::uint64_t seed,
-                                 analysis::ManifestationAnalyzer& analyzer) {
+                                 analysis::ManifestationAnalyzer&) {
   std::vector<scenario::MyrinetNodeHooks> hooks;
   hooks.reserve(bed_.node_count());
   for (std::size_t i = 0; i < bed_.node_count(); ++i) {
@@ -168,7 +94,7 @@ void MyrinetFabric::arm_scenario(const scenario::ScenarioSpec& spec,
   }
   scenario_driver_ = std::make_unique<scenario::MyrinetScenarioDriver>(
       bed_.sim(), bed_.network_switch(), std::move(hooks));
-  scenario_driver_->arm(spec, seed, analyzer);
+  scenario_driver_->arm(spec, seed);
 }
 
 void MyrinetFabric::disarm_scenario() {

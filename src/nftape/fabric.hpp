@@ -5,11 +5,11 @@
 // one campaign methodology serves "both of these networks". A Fabric is
 // everything the campaign runner needs from a network under test: build
 // the topology with the injector spliced into one link, reach a known good
-// state, program/disarm the fault taps, drive a saturating workload, wire
-// the manifestation monitor hooks, and report counters. CampaignRunner,
-// the orchestrator, and the adaptive controller all speak this interface;
-// only the two implementations here and in fc_fabric.hpp know which wires
-// exist.
+// state, program/disarm the fault taps, drive a saturating workload,
+// subscribe the manifestation analyzer to its observations, and report
+// counters. CampaignRunner, the orchestrator, and the adaptive controller
+// all speak this interface; only the two implementations here and in
+// fc_fabric.hpp know which wires exist.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +52,7 @@ class FabricSnapshot {
 /// whole settled state; restore_snapshot() rewinds a fabric of identical
 /// construction parameters back to it, so each campaign run forks from the
 /// settle boundary instead of re-simulating boot + mapping. Per-run state
-/// (workload objects, monitor hooks, RNG streams) is re-derived afterwards
+/// (workload objects, subscriptions, RNG streams) is re-derived afterwards
 /// by the usual reset_to_known_good(seed) call, which is what makes a
 /// forked run byte-identical to a cold-started one.
 class Fabric {
@@ -83,16 +83,19 @@ class Fabric {
   /// with the old mode armed under an all-match mask).
   virtual void disarm_faults(bool via_serial) = 0;
 
-  /// Installs the timestamp hooks of every monitored layer, classified into
-  /// the 8-class taxonomy and fed to `analyzer`. The analyzer must outlive
-  /// the hooks: pair with detach_monitors.
-  virtual void attach_monitors(analysis::ManifestationAnalyzer& analyzer) = 0;
-  virtual void detach_monitors() = 0;
+  /// Subscribes `analyzer` to sim()'s observation stream, on which every
+  /// monitored layer reports its effects (replacing any analyzer attached
+  /// before). The analyzer must outlive the subscription: pair with
+  /// detach_monitors. Both realizations use these two as they are.
+  virtual void attach_monitors(analysis::ManifestationAnalyzer& analyzer);
+  virtual void detach_monitors();
 
   /// Creates and starts the saturating workload (UDP floods / FC sequence
   /// floods), with per-flow RNG streams derived from `seed`. Delivered-but-
-  /// corrupted payloads are reported to `analyzer` (the taxonomy's worst
-  /// class — nothing upstream noticed).
+  /// corrupted payloads are observed as kPayloadCorrupted (the taxonomy's
+  /// worst class — nothing upstream noticed). `analyzer` is unused (the
+  /// stream reaches it); it stays until the campaign benchmark's wrapper,
+  /// which overrides this signature, drops it too (ROADMAP).
   virtual void start_workload(const WorkloadSpec& workload, std::uint64_t seed,
                               analysis::ManifestationAnalyzer& analyzer) = 0;
   virtual void stop_workload() = 0;
@@ -102,9 +105,11 @@ class Fabric {
 
   /// Installs the scenario driver's protocol hooks and schedules `spec`'s
   /// steps relative to now (the runner arms at the measurement-window
-  /// start, so step.at offsets land inside the window). Firings count as
-  /// injections toward `analyzer` and surface as FabricCounters.
-  /// scenario_steps. Base implementation: scenarios unsupported, no-op.
+  /// start, so step.at offsets land inside the window). Firings are
+  /// observed as kScenarioStep, which the analyzer counts as injections,
+  /// and surface as FabricCounters.scenario_steps. `analyzer` is unused,
+  /// as in start_workload. Base implementation: scenarios unsupported,
+  /// no-op.
   virtual void arm_scenario(const scenario::ScenarioSpec& spec,
                             std::uint64_t seed,
                             analysis::ManifestationAnalyzer& analyzer) {
@@ -137,13 +142,13 @@ class Fabric {
   /// with identical construction parameters — same TestbedConfig modulo
   /// seed, which reset_to_known_good re-derives per run).
   virtual void restore_snapshot(const FabricSnapshot& snap) { (void)snap; }
+
+ private:
+  analysis::ManifestationAnalyzer* monitor_ = nullptr;
 };
 
-/// The Fig. 10 Myrinet testbed behind the Fabric interface. The campaign
-/// logic that used to live in CampaignRunner (hook wiring, outcome
-/// classification, UDP flood/sink workload, counter snapshots) moved here
-/// verbatim, so the scheduled event stream — and therefore every digest
-/// and JSONL byte — is unchanged.
+/// The Fig. 10 Myrinet testbed behind the Fabric interface: the UDP
+/// flood/sink workload, scenario driver and counter snapshots.
 class MyrinetFabric final : public Fabric {
  public:
   /// Owns a private Testbed built from `config` (the orchestrator path).
@@ -171,8 +176,6 @@ class MyrinetFabric final : public Fabric {
   void disarm_faults(bool via_serial) override {
     bed_.board().disarm_faults(via_serial);
   }
-  void attach_monitors(analysis::ManifestationAnalyzer& analyzer) override;
-  void detach_monitors() override;
   void start_workload(const WorkloadSpec& workload, std::uint64_t seed,
                       analysis::ManifestationAnalyzer& analyzer) override;
   void stop_workload() override;

@@ -8,32 +8,6 @@
 
 namespace hsfi::nftape {
 
-namespace {
-
-using analysis::Manifestation;
-
-/// FC outcome classes mapped into the shared 8-class taxonomy (the DESIGN
-/// §9 table): the CRC-32 drop is the CRC-8 drop's twin, a mangled ordered
-/// set is delimiter damage (the marker analogue), credit exhaustion stalls
-/// the sender the way the paper's STOP-symbol faults throttle Myrinet
-/// (timeout class), and a class-3 no-route discard is a misroute.
-Manifestation classify(fc::FcPort::Event e) {
-  switch (e) {
-    case fc::FcPort::Event::kCrcError:
-      return Manifestation::kCrcDropped;
-    case fc::FcPort::Event::kMalformedSet:
-      return Manifestation::kMarkerError;
-    case fc::FcPort::Event::kRxOverflow:
-    case fc::FcPort::Event::kStrayData:
-      return Manifestation::kDroppedOther;
-    case fc::FcPort::Event::kCreditStall:
-      return Manifestation::kTimeout;
-  }
-  return Manifestation::kDroppedOther;
-}
-
-}  // namespace
-
 /// The "SCSI-like" message program: each tick submits `burst_size`
 /// payloads, each split by SequenceBuilder into SOFi3...EOFt multi-frame
 /// sequences with cycling SEQ_ID/OX_ID, paced and jittered exactly like
@@ -180,68 +154,39 @@ void FcFabric::reset_to_known_good(std::uint64_t seed) {
   board_.clear_stats();
 }
 
-void FcFabric::attach_monitors(analysis::ManifestationAnalyzer& analyzer) {
-  analyzer_ = &analyzer;
-  board_.report_injections(&analyzer);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const auto src = static_cast<std::uint32_t>(i);
-    nodes_[i]->port->on_event(
-        [&analyzer, src](fc::FcPort::Event e, sim::SimTime when) {
-          analyzer.record_observation(when, classify(e), src);
-        });
-  }
-  for (std::size_t p = 0; p < element_->num_ports(); ++p) {
-    const auto src = 200 + static_cast<std::uint32_t>(p);
-    element_->port(p).on_event(
-        [&analyzer, src](fc::FcPort::Event e, sim::SimTime when) {
-          analyzer.record_observation(when, classify(e), src);
-        });
-  }
-  element_->on_discard([&analyzer](const fc::FcFrame&, sim::SimTime when) {
-    analyzer.record_observation(when, Manifestation::kMisrouted, 300);
-  });
-}
-
-void FcFabric::detach_monitors() {
-  for (auto& node : nodes_) node->port->on_event(nullptr);
-  for (std::size_t p = 0; p < element_->num_ports(); ++p) {
-    element_->port(p).on_event(nullptr);
-  }
-  element_->on_discard(nullptr);
-  board_.report_injections(nullptr);
-  analyzer_ = nullptr;
-}
-
 void FcFabric::start_workload(const WorkloadSpec& workload, std::uint64_t seed,
-                              analysis::ManifestationAnalyzer& analyzer) {
+                              analysis::ManifestationAnalyzer&) {
   workload_ = workload;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     Node& node = *nodes_[i];
     node.delivered = 0;
+    const auto unit = static_cast<std::uint32_t>(i);
     // A reassembled sequence cleared CRC-32 and in-order SEQ_CNT; a
     // payload_intact failure past that is corruption nothing noticed.
-    const auto src = 400 + static_cast<std::uint32_t>(i);
     node.reassembler = std::make_unique<fc::SequenceReassembler>(
-        [this, &node, &analyzer, src, workload](
-            std::uint32_t, std::uint8_t, std::vector<std::uint8_t> payload) {
+        [this, &node, unit, workload](std::uint32_t, std::uint8_t,
+                                      std::vector<std::uint8_t> payload) {
           ++node.delivered;
           if (!payload_intact(workload, payload)) {
-            analyzer.record_observation(
-                sim_.now(), Manifestation::kPayloadCorruptedDelivered, src);
+            sim_.observe(sim_.now(), sim::Observed::kPayloadCorrupted, "sink",
+                         unit);
           }
         });
-    node.port->on_frame([this, i](fc::FcFrame frame, sim::SimTime when) {
-      Node& n = *nodes_[i];
-      const auto& st = n.reassembler->stats();
-      const auto bad_before = st.sequences_aborted + st.frames_rejected;
-      n.reassembler->feed(std::move(frame));
+    node.port->on_frame([this, &node, unit](fc::FcFrame frame,
+                                            sim::SimTime when) {
+      const auto& st = node.reassembler->stats();
+      const auto aborted = st.sequences_aborted;
+      const auto rejected = st.frames_rejected;
+      node.reassembler->feed(std::move(frame));
       // An abort or rejection here is a sequence-level loss event; when it
       // trails a CRC drop the analyzer files it as the cascade's secondary
       // effect, when the frame vanished silently it is the only observable.
-      if (analyzer_ != nullptr &&
-          st.sequences_aborted + st.frames_rejected > bad_before) {
-        analyzer_->record_observation(when, Manifestation::kDroppedOther,
-                                      100 + static_cast<std::uint32_t>(i));
+      // One frame is one observation, even when it did both.
+      if (st.sequences_aborted > aborted) {
+        sim_.observe(when, sim::Observed::kSequenceAborted, "reassembler",
+                     unit);
+      } else if (st.frames_rejected > rejected) {
+        sim_.observe(when, sim::Observed::kFrameRejected, "reassembler", unit);
       }
     });
   }
@@ -281,7 +226,7 @@ void FcFabric::clear_workload() {
 
 void FcFabric::arm_scenario(const scenario::ScenarioSpec& spec,
                             std::uint64_t seed,
-                            analysis::ManifestationAnalyzer& analyzer) {
+                            analysis::ManifestationAnalyzer&) {
   std::vector<scenario::FcNodeHooks> hooks;
   hooks.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -293,7 +238,7 @@ void FcFabric::arm_scenario(const scenario::ScenarioSpec& spec,
   params.payload_fill = workload_.payload_fill;
   scenario_driver_ = std::make_unique<scenario::FcScenarioDriver>(
       sim_, std::move(hooks), params);
-  scenario_driver_->arm(spec, seed, analyzer);
+  scenario_driver_->arm(spec, seed);
 }
 
 void FcFabric::disarm_scenario() {

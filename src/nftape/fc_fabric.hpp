@@ -67,8 +67,6 @@ class FcFabric final : public Fabric {
   void disarm_faults(bool via_serial) override {
     board_.disarm_faults(via_serial);
   }
-  void attach_monitors(analysis::ManifestationAnalyzer& analyzer) override;
-  void detach_monitors() override;
   void start_workload(const WorkloadSpec& workload, std::uint64_t seed,
                       analysis::ManifestationAnalyzer& analyzer) override;
   void stop_workload() override;
@@ -99,7 +97,6 @@ class FcFabric final : public Fabric {
   std::unique_ptr<fc::FcFabric> element_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<SequenceFlood>> floods_;
-  analysis::ManifestationAnalyzer* analyzer_ = nullptr;
   /// Payload shape of the current workload, so injected scenario sequences
   /// can match (or deliberately mismatch) what the reassembler checks.
   WorkloadSpec workload_;

@@ -54,12 +54,6 @@ void Testbed::settle(sim::Duration span) {
   sim_.run_until(sim_.now() + span);
 }
 
-void Testbed::set_trace(sim::TraceLog* trace) {
-  switch_.set_trace(trace);
-  for (auto& node : nodes_) node->host->mcp().set_trace(trace);
-  board_.set_trace(trace);
-}
-
 Testbed::State Testbed::capture_state() const {
   State state;
   state.sim = sim_.snapshot();

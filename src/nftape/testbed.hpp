@@ -132,9 +132,6 @@ class Testbed {
     return board_.symbols_sent();
   }
 
-  /// Attaches an event trace to the switch, every MCP, and the injector.
-  void set_trace(sim::TraceLog* trace);
-
   /// Full mutable state of the bed: the simulator event queue, the switch,
   /// every node's NIC and host, and the cabling with the board. Capture
   /// only at quiescent settle boundaries (after start() + settle) —

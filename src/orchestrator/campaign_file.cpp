@@ -49,12 +49,14 @@ std::uint64_t field_u64(const JsonValue& v, const std::string& ctx) {
 sim::Duration field_ms(const JsonValue& v, const std::string& ctx) {
   const double ms = field_num(v, ctx);
   if (ms < 0) bail(ctx + " must be non-negative");
+  if (!(ms <= kMaxDurationMs)) bail(ctx + " must be at most 1e6 ms");
   return sim::nanoseconds(std::llround(ms * 1e6));
 }
 
 sim::Duration field_us(const JsonValue& v, const std::string& ctx) {
   const double us = field_num(v, ctx);
   if (us <= 0) bail(ctx + " must be positive");
+  if (!(us <= kMaxDurationMs * 1e3)) bail(ctx + " must be at most 1e9 us");
   return sim::nanoseconds(std::llround(us * 1e3));
 }
 
@@ -237,15 +239,17 @@ StrategySpec parse_strategy(const JsonValue& v, const std::string& ctx) {
       const auto parsed = nftape::parse_knob(k);
       if (!parsed) bail(fctx + ": unknown knob '" + k + "'");
       s.knob = *parsed;
-    } else if (key == "axis_lo") {
-      s.axis_lo = field_num(value, fctx);
-    } else if (key == "axis_hi") {
-      s.axis_hi = field_num(value, fctx);
+    } else if (key == "axis_lo" || key == "axis_hi") {
+      const double x = field_num(value, fctx);
+      if (!std::isfinite(x)) bail(fctx + " must be finite");
+      (key == "axis_lo" ? s.axis_lo : s.axis_hi) = x;
     } else if (key == "tolerance_us") {
       s.tolerance_us = field_num(value, fctx);
       if (s.tolerance_us <= 0) bail(fctx + " must be positive");
     } else if (key == "max_rounds") {
-      s.max_rounds = static_cast<std::uint32_t>(field_u64(value, fctx));
+      const auto n = field_u64(value, fctx);
+      if (n > UINT32_MAX) bail(fctx + " must be at most 4294967295");
+      s.max_rounds = static_cast<std::uint32_t>(n);
     } else if (key == "target_count") {
       s.target_count = field_u64(value, fctx);
     } else {
@@ -255,6 +259,15 @@ StrategySpec parse_strategy(const JsonValue& v, const std::string& ctx) {
   if (s.name != "fixed" && s.name != "bisect" && s.name != "coverage") {
     bail(ctx + ".name must be fixed, bisect, or coverage, got '" + s.name +
          "'");
+  }
+  // On the interval knob the axis is a duration in microseconds.
+  if (s.knob == nftape::Knob::kUdpIntervalUs) {
+    for (const auto& [key, x] : {std::pair{"axis_lo", s.axis_lo},
+                                 std::pair{"axis_hi", s.axis_hi}}) {
+      if (x > kMaxDurationMs * 1e3) {
+        bail(ctx + "." + key + " must be at most 1e9 us on the udp-us knob");
+      }
+    }
   }
   return s;
 }

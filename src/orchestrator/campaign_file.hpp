@@ -90,10 +90,17 @@ struct CampaignFile {
 
 struct JsonValue;
 
+/// The longest duration a campaign file, a repro trace or run_sweep's
+/// --duration-ms may name: the runner's watchdog caps a run at 8x a sum of
+/// eight durations, which must stay inside the picosecond clock's range
+/// (about 1.4e8 ms each). Nothing in practice comes near it.
+inline constexpr double kMaxDurationMs = 1e6;
+
 /// Strict typed reads of one field of a parsed document, shared by
 /// campaign files and repro traces; each throws CampaignFileError naming
 /// `ctx`, the field's JSON path. Millisecond (>= 0) and microsecond (> 0)
-/// fields accept fractions and land exactly on the picosecond grid.
+/// fields accept fractions, land exactly on the picosecond grid, and are
+/// refused beyond kMaxDurationMs (or when not finite).
 [[nodiscard]] std::string field_str(const JsonValue& v, const std::string& ctx);
 [[nodiscard]] double field_num(const JsonValue& v, const std::string& ctx);
 [[nodiscard]] std::uint64_t field_u64(const JsonValue& v,

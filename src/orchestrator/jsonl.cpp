@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 
 namespace hsfi::orchestrator {
 
@@ -73,6 +75,48 @@ void JsonObject::add_fixed(std::string_view k, double value, int decimals) {
   char buf[400];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
   body_ += buf;
+}
+
+std::string bench_commit() {
+  if (const char* env = std::getenv("HSFI_COMMIT"); env != nullptr && *env) {
+    return env;
+  }
+  std::string commit = "unknown";
+  if (std::FILE* pipe = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
+    char buffer[64] = {};
+    if (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) {
+      std::string line(buffer);
+      while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+        line.pop_back();
+      }
+      if (!line.empty()) commit = line;
+    }
+    pclose(pipe);
+  }
+  return commit;
+}
+
+bool write_bench_records(const std::string& path,
+                         const std::vector<BenchRecord>& records) {
+  const std::string commit = bench_commit();
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    return false;
+  }
+  out << "[\n";
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto& r = records[i];
+    JsonObject o;
+    o.add("bench", r.bench);
+    o.add("metric", r.metric);
+    o.add_fixed("value", r.value, r.decimals);
+    o.add("unit", r.unit);
+    o.add("commit", commit);
+    out << (i == 0 ? "  " : ",\n  ") << o.str();
+  }
+  out << "\n]\n";
+  return static_cast<bool>(out);
 }
 
 }  // namespace hsfi::orchestrator

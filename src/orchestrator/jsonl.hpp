@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace hsfi::orchestrator {
 
@@ -38,5 +39,28 @@ class JsonObject {
   void key(std::string_view k);
   std::string body_;
 };
+
+/// One record of the bench-record schema (BENCH_sim_kernel.json; the
+/// kernel bench, bench_adaptive and run_sweep --bench-out all write it):
+/// {"bench", "metric", "value", "unit", "commit"}, `value` printed with
+/// `decimals` fractional digits.
+struct BenchRecord {
+  std::string bench;
+  std::string metric;
+  double value = 0;
+  int decimals = 0;
+  std::string unit;
+};
+
+/// The commit bench records are stamped with: HSFI_COMMIT when set (the
+/// before/after measurement scripts pin it), else `git rev-parse --short
+/// HEAD`, else "unknown".
+[[nodiscard]] std::string bench_commit();
+
+/// Writes `records` to `path` as a JSON array, one object per line, each
+/// stamped with bench_commit(). Returns false (with a message on stderr)
+/// when the file cannot be written.
+bool write_bench_records(const std::string& path,
+                         const std::vector<BenchRecord>& records);
 
 }  // namespace hsfi::orchestrator

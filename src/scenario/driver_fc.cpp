@@ -10,7 +10,6 @@ struct FcScenarioDriver::State {
   sim::Simulator* simulator = nullptr;
   std::vector<FcNodeHooks> nodes;
   FcScenarioDriver::Params params;
-  analysis::ManifestationAnalyzer* analyzer = nullptr;
   bool armed = false;
   std::uint64_t fired = 0;
 
@@ -71,9 +70,8 @@ void FcScenarioDriver::State::fire(const std::shared_ptr<State>& st,
       return;  // Myrinet step in an FC scenario: validated away upstream
   }
   ++st->fired;
-  if (st->analyzer != nullptr) {
-    st->analyzer->record_injection(st->simulator->now());
-  }
+  st->simulator->observe(st->simulator->now(), sim::Observed::kScenarioStep,
+                         "scenario", static_cast<std::uint32_t>(node));
 }
 
 FcScenarioDriver::FcScenarioDriver(sim::Simulator& simulator,
@@ -87,12 +85,10 @@ FcScenarioDriver::FcScenarioDriver(sim::Simulator& simulator,
 
 FcScenarioDriver::~FcScenarioDriver() { disarm(); }
 
-void FcScenarioDriver::arm(const ScenarioSpec& spec, std::uint64_t seed,
-                           analysis::ManifestationAnalyzer& analyzer) {
+void FcScenarioDriver::arm(const ScenarioSpec& spec, std::uint64_t seed) {
   (void)seed;
   disarm();
   state_->armed = true;
-  state_->analyzer = &analyzer;
   state_->fired = 0;
   for (const auto& step : spec.steps) {
     if (medium_of(step.kind) != Medium::kFc) continue;
@@ -103,7 +99,6 @@ void FcScenarioDriver::arm(const ScenarioSpec& spec, std::uint64_t seed,
 
 void FcScenarioDriver::disarm() {
   state_->armed = false;
-  state_->analyzer = nullptr;
 }
 
 std::uint64_t FcScenarioDriver::fired() const noexcept {

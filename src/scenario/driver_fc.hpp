@@ -19,7 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "analysis/analyzer.hpp"
 #include "fc/port.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
@@ -52,10 +51,10 @@ class FcScenarioDriver {
   FcScenarioDriver& operator=(const FcScenarioDriver&) = delete;
 
   /// Schedules every FC step of `spec` at now + step.at; firings bump
-  /// fired() and record one injection each. `seed` reserves determinism
-  /// headroom for randomized parameters; current kinds ignore it.
-  void arm(const ScenarioSpec& spec, std::uint64_t seed,
-           analysis::ManifestationAnalyzer& analyzer);
+  /// fired() and are observed as kScenarioStep, one injection each.
+  /// `seed` reserves determinism headroom for randomized parameters;
+  /// current kinds ignore it.
+  void arm(const ScenarioSpec& spec, std::uint64_t seed);
 
   /// Neutralizes not-yet-fired events. Idempotent.
   void disarm();

@@ -27,7 +27,6 @@ struct MyrinetScenarioDriver::State {
   sim::Simulator* simulator = nullptr;
   myrinet::Switch* network_switch = nullptr;
   std::vector<MyrinetNodeHooks> nodes;
-  analysis::ManifestationAnalyzer* analyzer = nullptr;
   bool armed = false;
   std::uint64_t fired = 0;
   /// Outstanding truncations per node, consumed by the tx mutators.
@@ -87,9 +86,8 @@ void MyrinetScenarioDriver::State::fire(const std::shared_ptr<State>& st,
       return;  // FC step in a Myrinet scenario: validated away upstream
   }
   ++st->fired;
-  if (st->analyzer != nullptr) {
-    st->analyzer->record_injection(st->simulator->now());
-  }
+  st->simulator->observe(st->simulator->now(), sim::Observed::kScenarioStep,
+                         "scenario", static_cast<std::uint32_t>(node));
 }
 
 MyrinetScenarioDriver::MyrinetScenarioDriver(
@@ -104,12 +102,10 @@ MyrinetScenarioDriver::MyrinetScenarioDriver(
 
 MyrinetScenarioDriver::~MyrinetScenarioDriver() { disarm(); }
 
-void MyrinetScenarioDriver::arm(const ScenarioSpec& spec, std::uint64_t seed,
-                                analysis::ManifestationAnalyzer& analyzer) {
+void MyrinetScenarioDriver::arm(const ScenarioSpec& spec, std::uint64_t seed) {
   (void)seed;
   disarm();
   state_->armed = true;
-  state_->analyzer = &analyzer;
   state_->fired = 0;
   std::fill(state_->truncate_pending.begin(), state_->truncate_pending.end(),
             std::uint64_t{0});
@@ -144,7 +140,6 @@ void MyrinetScenarioDriver::arm(const ScenarioSpec& spec, std::uint64_t seed,
 void MyrinetScenarioDriver::disarm() {
   if (!state_->armed) return;
   state_->armed = false;
-  state_->analyzer = nullptr;
   for (auto& hooks : state_->nodes) hooks.nic->set_tx_mutator(nullptr);
 }
 

@@ -20,7 +20,6 @@
 #include <memory>
 #include <vector>
 
-#include "analysis/analyzer.hpp"
 #include "myrinet/host_iface.hpp"
 #include "myrinet/mcp.hpp"
 #include "myrinet/switch.hpp"
@@ -45,13 +44,13 @@ class MyrinetScenarioDriver {
   MyrinetScenarioDriver& operator=(const MyrinetScenarioDriver&) = delete;
 
   /// Installs the tx-mutator hooks and schedules every Myrinet step of
-  /// `spec` at now + step.at. Each firing bumps fired() and calls
-  /// analyzer.record_injection, so the manifestation breakdown reconciles
-  /// against the campaign's injection count. `seed` reserves determinism
+  /// `spec` at now + step.at. Each firing bumps fired() and is observed as
+  /// kScenarioStep (unit: the step's node), which the manifestation
+  /// analyzer counts as an injection, so its breakdown reconciles against
+  /// the campaign's injection count. `seed` reserves determinism
   /// headroom for randomized step parameters; current kinds are fully
   /// deterministic and ignore it.
-  void arm(const ScenarioSpec& spec, std::uint64_t seed,
-           analysis::ManifestationAnalyzer& analyzer);
+  void arm(const ScenarioSpec& spec, std::uint64_t seed);
 
   /// Uninstalls the hooks and neutralizes not-yet-fired events. Idempotent.
   void disarm();

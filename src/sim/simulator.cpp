@@ -16,6 +16,10 @@ bool Simulator::step(SimTime until) {
   return true;
 }
 
+void Simulator::notify(const Observation& observation) {
+  for (Observer* observer : observers_) observer->on_observation(observation);
+}
+
 std::uint64_t Simulator::run_until(SimTime until) {
   stop_requested_ = false;
   std::uint64_t n = 0;

@@ -11,8 +11,11 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/observation.hpp"
 #include "sim/time.hpp"
 
 namespace hsfi::sim {
@@ -76,6 +79,21 @@ class Simulator {
     observer_ = std::move(observer);
   }
 
+  /// The observation stream (sim/observation.hpp). Subscribers are wiring,
+  /// like the event observer: no Snapshot carries them and restore() leaves
+  /// them attached. Each is notified in subscription order; none may
+  /// subscribe or unsubscribe from inside its own notification.
+  void subscribe(Observer& observer) { observers_.push_back(&observer); }
+  void unsubscribe(Observer& observer) { std::erase(observers_, &observer); }
+  [[nodiscard]] bool observed() const noexcept { return !observers_.empty(); }
+
+  /// Reports one observation to every subscriber; without one, a branch.
+  void observe(SimTime when, Observed kind, std::string_view where,
+               std::uint32_t unit = 0, std::uint64_t detail = 0) {
+    if (observers_.empty()) return;
+    notify(Observation{when, kind, where, unit, detail});
+  }
+
   /// Kernel state at a point in time: the queue (with deep-copied actions),
   /// the clock, and the executed-event counter. The counter is part of the
   /// state because campaign records report executed-event *deltas*; a fork
@@ -93,9 +111,9 @@ class Simulator {
   }
 
   /// Rewinds the kernel to `snap`. Clears any pending stop() request; the
-  /// event observer, if any, stays attached. Only meaningful on the same
-  /// object graph the snapshot was captured from (pending actions embed
-  /// entity pointers).
+  /// event observer and the stream's subscribers stay attached. Only
+  /// meaningful on the same object graph the snapshot was captured from
+  /// (pending actions embed entity pointers).
   void restore(const Snapshot& snap) {
     queue_.restore(snap.queue);
     now_ = snap.now;
@@ -109,6 +127,9 @@ class Simulator {
   std::uint64_t executed_ = 0;
   bool stop_requested_ = false;
   EventObserver observer_;
+  std::vector<Observer*> observers_;
+
+  void notify(const Observation& observation);
 };
 
 }  // namespace hsfi::sim

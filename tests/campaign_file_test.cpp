@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nftape/medium.hpp"
@@ -300,6 +301,58 @@ TEST(CampaignFileTest, RejectsInvalidSpecs) {
   for (const char* text : bad) {
     EXPECT_THROW((void)parse_campaign_file(text), CampaignFileError) << text;
   }
+}
+
+TEST(CampaignFileTest, RefusesDurationsAndRoundCapsPastTheirRange) {
+  // Each would overflow the picosecond clock (1e10 ms), not be finite
+  // (1e400), or wrap to another value; each error names its path.
+  const std::string durations[] = {"warmup_ms", "duration_ms", "drain_ms",
+                                   "startup_settle_ms", "map_period_ms",
+                                   "udp_interval_us"};
+  std::vector<std::pair<std::string, std::string>> cases;
+  for (const auto& field : durations) {
+    for (const char* value : {"1e10", "1e400"}) {
+      cases.emplace_back(R"({"name": "x", "targets": [{")" + field +
+                             R"(": )" + value + "}]}",
+                         "targets[0]." + field);
+    }
+  }
+  for (const char* value : {"1e10", "1e400"}) {
+    cases.emplace_back(
+        std::string(R"({"name": "x", "targets": [{"grid": [{"name": "g",
+            "udp_interval_us": )") + value + "}]}]}",
+        "targets[0].grid[0].udp_interval_us");
+    cases.emplace_back(
+        std::string(R"({"name": "x", "targets": [{"medium": "myrinet",
+            "scenario": {"name": "s", "steps": [{"kind": "lying-go",
+                                                 "at_ms": )") +
+            value + "}]}}]}",
+        "targets[0].scenario.steps[0].at_ms");
+  }
+  cases.emplace_back(R"({"name": "x", "strategy": {"name": "bisect",
+      "max_rounds": 4294967296}, "targets": [{}]})",
+                     "strategy.max_rounds");
+  cases.emplace_back(R"({"name": "x", "strategy": {"name": "bisect",
+      "knob": "udp-us", "axis_hi": 1e13}, "targets": [{}]})",
+                     "strategy.axis_hi");
+  cases.emplace_back(R"({"name": "x", "strategy": {"name": "bisect",
+      "knob": "burst", "axis_lo": -1e400}, "targets": [{}]})",
+                     "strategy.axis_lo");
+  for (const auto& [text, path] : cases) {
+    try {
+      (void)parse_campaign_file(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const CampaignFileError& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << "wanted path '" << path << "' in: " << e.what();
+    }
+  }
+  // The bounds themselves are accepted.
+  const auto edge = parse_campaign_file(R"({"name": "x",
+      "strategy": {"name": "bisect", "max_rounds": 4294967295},
+      "targets": [{"duration_ms": 1e6}]})");
+  EXPECT_EQ(edge.strategy->max_rounds, 4294967295u);
+  EXPECT_EQ(edge.targets[0].sweep.base.duration, milliseconds(1'000'000));
 }
 
 TEST(CampaignFileTest, StrategyBlockParses) {

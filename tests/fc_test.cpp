@@ -395,7 +395,7 @@ TEST(FcPortTest, FullDuplexTrafficIndependent) {
 /// times, timestamped events, and the final stats.
 struct FcRxLog {
   std::vector<std::pair<std::vector<link::Symbol>, sim::SimTime>> frames;
-  std::vector<std::pair<FcPort::Event, sim::SimTime>> events;
+  std::vector<std::pair<sim::Observed, sim::SimTime>> events;
   std::vector<std::uint64_t> stats;
   bool operator==(const FcRxLog&) const = default;
 };
@@ -415,13 +415,20 @@ FcRxLog receive_in_bursts(const std::vector<link::Symbol>& stream,
   port.on_frame([&log](FcFrame f, sim::SimTime when) {
     log.frames.emplace_back(frame_to_symbols(f), when);
   });
-  port.on_event([&log](FcPort::Event e, sim::SimTime when) {
-    log.events.emplace_back(e, when);
-  });
+  struct Events final : sim::Observer {
+    FcRxLog& out;
+    explicit Events(FcRxLog& o) : out(o) {}
+    void on_observation(const sim::Observation& o) override {
+      EXPECT_EQ(o.where, "rx");
+      out.events.emplace_back(o.kind, o.when);
+    }
+  } events(log);
+  simulator.subscribe(events);
   testutil::split_into_bursts(
       stream, kPeriod, next_size,
       [&port](const link::Burst& burst) { port.on_burst(burst); });
   simulator.run();
+  simulator.unsubscribe(events);
   const auto& st = port.stats();
   log.stats = {st.frames_sent,       st.frames_received,
                st.crc_errors,        st.rrdy_sent,
@@ -485,14 +492,14 @@ TEST(FcPortTest, BurstSplitsDoNotChangeFramesEventsOrStats) {
   EXPECT_EQ(random, whole);
   // The stream reaches every receive path the comparison covers.
   EXPECT_GT(whole.frames.size(), 0u);
-  const auto seen = [&whole](FcPort::Event e) {
+  const auto seen = [&whole](sim::Observed e) {
     return std::count_if(whole.events.begin(), whole.events.end(),
                          [e](const auto& ev) { return ev.first == e; });
   };
-  EXPECT_GT(seen(FcPort::Event::kCrcError), 0);
-  EXPECT_GT(seen(FcPort::Event::kMalformedSet), 0);
-  EXPECT_GT(seen(FcPort::Event::kStrayData), 0);
-  EXPECT_GT(seen(FcPort::Event::kRxOverflow), 0);
+  EXPECT_GT(seen(sim::Observed::kFcCrcError), 0);
+  EXPECT_GT(seen(sim::Observed::kFcMalformedSet), 0);
+  EXPECT_GT(seen(sim::Observed::kFcStrayData), 0);
+  EXPECT_GT(seen(sim::Observed::kFcRxOverflow), 0);
 }
 
 // ------------------------------------------------------------- serdes

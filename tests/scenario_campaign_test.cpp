@@ -404,6 +404,21 @@ TEST(ReproTrace, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(orchestrator::to_json(parsed), text);
 }
 
+TEST(ReproTrace, RefusesADurationPastTheClock) {
+  // 1e10 ms would overflow the picosecond clock; the error names the field.
+  auto text = orchestrator::to_json(orchestrator::ReproTrace{});
+  const std::string key = "\"duration_ms\": ";
+  const auto at = text.find(key) + key.size();
+  text.replace(at, text.find(',', at) - at, "1e10");
+  try {
+    (void)orchestrator::parse_repro_trace(text);
+    FAIL() << "accepted " << text;
+  } catch (const orchestrator::CampaignFileError& e) {
+    EXPECT_NE(std::string(e.what()).find("duration_ms"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ReproTrace, RejectsTamperedDocuments) {
   EXPECT_THROW(orchestrator::parse_repro_trace("{\"magic\": \"nope\"}"),
                orchestrator::CampaignFileError);
