@@ -336,7 +336,7 @@ std::uint64_t scenario_scenario_overhead(bool smoke) {
 /// for — settle-dominated cells with many replicates each. Two gates:
 ///   * every replicate's executed-event count must be identical between
 ///     arms — a fork that perturbs the simulation is a correctness bug,
-///     not a slow path, and throws (so does a fabric without snapshots);
+///     not a slow path, and throws;
 ///   * the fork arm should be at least 1.5x faster than the cold arm
 ///     (best-of-N wall, interleaved passes); a breach reports 0 events
 ///     for the repetition.
@@ -388,9 +388,6 @@ std::uint64_t scenario_snapshot_fork(bool smoke) {
     fabric->start();
     fabric->settle(settle);
     const auto snap = fabric->capture_snapshot();
-    if (snap == nullptr) {
-      throw std::runtime_error("snapshot_fork: fabric has no snapshot support");
-    }
     nftape::CampaignRunner runner(*fabric);
     for (std::size_t i = 0; i < replicates; ++i) {
       fabric->restore_snapshot(*snap);

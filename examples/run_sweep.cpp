@@ -109,8 +109,8 @@ void usage(std::FILE* to = stdout) {
       "  --batch N        with --spec --out: override checkpoint_batch\n"
       "  --crash-after-batches N\n"
       "                   test hook (with --spec --out): append a torn\n"
-      "                   record and hard-exit, as if SIGKILLed, after N\n"
-      "                   durable batches/rounds\n");
+      "                   record and hard-exit, as if SIGKILLed, after\n"
+      "                   this invocation's Nth durable batch/round\n");
 }
 
 /// Flags that define the campaign, which a --spec file defines already.

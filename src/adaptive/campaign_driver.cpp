@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -32,7 +34,7 @@ using orchestrator::RunRecord;
 /// Campaign throughput in the BENCH_sim_kernel.json schema
 /// ({bench, metric, value, unit, commit}).
 bool write_bench_out(const std::string& path,
-                     const std::vector<RunRecord>& records, double total_s) {
+                     std::span<const RunRecord> records, double total_s) {
   std::uint64_t events = 0;
   std::uint64_t symbols = 0;
   for (const auto& r : records) {
@@ -95,25 +97,6 @@ class IntervalRenderer final : public orchestrator::RecordSink {
   }
   _exit(9);
 }
-
-/// The driver's one JSONL emission site. A durable campaign appends each
-/// line to its data file as the record arrives; every other campaign
-/// collects the lines for one write at the end, so nothing is opened — let
-/// alone truncated — before the campaign has run.
-struct JsonlOut {
-  bool timing = false;
-  std::unique_ptr<orchestrator::DurableAppender> durable;
-  std::string lines;
-
-  void add(const RunRecord& record) {
-    const std::string line = orchestrator::to_jsonl(record, timing) + '\n';
-    if (durable != nullptr) {
-      durable->append(line);
-    } else {
-      lines += line;
-    }
-  }
-};
 
 /// The one strategy factory. The intensity axis is the strategy's knob,
 /// from axis_lo (most intense) to axis_hi; fixed runs the target's own
@@ -206,16 +189,55 @@ void print_plan(const CampaignFile& file, const CampaignOptions& o) {
   }
 }
 
+/// Opens the durable log of a --spec --out campaign: one cursor over a
+/// static shard's `static_runs` runs, or one per target of a strategy
+/// campaign. The records it restores go through the campaign's sinks
+/// before the first new run, so the monitor folds the whole campaign, and
+/// --crash-after-batches counts the barriers of this invocation only.
+std::unique_ptr<orchestrator::DurableLog> open_log(
+    const CampaignFile& file, const CampaignOptions& o,
+    const orchestrator::RunnerConfig& rc, std::size_t static_runs) {
+  orchestrator::Checkpoint fresh;
+  fresh.spec_digest = file.digest;
+  orchestrator::DurableLog::Bound bound;
+  if (file.strategy) {
+    fresh.cursors.resize(file.targets.size());
+    bound.rounds = file.strategy->max_rounds;
+  } else {
+    fresh.shard = o.shard_k;
+    fresh.of = o.shard_n;
+    fresh.cursors.resize(1);
+    bound = {static_runs, static_runs};  // a batch holds at least one run
+  }
+  auto log = std::make_unique<orchestrator::DurableLog>(
+      orchestrator::shard_path(o.out_path, o.shard_k, o.shard_n),
+      std::move(fresh), bound, o.resume, o.timing);
+  if (o.resume) {
+    std::fprintf(stderr, "resuming %s: %zu records in %llu durable bytes\n",
+                 log->data_file().c_str(), log->restored().size(),
+                 (unsigned long long)log->checkpoint().bytes);
+  }
+  if (o.crash_after > 0) {
+    log->after_barrier = [&data_file = log->data_file(), left = o.crash_after](
+                             const orchestrator::Checkpoint&) mutable {
+      if (--left == 0) crash_torn(data_file);
+    };
+  }
+  for (const auto& record : log->restored()) {
+    for (orchestrator::RecordSink* sink : rc.sinks) sink->on_record(record);
+  }
+  return log;
+}
+
 struct Executed {
   std::vector<RunRecord> records;  ///< run by this invocation, in order
   std::vector<std::string> notes;  ///< for the per-cell table
 };
 
-Executed run_static(const CampaignFile& file, const CampaignOptions& o,
-                    orchestrator::RunnerConfig rc, bool durable,
-                    JsonlOut& out) {
-  const auto runs = orchestrator::shard_runs(
-      orchestrator::expand_campaign(file), o.shard_k, o.shard_n);
+Executed run_static(const std::vector<orchestrator::RunSpec>& runs,
+                    const CampaignFile& file, const CampaignOptions& o,
+                    orchestrator::RunnerConfig rc,
+                    orchestrator::DurableLog* log) {
   std::fprintf(stderr, "%s: %zu runs", file.name.c_str(), runs.size());
   if (o.shard_n > 1) {
     std::fprintf(stderr, " on shard %u/%u", o.shard_k, o.shard_n);
@@ -227,38 +249,14 @@ Executed run_static(const CampaignFile& file, const CampaignOptions& o,
   };
   orchestrator::Runner runner(rc);
 
+  // Records come back indexed by run, so the file is deterministic (and,
+  // without --timing, byte-identical for any --workers value).
+  const std::size_t batch = o.batch != 0 ? o.batch : file.checkpoint_batch;
   Executed done;
-  if (!durable) {
-    // Records come back indexed by run, so the file is deterministic (and,
-    // without --timing, byte-identical for any --workers value).
-    done.records = runner.run_all(runs);
-    std::fprintf(stderr, "\n");
-    for (const auto& r : done.records) out.add(r);
-    return done;
-  }
-
-  const std::string data_file =
-      orchestrator::shard_path(o.out_path, o.shard_k, o.shard_n);
-  orchestrator::Checkpoint identity;
-  identity.spec_digest = file.digest;
-  identity.shard = o.shard_k;
-  identity.of = o.shard_n;
-  orchestrator::ShardOptions shard;
-  shard.batch = o.batch != 0 ? o.batch : file.checkpoint_batch;
-  shard.resume = o.resume;
-  shard.include_timing = o.timing;
-  if (o.crash_after > 0) {
-    shard.after_batch = [&](const orchestrator::Checkpoint& c) {
-      if (c.batches >= o.crash_after) crash_torn(data_file);
-    };
-  }
-  auto result =
-      orchestrator::run_sharded(runner, runs, data_file, identity, shard);
-  std::fprintf(stderr, "\n%s: %zu runs executed, %llu restored from %s\n",
-               data_file.c_str(), result.executed.size(),
-               (unsigned long long)result.restored,
-               orchestrator::checkpoint_path(data_file).c_str());
-  done.records = std::move(result.executed);
+  done.records = log == nullptr
+                     ? runner.run_all(runs)
+                     : orchestrator::run_sharded(runner, runs, *log, batch);
+  std::fprintf(stderr, "\n");
   return done;
 }
 
@@ -266,94 +264,53 @@ Executed run_static(const CampaignFile& file, const CampaignOptions& o,
 /// Controller::run instead of executing them again.
 using Replay = std::vector<std::vector<RunRecord>>;
 
-/// Reads back the JSONL prefix a round checkpoint vouches for through
-/// orchestrator::read_durable_records (exactly the targets' records, with
-/// nothing torn or left over), grouped by target and round (emission is
-/// target-major, then round-major). A target's round count must respect
-/// the spec's max_rounds, and a record's round must lie below it and never
-/// step back. Anything else is a tampered or foreign file, refused before
-/// any round is replayed.
-std::vector<Replay> read_replays(const std::string& data_file,
-                                 const orchestrator::RoundCheckpoint& ckpt,
-                                 std::uint32_t max_rounds) {
-  const std::string sidecar = orchestrator::checkpoint_path(data_file);
-  std::uint64_t total = 0;
-  for (std::size_t ti = 0; ti < ckpt.targets.size(); ++ti) {
-    const auto& t = ckpt.targets[ti];
-    if (t.rounds > max_rounds) {
-      throw std::runtime_error(
-          sidecar + ": target " + std::to_string(ti) + " claims " +
-          std::to_string(t.rounds) + " rounds but the spec allows " +
-          std::to_string(max_rounds));
-    }
-    // Every record takes at least one byte, so a larger count is refused
-    // here and the total cannot wrap.
-    if (t.records > ckpt.bytes) {
-      throw std::runtime_error(
-          sidecar + ": target " + std::to_string(ti) + " claims " +
-          std::to_string(t.records) + " records in " +
-          std::to_string(ckpt.bytes) + " bytes");
-    }
-    total += t.records;
-  }
-  auto records =
-      orchestrator::read_durable_records(data_file, ckpt.bytes, total);
-  auto next = records.begin();
-  std::vector<Replay> replays(ckpt.targets.size());
-  for (std::size_t ti = 0; ti < ckpt.targets.size(); ++ti) {
-    const std::uint64_t rounds = ckpt.targets[ti].rounds;
+/// Groups the records a log restored by target and round (emission is
+/// target-major, then round-major). A record's round must lie below its
+/// target's durable round count and never step back, and the records must
+/// fill every durable round; anything else is a tampered or foreign file,
+/// refused before any round is replayed.
+std::vector<Replay> read_replays(const orchestrator::DurableLog& log) {
+  const auto& cursors = log.checkpoint().cursors;
+  auto next = log.restored().begin();
+  std::vector<Replay> replays(cursors.size());
+  for (std::size_t ti = 0; ti < cursors.size(); ++ti) {
+    const std::uint64_t rounds = cursors[ti].rounds;
     Replay& replay = replays[ti];
-    for (std::uint64_t n = 0; n < ckpt.targets[ti].records; ++n, ++next) {
+    for (std::uint64_t n = 0; n < cursors[ti].records; ++n, ++next) {
       if (next->round >= rounds || next->round + 1 < replay.size()) {
         throw std::runtime_error(
-            "record out of round order in " + data_file + " (run " +
+            "record out of round order in " + log.data_file() + " (run " +
             std::to_string(next->index) + " in round " +
             std::to_string(next->round) + ", target " + std::to_string(ti) +
             " has " + std::to_string(rounds) + " durable rounds)");
       }
       replay.resize(next->round + 1);
-      replay[next->round].push_back(std::move(*next));
+      replay[next->round].push_back(*next);
+    }
+    if (replay.size() != rounds) {
+      throw std::runtime_error(
+          log.data_file() + ": target " + std::to_string(ti) + " has " +
+          std::to_string(rounds) + " durable rounds but its records fill " +
+          std::to_string(replay.size()));
     }
   }
   return replays;
 }
 
 /// Strategy campaigns: one Controller per target, in file order. A durable
-/// campaign syncs its data file and rewrites the round sidecar at every
-/// round barrier (data first, cursor second); a resume replays the durable
-/// rounds through the strategy, which re-derives and verifies each one
-/// before new rounds execute.
+/// campaign commits a barrier of the target's cursor at every round
+/// barrier; a resume replays the durable rounds through the strategy,
+/// which re-derives and verifies each one before new rounds execute.
 Executed run_steered(const CampaignFile& file, const CampaignOptions& o,
-                     const orchestrator::RunnerConfig& rc, bool durable,
-                     JsonlOut& out) {
+                     const orchestrator::RunnerConfig& rc,
+                     orchestrator::DurableLog* log) {
   const orchestrator::StrategySpec& strat = *file.strategy;
-  const std::string sidecar = orchestrator::checkpoint_path(o.out_path);
-  orchestrator::RoundCheckpoint ckpt;
-  ckpt.spec_digest = file.digest;
-  ckpt.targets.resize(file.targets.size());
-  std::vector<Replay> replays(file.targets.size());
-  if (durable && o.resume) {
-    if (auto existing = orchestrator::read_round_checkpoint(
-            sidecar, file.digest, file.targets.size())) {
-      ckpt = std::move(*existing);
-      replays = read_replays(o.out_path, ckpt, strat.max_rounds);
-      std::fprintf(stderr, "resuming %s: %llu durable bytes restored\n",
-                   o.out_path.c_str(), (unsigned long long)ckpt.bytes);
-    }
-  }
-  if (durable) {
-    out.durable = std::make_unique<orchestrator::DurableAppender>(
-        o.out_path, ckpt.bytes);
-  }
-  const auto checkpoint = [&] {
-    out.durable->sync();
-    ckpt.bytes = out.durable->bytes();
-    orchestrator::write_round_checkpoint(sidecar, ckpt);
-  };
+  const std::vector<Replay> replays =
+      log != nullptr ? read_replays(*log)
+                     : std::vector<Replay>(file.targets.size());
 
   Executed done;
   std::size_t index_base = 0;
-  std::uint64_t rounds_run = 0;  // across targets, for crash_after
   for (std::size_t ti = 0; ti < file.targets.size(); ++ti) {
     const CampaignTarget& target = file.targets[ti];
     const std::string label = target.name.empty() ? file.name : target.name;
@@ -364,15 +321,11 @@ Executed run_steered(const CampaignFile& file, const CampaignOptions& o,
     cc.on_round = [&](const RoundSummary& s) {
       std::fprintf(stderr, "%s round %u: %zu runs (%zu failed), %zu total\n",
                    label.c_str(), s.round, s.runs, s.failed, s.total_runs);
-      if (!durable || s.round < replayed_rounds) return;
-      ckpt.targets[ti].rounds = s.round + 1;
-      ckpt.targets[ti].records = s.total_runs;
-      checkpoint();
-      if (o.crash_after > 0 && ++rounds_run >= o.crash_after) {
-        crash_torn(o.out_path);
-      }
+      if (log != nullptr && s.round >= replayed_rounds) log->barrier(ti);
     };
-    cc.on_record = [&](const RunRecord& r) { out.add(r); };
+    if (log != nullptr) {
+      cc.on_record = [log](const RunRecord& r) { log->append(r); };
+    }
     cc.early_cancel = o.early_cancel;
     AdaptiveSpec spec = steered_spec(file, target, index_base);
     const std::string prefix = spec.name_prefix;
@@ -381,10 +334,8 @@ Executed run_steered(const CampaignFile& file, const CampaignOptions& o,
         make_strategy(strat, controller.cells(), target.sweep);
     auto outcome = controller.run(*strategy, replays[ti]);
 
-    const std::size_t records = outcome.replayed + outcome.records.size();
-    index_base += records;
-    ckpt.targets[ti] = {outcome.rounds, records, true};
-    if (durable) checkpoint();
+    index_base += outcome.replayed + outcome.records.size();
+    if (log != nullptr) log->finish(ti);
     std::fprintf(stderr, "%s: %u rounds, %s; %zu runs executed, %zu replayed\n",
                  label.c_str(), outcome.rounds,
                  outcome.converged ? "converged" : "round/run cap reached",
@@ -449,39 +400,61 @@ int run_campaign(const CampaignFile& file, const CampaignOptions& o) {
       rc.sinks.push_back(renderer.get());
     }
 
-    JsonlOut out;
-    out.timing = o.timing;
+    const auto static_runs =
+        file.strategy ? std::vector<orchestrator::RunSpec>{}
+                      : orchestrator::shard_runs(
+                            orchestrator::expand_campaign(file), o.shard_k,
+                            o.shard_n);
+    const auto log =
+        durable ? open_log(file, o, rc, static_runs.size()) : nullptr;
+    // The whole campaign: restored records, then this invocation's.
+    std::vector<RunRecord> campaign =
+        log ? log->restored() : std::vector<RunRecord>{};
+    const std::size_t restored = campaign.size();
+
     const auto start = std::chrono::steady_clock::now();
     Executed done = file.strategy
-                        ? run_steered(file, o, rc, durable, out)
-                        : run_static(file, o, rc, durable, out);
+                        ? run_steered(file, o, rc, log.get())
+                        : run_static(static_runs, file, o, rc, log.get());
     const double total_s = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - start)
                                .count();
-    if (!durable) {
+    if (log == nullptr) {
+      std::string lines;
+      for (const auto& r : done.records) {
+        lines += orchestrator::to_jsonl(r, o.timing);
+        lines += '\n';
+      }
       if (o.out_path.empty()) {
-        std::fputs(out.lines.c_str(), stdout);
-      } else if (!(std::ofstream(o.out_path, std::ios::binary) << out.lines)) {
+        std::fputs(lines.c_str(), stdout);
+      } else if (!(std::ofstream(o.out_path, std::ios::binary) << lines)) {
         std::fprintf(stderr, "cannot write %s\n", o.out_path.c_str());
         return 1;
       }
     }
+    campaign.insert(campaign.end(),
+                    std::make_move_iterator(done.records.begin()),
+                    std::make_move_iterator(done.records.end()));
+    // Throughput counts this invocation's runs; the report and the exit
+    // code cover the whole campaign, restored records included.
+    const auto executed =
+        std::span<const RunRecord>(campaign).subspan(restored);
     if (!o.bench_out_path.empty() &&
-        !write_bench_out(o.bench_out_path, done.records, total_s)) {
+        !write_bench_out(o.bench_out_path, executed, total_s)) {
       return 1;
     }
 
-    if (!done.records.empty()) {
+    if (!campaign.empty()) {
       auto report = orchestrator::summarize(
           file.strategy ? file.name + " [" + file.strategy->name + "]"
                         : file.name,
-          done.records);
+          campaign);
       report.add_note(nftape::cell(
           "%.1f s wall, %.2f runs/s", total_s,
-          static_cast<double>(done.records.size()) / total_s));
+          static_cast<double>(executed.size()) / total_s));
       std::fprintf(stderr, "\n%s", report.render().c_str());
       auto cells = orchestrator::cell_summary("per-cell manifestation rates",
-                                              done.records);
+                                              campaign);
       for (auto& note : done.notes) cells.add_note(std::move(note));
       std::fprintf(stderr, "\n%s", cells.render().c_str());
     }
@@ -489,7 +462,7 @@ int run_campaign(const CampaignFile& file, const CampaignOptions& o) {
       std::fprintf(stderr, "\n%s",
                    service.table("monitor (final)").render().c_str());
     }
-    for (const auto& r : done.records) {
+    for (const auto& r : campaign) {
       if (r.outcome != orchestrator::RunOutcome::kOk &&
           r.outcome != orchestrator::RunOutcome::kSkipped) {
         return 2;

@@ -39,8 +39,8 @@ struct CampaignOptions {
   std::uint32_t shard_n = 1;
   std::uint32_t merge_n = 0;   ///< merge this many shard files into out_path
   std::size_t batch = 0;       ///< runs per batch; 0 = file.checkpoint_batch
-  /// Test hook: after N durable batches or rounds, append a torn record
-  /// and _exit(9), as a SIGKILL would leave the files.
+  /// Test hook: after the Nth durable batch or round of this invocation,
+  /// append a torn record and _exit(9), as a SIGKILL would leave the files.
   std::uint64_t crash_after = 0;
 };
 

@@ -103,8 +103,7 @@ struct RoundSummary {
 };
 
 struct ControllerConfig {
-  /// Worker pool settings (workers, watchdog, executor override). The
-  /// controller installs nothing in on_record / on_progress here — records
+  /// Worker pool settings (workers, watchdog, executor override). Records
   /// are delivered deterministically via ControllerConfig::on_record.
   orchestrator::RunnerConfig runner;
   /// Called after each round barrier with every record of the round, in

@@ -133,15 +133,12 @@ class Fabric {
 
   /// Captures the full settled state (simulator + every model layer). Call
   /// only at a quiescent settle boundary — never with a workload or serial
-  /// command in flight. Returns nullptr when the fabric does not support
-  /// snapshots (callers must fall back to cold starts).
-  [[nodiscard]] virtual std::unique_ptr<FabricSnapshot> capture_snapshot() {
-    return nullptr;
-  }
+  /// command in flight. Every fabric supports snapshots.
+  [[nodiscard]] virtual std::unique_ptr<FabricSnapshot> capture_snapshot() = 0;
   /// Rewinds this fabric to `snap` (which must come from a fabric built
   /// with identical construction parameters — same TestbedConfig modulo
   /// seed, which reset_to_known_good re-derives per run).
-  virtual void restore_snapshot(const FabricSnapshot& snap) { (void)snap; }
+  virtual void restore_snapshot(const FabricSnapshot& snap) = 0;
 
  private:
   analysis::ManifestationAnalyzer* monitor_ = nullptr;

@@ -218,7 +218,7 @@ int emit_repro(SweepSpec sweep, bool fault_filtered, const std::string& path,
   nftape::CampaignRunner probes(*fabric);
   const scenario::Minimizer::Execute execute =
       [&](const scenario::ScenarioSpec& candidate) {
-        if (snap != nullptr) fabric->restore_snapshot(*snap);
+        fabric->restore_snapshot(*snap);
         nftape::CampaignSpec spec = run.campaign;
         spec.scenario = candidate;
         return dominant_class(probes.run(spec));

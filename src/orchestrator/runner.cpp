@@ -1,10 +1,11 @@
 #include "orchestrator/runner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <map>
-#include <ostream>
+#include <mutex>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -62,13 +63,13 @@ nftape::CampaignResult default_execute(const RunSpec& run,
 
 }  // namespace
 
-/// One worker's snapshot cache: the settled fabric and its captured state.
-/// The key normalizes the testbed seed to zero because the per-run seed is
-/// re-derived inside CampaignRunner::run by reset_to_known_good — any two
-/// runs differing only by seed share the same settled trajectory (the
-/// settle phase draws nothing from the per-run streams), hence one cell.
+/// One worker's snapshot cache: the settled fabric and its captured state,
+/// valid while `snap` is set. The key normalizes the testbed seed to zero
+/// because the per-run seed is re-derived inside CampaignRunner::run by
+/// reset_to_known_good — any two runs differing only by seed share the
+/// same settled trajectory (the settle phase draws nothing from the
+/// per-run streams), hence one cell.
 struct Runner::SnapshotCache {
-  bool valid = false;
   nftape::Medium medium = nftape::Medium::kMyrinet;
   sim::Duration startup_settle = 0;
   nftape::TestbedConfig config;  ///< seed-normalized cell key
@@ -81,30 +82,20 @@ nftape::CampaignResult Runner::snapshot_execute(
     SnapshotCache& cache) {
   nftape::TestbedConfig norm = run.testbed;
   norm.seed = 0;
-  const bool hit = cache.valid && cache.medium == run.campaign.medium &&
+  const bool hit = cache.snap && cache.medium == run.campaign.medium &&
                    cache.startup_settle == run.startup_settle &&
                    cache.config == norm;
   if (hit) {
     cache.fabric->restore_snapshot(*cache.snap);
   } else {
-    cache.valid = false;
     cache.snap.reset();
     cache.fabric = nftape::make_fabric(run.campaign.medium, run.testbed);
     cache.fabric->start();
     settle_startup(*cache.fabric, run.startup_settle, control);
     cache.snap = cache.fabric->capture_snapshot();
-    if (cache.snap == nullptr) {
-      // Fabric without snapshot support: run cold on the fresh fabric and
-      // leave the cache invalid so every run of this cell cold-starts.
-      nftape::CampaignRunner runner(*cache.fabric);
-      auto result = runner.run(run.campaign, &control, run.startup_settle);
-      cache.fabric.reset();
-      return result;
-    }
     cache.medium = run.campaign.medium;
     cache.startup_settle = run.startup_settle;
     cache.config = norm;
-    cache.valid = true;
   }
   // Either way the fabric now sits at the settle boundary. Credit the
   // settle span to the watchdog accumulator exactly like a cold start, so
@@ -440,7 +431,6 @@ void Runner::execute_one(const RunSpec& run, RunRecord& rec,
     nftape::RunControl control;
     control.poll_interval = config_.poll_interval;
     control.should_cancel = [this, start, sim_cap](sim::Duration elapsed) {
-      if (cancelled_.load(std::memory_order_relaxed)) return true;
       if (config_.wall_limit.count() > 0 &&
           std::chrono::steady_clock::now() - start >= config_.wall_limit) {
         return true;
@@ -465,8 +455,6 @@ void Runner::execute_one(const RunSpec& run, RunRecord& rec,
       ++rec.timeouts;
       rec.outcome = RunOutcome::kTimedOut;
       rec.error = e.what();
-      // An external cancel() is not a hung run; don't burn a retry on it.
-      if (cancelled_.load(std::memory_order_relaxed)) return;
     } catch (const std::exception& e) {
       rec.wall_ms += ms_since(start);
       rec.outcome = RunOutcome::kError;
@@ -499,7 +487,7 @@ std::vector<RunRecord> Runner::run_batch(const std::vector<RunSpec>& runs) {
   }
 
   std::atomic<std::size_t> next{0};
-  std::mutex mu;  // guards progress + both callbacks
+  std::mutex mu;  // guards progress, on_progress and the sinks
   Progress& progress = progress_;
   progress.total += runs.size();
 
@@ -538,7 +526,6 @@ std::vector<RunRecord> Runner::run_batch(const std::vector<RunSpec>& runs) {
         if (rec.attempts > 1) {
           progress.retries += static_cast<std::size_t>(rec.attempts - 1);
         }
-        if (config_.on_record) config_.on_record(rec);
         for (RecordSink* sink : config_.sinks) sink->on_record(rec);
         if (config_.on_progress) config_.on_progress(progress);
       }
@@ -550,13 +537,6 @@ std::vector<RunRecord> Runner::run_batch(const std::vector<RunSpec>& runs) {
   for (std::size_t i = 0; i < workers; ++i) pool.emplace_back(work, i);
   for (auto& t : pool) t.join();
   return records;
-}
-
-void JsonlSink::write(const RunRecord& record) {
-  const std::string line = to_jsonl(record, timing_);
-  const std::lock_guard<std::mutex> lock(mu_);
-  out_ << line << '\n';
-  out_.flush();
 }
 
 }  // namespace hsfi::orchestrator

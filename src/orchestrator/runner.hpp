@@ -6,19 +6,16 @@
 // granularity. Each worker constructs a private Testbed + Simulator per
 // run, so no simulation state is ever shared between threads — the only
 // cross-thread traffic is the run-index counter, the per-record slots
-// (disjoint per run), and the progress/record callbacks (serialized by a
-// mutex). Seeds are derived from (base_seed, run index) before execution
-// starts, so results are bit-identical regardless of worker count or
-// completion order.
+// (disjoint per run), and the progress callback and record sinks
+// (serialized by a mutex). Seeds are derived from (base_seed, run index)
+// before execution starts, so results are bit-identical regardless of
+// worker count or completion order.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -112,9 +109,9 @@ struct Progress {
 /// Streaming consumer of finished run records — the online analysis plane's
 /// attachment point (monitor::MonitorService implements it). The runner
 /// fires it per completed run, in completion order, serialized by the same
-/// mutex as the on_record / on_progress callbacks, so an implementation
-/// needs no locking of its own against the pool (it does need it against
-/// readers on other threads).
+/// mutex as the on_progress callback, so an implementation needs no locking
+/// of its own against the pool (it does need it against readers on other
+/// threads).
 class RecordSink {
  public:
   virtual ~RecordSink() = default;
@@ -144,12 +141,9 @@ struct RunnerConfig {
   bool snapshots = false;
   /// Called (serialized) after every run completes.
   std::function<void(const Progress&)> on_progress;
-  /// Called (serialized) with each finished record, in completion order —
-  /// the streaming JSONL hook.
-  std::function<void(const RunRecord&)> on_record;
-  /// Streaming record consumers, fired (serialized) alongside on_record for
-  /// every finished record, in registration order. Raw pointers: sinks must
-  /// outlive every run_all / run_batch call.
+  /// Streaming record consumers, fired (serialized) with every finished
+  /// record, in completion order, in registration order. Raw pointers:
+  /// sinks must outlive every run_all / run_batch call.
   std::vector<RecordSink*> sinks;
   /// Early-cancel hook for closed-loop controllers: polled when a worker
   /// dequeues a run; true skips execution entirely and records
@@ -173,7 +167,7 @@ class Runner {
   ~Runner();
 
   /// Executes every run and returns records indexed by RunSpec::index.
-  /// Blocks until all runs finish (or are cancelled). Resets the
+  /// Blocks until all runs finish. Resets the
   /// cross-batch Progress accumulation first (one-shot sweeps).
   std::vector<RunRecord> run_all(const std::vector<RunSpec>& runs);
 
@@ -184,11 +178,6 @@ class Runner {
   /// boundary is a synchronization point: run_batch returns only when
   /// every run of the batch has finished.
   std::vector<RunRecord> run_batch(const std::vector<RunSpec>& runs);
-
-  /// Cooperative kill switch: in-flight runs are cancelled at their next
-  /// watchdog poll (marked timed_out, no retry); queued runs still start
-  /// but cancel immediately.
-  void cancel() noexcept { cancelled_.store(true, std::memory_order_relaxed); }
 
  private:
   /// Per-worker snapshot cache (defined in runner.cpp): the settled fabric
@@ -204,29 +193,11 @@ class Runner {
                                           SnapshotCache& cache);
 
   RunnerConfig config_;
-  std::atomic<bool> cancelled_{false};
   std::vector<std::unique_ptr<SnapshotCache>> caches_;
   /// Campaign-wide progress, accumulated across run_batch calls. Only
   /// touched between batches (the pool itself guards it with a mutex while
   /// running), so no atomicity is needed here.
   Progress progress_;
-};
-
-/// Thread-safe streaming sink: one JSONL line per finished record, in
-/// completion order. Plug into RunnerConfig::sinks (or on_record via
-/// `write`).
-class JsonlSink : public RecordSink {
- public:
-  explicit JsonlSink(std::ostream& out, bool include_timing = false)
-      : out_(out), timing_(include_timing) {}
-
-  void write(const RunRecord& record);
-  void on_record(const RunRecord& record) override { write(record); }
-
- private:
-  std::ostream& out_;
-  bool timing_;
-  std::mutex mu_;
 };
 
 }  // namespace hsfi::orchestrator

@@ -1,14 +1,15 @@
 #include "orchestrator/shard.hpp"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "orchestrator/json_value.hpp"
 #include "orchestrator/jsonl.hpp"
@@ -25,18 +26,21 @@ namespace {
   bail(what + ": " + std::strerror(errno));
 }
 
+/// Closes `fd` after a call on it failed, and throws with that call's errno.
+[[noreturn]] void close_and_bail(int fd, const std::string& what) {
+  const int err = errno;
+  ::close(fd);
+  errno = err;
+  bail_errno(what);
+}
+
 /// fsync the directory containing `path`, so a rename into it is durable.
 void sync_parent_dir(const std::string& path) {
   const auto slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) bail_errno("open dir " + dir);
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    errno = err;
-    bail_errno("fsync dir " + dir);
-  }
+  if (::fsync(fd) != 0) close_and_bail(fd, "fsync dir " + dir);
   ::close(fd);
 }
 
@@ -46,25 +50,7 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-constexpr std::string_view kMagic = "hsfi-ckpt-v1";
-
-/// A sidecar document; nullopt when the file is absent (a fresh start).
-/// A present sidecar that is not valid JSON with our magic throws: a
-/// corrupt cursor must never silently restart a campaign from zero.
-std::optional<JsonValue> read_sidecar(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream text;
-  text << in.rdbuf();
-  std::string error;
-  auto doc = parse_json(text.str(), &error);
-  if (!doc) bail("corrupt checkpoint " + path + " (" + error + ")");
-  const auto* magic = doc->find("magic");
-  if (magic == nullptr || magic->text != kMagic) {
-    bail("checkpoint " + path + " has wrong magic");
-  }
-  return doc;
-}
+constexpr std::string_view kMagic = "hsfi-ckpt-v2";
 
 /// Atomic replacement: write "<path>.tmp", fsync, rename over, fsync the
 /// directory. Every sidecar goes through here.
@@ -77,19 +63,11 @@ void write_text_durable(const std::string& path, std::string_view text) {
     const ssize_t n = ::write(fd, text.data() + off, text.size() - off);
     if (n < 0) {
       if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      errno = err;
-      bail_errno("write " + tmp);
+      close_and_bail(fd, "write " + tmp);
     }
     off += static_cast<std::size_t>(n);
   }
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    errno = err;
-    bail_errno("fsync " + tmp);
-  }
+  if (::fsync(fd) != 0) close_and_bail(fd, "fsync " + tmp);
   ::close(fd);
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     bail_errno("rename " + tmp + " -> " + path);
@@ -123,104 +101,86 @@ std::string checkpoint_path(const std::string& shard_file) {
   return shard_file + ".ckpt";
 }
 
-std::optional<Checkpoint> read_checkpoint(const std::string& path) {
-  const auto doc = read_sidecar(path);
-  if (!doc) return std::nullopt;
-  Checkpoint ckpt;
-  const auto u64 = [&](const char* key, std::uint64_t& out) {
-    const auto* v = doc->find(key);
-    if (v == nullptr || !v->as_u64(out)) {
-      bail("checkpoint " + path + " missing/bad field '" + key + "'");
-    }
+std::optional<Checkpoint> read_checkpoint(const std::string& path,
+                                          const Checkpoint& identity) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::string error;
+  const auto doc = parse_json(text.str(), &error);
+  if (!doc) bail("corrupt checkpoint " + path + " (" + error + ")");
+  // Another version is refused, never treated as absent: restarting it
+  // from zero would overwrite a half-finished campaign.
+  const auto* magic = doc->find("magic");
+  if (magic == nullptr || magic->text != kMagic) {
+    bail("checkpoint " + path + " has magic '" +
+         (magic == nullptr ? "" : magic->text) + "', not " +
+         std::string(kMagic));
+  }
+  const auto bad = [&](const char* key) {
+    bail("checkpoint " + path + " missing/bad field '" + key + "'");
+  };
+  const auto u64 = [&](const JsonValue& object, const char* key) {
+    std::uint64_t out = 0;
+    const auto* v = object.find(key);
+    if (v == nullptr || !v->as_u64(out)) bad(key);
+    return out;
   };
   const auto* spec = doc->find("spec");
-  if (spec == nullptr || spec->kind != JsonValue::Kind::kString ||
-      spec->text.size() != 16) {
-    bail("checkpoint " + path + " missing/bad field 'spec'");
+  const auto* cursors = doc->find("cursors");
+  if (spec == nullptr || spec->kind != JsonValue::Kind::kString) bad("spec");
+  if (cursors == nullptr || cursors->kind != JsonValue::Kind::kArray) {
+    bad("cursors");
   }
-  ckpt.spec_digest = std::strtoull(spec->text.c_str(), nullptr, 16);
-  std::uint64_t shard = 0, of = 0;
-  u64("shard", shard);
-  u64("of", of);
-  ckpt.shard = static_cast<std::uint32_t>(shard);
-  ckpt.of = static_cast<std::uint32_t>(of);
-  u64("batches", ckpt.batches);
-  u64("runs", ckpt.runs);
-  u64("bytes", ckpt.bytes);
-  const auto* done = doc->find("done");
-  if (done == nullptr || done->kind != JsonValue::Kind::kBool) {
-    bail("checkpoint " + path + " missing/bad field 'done'");
+  const std::uint64_t shard = u64(*doc, "shard");
+  const std::uint64_t of = u64(*doc, "of");
+  if (spec->text != hex64(identity.spec_digest) || shard != identity.shard ||
+      of != identity.of || cursors->items.size() != identity.cursors.size()) {
+    bail("checkpoint " + path + " belongs to another campaign (spec " +
+         spec->text + ", shard " + std::to_string(shard) + "/" +
+         std::to_string(of) + ", " + std::to_string(cursors->items.size()) +
+         " cursors) — refusing to splice");
   }
-  ckpt.done = done->boolean;
+  Checkpoint ckpt = identity;
+  ckpt.bytes = u64(*doc, "bytes");
+  for (std::size_t i = 0; i < ckpt.cursors.size(); ++i) {
+    const JsonValue& item = cursors->items[i];
+    const auto* done = item.find("done");
+    if (done == nullptr || done->kind != JsonValue::Kind::kBool) bad("done");
+    ckpt.cursors[i] = {u64(item, "rounds"), u64(item, "records"),
+                       done->boolean};
+  }
   return ckpt;
 }
 
 void write_checkpoint(const std::string& path, const Checkpoint& ckpt) {
-  JsonObject o;
-  o.add("magic", kMagic);
-  o.add("spec", hex64(ckpt.spec_digest));
-  o.add_u64("shard", ckpt.shard);
-  o.add_u64("of", ckpt.of);
-  o.add_u64("batches", ckpt.batches);
-  o.add_u64("runs", ckpt.runs);
-  o.add_u64("bytes", ckpt.bytes);
-  o.add_bool("done", ckpt.done);
-  write_text_durable(path, o.str() + "\n");
-}
-
-std::optional<RoundCheckpoint> read_round_checkpoint(
-    const std::string& path, std::uint64_t spec_digest, std::size_t targets) {
-  const auto doc = read_sidecar(path);
-  if (!doc) return std::nullopt;
-  const auto* mode = doc->find("mode");
-  const auto* spec = doc->find("spec");
-  if (mode == nullptr || mode->text != "adaptive" || spec == nullptr ||
-      spec->text != hex64(spec_digest)) {
-    bail("checkpoint " + path +
-         " does not match this campaign spec — refusing to splice");
-  }
-  RoundCheckpoint ckpt;
-  ckpt.spec_digest = spec_digest;
-  const auto* bytes = doc->find("bytes");
-  const auto* list = doc->find("targets");
-  if (bytes == nullptr || !bytes->as_u64(ckpt.bytes) || list == nullptr ||
-      list->items.size() != targets) {
-    bail("checkpoint " + path + " is malformed");
-  }
-  for (const auto& item : list->items) {
-    RoundCheckpoint::Target t;
-    const auto* rounds = item.find("rounds");
-    const auto* records = item.find("records");
-    const auto* done = item.find("done");
-    if (rounds == nullptr || !rounds->as_u64(t.rounds) || records == nullptr ||
-        !records->as_u64(t.records) || done == nullptr ||
-        done->kind != JsonValue::Kind::kBool) {
-      bail("checkpoint " + path + " is malformed");
-    }
-    t.done = done->boolean;
-    ckpt.targets.push_back(t);
-  }
-  return ckpt;
-}
-
-void write_round_checkpoint(const std::string& path,
-                            const RoundCheckpoint& ckpt) {
-  std::string targets = "[";
-  for (const auto& t : ckpt.targets) {
+  std::string cursors;
+  for (const auto& c : ckpt.cursors) {
     JsonObject o;
-    o.add_u64("rounds", t.rounds);
-    o.add_u64("records", t.records);
-    o.add_bool("done", t.done);
-    if (targets.size() > 1) targets += ',';
-    targets += o.str();
+    o.add_u64("rounds", c.rounds);
+    o.add_u64("records", c.records);
+    o.add_bool("done", c.done);
+    cursors += cursors.empty() ? "" : ",";
+    cursors += o.str();
   }
-  write_text_durable(path, "{\"magic\":\"" + std::string(kMagic) +
-                               "\",\"mode\":\"adaptive\",\"spec\":\"" +
-                               hex64(ckpt.spec_digest) + "\",\"bytes\":" +
-                               std::to_string(ckpt.bytes) +
-                               ",\"targets\":" + targets + "]}\n");
+  write_text_durable(
+      path, "{\"magic\":\"" + std::string(kMagic) + "\",\"spec\":\"" +
+                hex64(ckpt.spec_digest) + "\",\"shard\":" +
+                std::to_string(ckpt.shard) + ",\"of\":" +
+                std::to_string(ckpt.of) + ",\"bytes\":" +
+                std::to_string(ckpt.bytes) + ",\"cursors\":[" + cursors +
+                "]}\n");
 }
 
+namespace {
+
+/// Reads back the durable prefix a sidecar vouches for: the first `bytes`
+/// bytes of `data_file` must be exactly `records` newline-terminated lines
+/// that parse_jsonl accepts. A prefix that is short, ends inside a record,
+/// or holds fewer or more records is not what the checkpoint wrote, so it
+/// throws ShardError naming the file before anything is truncated: a
+/// resume would otherwise keep a torn record or write records twice.
 std::vector<RunRecord> read_durable_records(const std::string& data_file,
                                             std::uint64_t bytes,
                                             std::uint64_t records) {
@@ -259,27 +219,19 @@ std::vector<RunRecord> read_durable_records(const std::string& data_file,
   return out;
 }
 
+}  // namespace
+
 DurableAppender::DurableAppender(const std::string& path,
                                  std::uint64_t keep_bytes)
     : path_(path) {
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
   if (fd_ < 0) bail_errno("open " + path);
-  // The data is synced before its sidecar, so a checkpoint can only
-  // under-count the file. One that claims more belongs to another file:
-  // truncating "up" to it would pad the log with NUL bytes.
-  struct stat st {};
-  if (::fstat(fd_, &st) != 0 ||
-      keep_bytes > static_cast<std::uint64_t>(st.st_size)) {
-    ::close(fd_);
-    bail(path + " is shorter than its checkpoint (" +
-         std::to_string(keep_bytes) + " bytes)");
-  }
   // Crash recovery: drop everything past the last durable checkpoint
   // (torn lines, records whose sidecar update never landed).
   if (::ftruncate(fd_, static_cast<off_t>(keep_bytes)) != 0) {
-    bail_errno("ftruncate " + path);
+    close_and_bail(fd_, "ftruncate " + path);
   }
-  if (::lseek(fd_, 0, SEEK_END) < 0) bail_errno("lseek " + path);
+  if (::lseek(fd_, 0, SEEK_END) < 0) close_and_bail(fd_, "lseek " + path);
   bytes_ = keep_bytes;
 }
 
@@ -304,70 +256,90 @@ void DurableAppender::sync() {
   if (::fsync(fd_) != 0) bail_errno("fsync " + path_);
 }
 
-ShardResult run_sharded(Runner& runner, const std::vector<RunSpec>& runs,
-                        const std::string& shard_file,
-                        const Checkpoint& identity, const ShardOptions& opts) {
-  Checkpoint ckpt = identity;
-  ckpt.batches = 0;
-  ckpt.runs = 0;
-  ckpt.bytes = 0;
-  ckpt.done = false;
+DurableLog::DurableLog(std::string data_file, Checkpoint fresh,
+                       Bound bound, bool resume, bool timing)
+    : data_file_(std::move(data_file)),
+      timing_(timing),
+      ckpt_(open(std::move(fresh), bound, resume)),
+      out_(data_file_, ckpt_.bytes) {}
 
-  const std::string sidecar = checkpoint_path(shard_file);
-  if (opts.resume) {
-    if (const auto existing = read_checkpoint(sidecar)) {
-      if (existing->spec_digest != identity.spec_digest) {
-        bail("checkpoint " + sidecar +
-             " belongs to a different campaign spec — refusing to splice");
-      }
-      if (existing->shard != identity.shard || existing->of != identity.of) {
-        bail("checkpoint " + sidecar + " is for shard " +
-             std::to_string(existing->shard) + "/" +
-             std::to_string(existing->of) + ", not " +
-             std::to_string(identity.shard) + "/" +
-             std::to_string(identity.of));
-      }
-      if (existing->runs > runs.size()) {
-        bail("checkpoint " + sidecar + " records " +
-             std::to_string(existing->runs) + " runs but the shard only has " +
-             std::to_string(runs.size()));
-      }
-      (void)read_durable_records(shard_file, existing->bytes, existing->runs);
-      ckpt = *existing;
-      ckpt.done = false;
-    }
+Checkpoint DurableLog::open(Checkpoint fresh, Bound bound, bool resume) {
+  const std::string sidecar = checkpoint_path(data_file_);
+  auto ckpt = resume ? read_checkpoint(sidecar, fresh) : std::nullopt;
+  if (!ckpt) {
+    // The cursor drops to zero before the data file does (out_ truncates
+    // it next): an earlier campaign's sidecar never outlives its records,
+    // and a crash in between leaves one that under-counts.
+    write_checkpoint(sidecar, fresh);
+    return fresh;
   }
+  std::uint64_t records = 0;
+  for (std::size_t i = 0; i < ckpt->cursors.size(); ++i) {
+    const Checkpoint::Cursor& c = ckpt->cursors[i];
+    const std::string claims =
+        sidecar + ": target " + std::to_string(i) + " claims ";
+    if (c.rounds > bound.rounds) {
+      bail(claims + std::to_string(c.rounds) + " rounds but the spec allows " +
+           std::to_string(bound.rounds));
+    }
+    // Every record takes at least one byte.
+    const std::uint64_t most = std::min(bound.records, ckpt->bytes);
+    if (c.records > most) {
+      bail(claims + std::to_string(c.records) + " records but its spec and " +
+           std::to_string(ckpt->bytes) + " bytes hold at most " +
+           std::to_string(most));
+    }
+    records += c.records;
+  }
+  restored_ = read_durable_records(data_file_, ckpt->bytes, records);
+  return *ckpt;
+}
 
-  ShardResult result;
-  result.restored = ckpt.runs;
-  DurableAppender out(shard_file, ckpt.bytes);
+void DurableLog::append(const RunRecord& record) {
+  out_.append(to_jsonl(record, timing_) + '\n');
+  ++pending_;
+}
 
-  const std::size_t batch = opts.batch == 0 ? 1 : opts.batch;
-  for (std::size_t i = ckpt.runs; i < runs.size(); i += batch) {
+void DurableLog::barrier(std::size_t cursor) {
+  Checkpoint::Cursor& c = ckpt_.cursors.at(cursor);
+  c.rounds += 1;
+  c.records += pending_;
+  pending_ = 0;
+  commit();
+  if (after_barrier) after_barrier(ckpt_);
+}
+
+void DurableLog::finish(std::size_t cursor) {
+  ckpt_.cursors.at(cursor).done = true;
+  commit();
+}
+
+void DurableLog::commit() {
+  // Data first, cursor second: the sidecar must never point past bytes
+  // that are not yet on disk.
+  out_.sync();
+  ckpt_.bytes = out_.bytes();
+  write_checkpoint(checkpoint_path(data_file_), ckpt_);
+}
+
+std::vector<RunRecord> run_sharded(Runner& runner,
+                                   const std::vector<RunSpec>& runs,
+                                   DurableLog& log, std::size_t batch) {
+  batch = std::max<std::size_t>(batch, 1);
+  std::vector<RunRecord> executed;
+  for (std::size_t i = log.checkpoint().cursors.at(0).records;
+       i < runs.size(); i += batch) {
     const std::size_t count = std::min(batch, runs.size() - i);
     const std::vector<RunSpec> slice(runs.begin() + static_cast<long>(i),
                                      runs.begin() + static_cast<long>(i + count));
-    auto records = runner.run_batch(slice);
-    std::string lines;
-    for (const auto& rec : records) {
-      lines += to_jsonl(rec, opts.include_timing);
-      lines += '\n';
+    for (auto& rec : runner.run_batch(slice)) {
+      log.append(rec);
+      executed.push_back(std::move(rec));
     }
-    // Data first, cursor second: the sidecar must never point past bytes
-    // that are not yet on disk.
-    out.append(lines);
-    out.sync();
-    ckpt.batches += 1;
-    ckpt.runs += count;
-    ckpt.bytes = out.bytes();
-    write_checkpoint(sidecar, ckpt);
-    for (auto& rec : records) result.executed.push_back(std::move(rec));
-    if (opts.after_batch) opts.after_batch(ckpt);
+    log.barrier(0);
   }
-
-  ckpt.done = true;
-  write_checkpoint(sidecar, ckpt);
-  return result;
+  log.finish(0);
+  return executed;
 }
 
 std::size_t merge_shards(const std::vector<RunSpec>& runs,

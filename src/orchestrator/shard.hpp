@@ -1,7 +1,7 @@
 // Sharded, checkpointed campaign execution: split one expanded run set
-// across independent processes, write each shard's records durably batch
-// by batch, survive a mid-flight SIGKILL, and merge the shard files back
-// into the byte-exact single-process JSONL.
+// across independent processes, write each campaign's records durably
+// barrier by barrier, survive a mid-flight SIGKILL, and merge the shard
+// files back into the byte-exact single-process JSONL.
 //
 // Partitioning is seed-keyed, not index-keyed: shard_of() hashes the
 // run's derived seed through splitmix64, so ownership is a pure function
@@ -10,12 +10,14 @@
 // the spec reshuffles nothing that kept its seed.
 //
 // Durability contract (the JSONL file is the ground truth, the sidecar is
-// the cursor): after every batch the data file is fsync'd first, then the
+// the cursor): at every barrier the data file is fsync'd first, then the
 // sidecar is replaced atomically (tmp + fsync + rename). A crash between
 // the two leaves a sidecar that under-counts — resume re-truncates the
 // data file to the sidecar's byte offset, discarding the orphaned (or
-// torn) tail, and re-executes from the last durable run. Records are
-// deterministic, so the re-executed bytes equal the discarded ones.
+// torn) tail, and re-executes from the last barrier. Records are
+// deterministic, so the re-executed bytes equal the discarded ones. One
+// DurableLog keeps this contract for static batches and strategy rounds
+// alike.
 #pragma once
 
 #include <cstdint>
@@ -57,70 +59,41 @@ class ShardError : public std::runtime_error {
 [[nodiscard]] std::string shard_path(const std::string& out, std::uint32_t k,
                                      std::uint32_t n);
 
-/// The sidecar: where a shard's durable output ends. `spec_digest` binds
-/// it to one campaign file (fnv1a64 of the spec text) so a resume against
-/// an edited spec is refused.
+/// The sidecar: where a durable campaign's output ends. `spec_digest`
+/// binds it to one campaign file (fnv1a64 of the spec text). A static
+/// campaign keeps one cursor over its shard's runs (a batch is a round), a
+/// strategy campaign one per target, in emission order, at shard 0 of 1.
 struct Checkpoint {
+  struct Cursor {
+    std::uint64_t rounds = 0;   ///< barriers committed
+    std::uint64_t records = 0;  ///< durable records
+    bool done = false;
+  };
   std::uint64_t spec_digest = 0;
   std::uint32_t shard = 0;
   std::uint32_t of = 1;
-  std::uint64_t batches = 0;  ///< durable batches completed
-  std::uint64_t runs = 0;     ///< durable records (prefix of the shard's set)
-  std::uint64_t bytes = 0;    ///< data-file size at the last durable batch
-  bool done = false;
+  std::uint64_t bytes = 0;  ///< data-file size at the last barrier
+  std::vector<Cursor> cursors;
 };
 
 [[nodiscard]] std::string checkpoint_path(const std::string& shard_file);
 
-/// Reads a sidecar. nullopt = file absent (fresh start); a present but
-/// unreadable/mismatched document throws ShardError — a corrupt cursor
-/// must never silently restart a half-finished campaign from zero.
+/// Reads the sidecar at `path` for the campaign `identity` names (spec
+/// digest, shard layout, cursor count). nullopt = file absent (fresh
+/// start). An unreadable sidecar, another version, or another campaign's
+/// throws ShardError naming the file: none may restart a half-finished
+/// campaign from zero or splice two campaigns.
 [[nodiscard]] std::optional<Checkpoint> read_checkpoint(
-    const std::string& path);
+    const std::string& path, const Checkpoint& identity);
 
-/// Atomically replaces `path` with one durable JSON line: write to
-/// "<path>.tmp", fsync, rename over, fsync the directory.
+/// Atomically replaces `path` with the sidecar as one durable JSON line:
+/// write to "<path>.tmp", fsync, rename over, fsync the directory.
 void write_checkpoint(const std::string& path, const Checkpoint& ckpt);
-
-/// The strategy-campaign sidecar, kept beside the data file like
-/// Checkpoint. A strategy campaign runs one Controller per target, round
-/// by round, so its cursor is per target: rounds completed and the JSONL
-/// lines the target owns (emission is target-major, then round-major).
-/// `bytes` is the data-file size at the last durable round barrier.
-struct RoundCheckpoint {
-  struct Target {
-    std::uint64_t rounds = 0;
-    std::uint64_t records = 0;
-    bool done = false;
-  };
-  std::uint64_t spec_digest = 0;
-  std::uint64_t bytes = 0;
-  std::vector<Target> targets;
-};
-
-/// Reads a round sidecar. nullopt = file absent (fresh start); throws
-/// ShardError when it is unreadable, or belongs to another spec digest or
-/// target count — resuming it would splice two different campaigns.
-[[nodiscard]] std::optional<RoundCheckpoint> read_round_checkpoint(
-    const std::string& path, std::uint64_t spec_digest, std::size_t targets);
-
-/// Atomically replaces `path` with the round sidecar (same tmp + fsync +
-/// rename path as write_checkpoint).
-void write_round_checkpoint(const std::string& path,
-                            const RoundCheckpoint& ckpt);
-
-/// Reads back the durable prefix a sidecar vouches for: the first `bytes`
-/// bytes of `data_file` must be exactly `records` newline-terminated lines
-/// that parse_jsonl accepts. A prefix that is short, ends inside a record,
-/// or holds fewer or more records is not what the checkpoint wrote, so it
-/// throws ShardError naming the file before anything is truncated: a
-/// resume would otherwise keep a torn record or write records twice.
-[[nodiscard]] std::vector<RunRecord> read_durable_records(
-    const std::string& data_file, std::uint64_t bytes, std::uint64_t records);
 
 /// Append-only writer over a POSIX fd with explicit durability. Opening
 /// truncates to `keep_bytes` first (crash recovery: everything past the
-/// last durable checkpoint is discarded, including torn lines).
+/// last durable checkpoint is discarded, including torn lines); the
+/// caller has read that prefix, so the file holds at least that much.
 class DurableAppender {
  public:
   DurableAppender(const std::string& path, std::uint64_t keep_bytes);
@@ -138,34 +111,74 @@ class DurableAppender {
   std::string path_;
 };
 
-struct ShardOptions {
-  std::size_t batch = 8;  ///< runs per durable batch (min 1)
-  bool resume = false;
-  bool include_timing = false;
-  /// Fired after each batch becomes durable (data fsync'd, sidecar
-  /// renamed) with the checkpoint just written. Test seam: crash-recovery
-  /// tests hard-kill the process from here.
-  std::function<void(const Checkpoint&)> after_batch;
-};
+/// One durable campaign's data file and sidecar, opened fresh or resumed,
+/// then appended to barrier by barrier: static batches (run_sharded) and
+/// strategy rounds (the campaign driver) alike.
+class DurableLog {
+ public:
+  /// The most any cursor of the campaign can hold; a sidecar that claims
+  /// more was not written by this campaign.
+  struct Bound {
+    std::uint64_t rounds = UINT64_MAX;
+    std::uint64_t records = UINT64_MAX;
+  };
 
-struct ShardResult {
-  /// Records executed by THIS invocation, in index order. Runs restored
-  /// from the checkpoint are not re-materialized (their bytes are already
-  /// in the file).
-  std::vector<RunRecord> executed;
-  std::uint64_t restored = 0;  ///< runs skipped via the checkpoint
+  /// `fresh` is the campaign's starting checkpoint: spec digest, shard
+  /// layout and one zeroed cursor per run list. A fresh open (no
+  /// `resume`, or no sidecar) writes `fresh` as the sidecar, then
+  /// truncates the data file. A resume validates the sidecar, checks each
+  /// cursor against `bound` and the byte count, reads the vouched prefix
+  /// back, and only then truncates the tail; each refusal throws
+  /// ShardError naming the file, before it is touched. `timing` adds
+  /// wall_ms to the records appended.
+  DurableLog(std::string data_file, Checkpoint fresh, Bound bound,
+             bool resume, bool timing);
+
+  [[nodiscard]] const std::string& data_file() const noexcept {
+    return data_file_;
+  }
+  [[nodiscard]] const Checkpoint& checkpoint() const noexcept {
+    return ckpt_;
+  }
+  /// The records the resumed sidecar vouched for, in file order (empty
+  /// after a fresh open).
+  [[nodiscard]] const std::vector<RunRecord>& restored() const noexcept {
+    return restored_;
+  }
+
+  /// Appends one record's JSONL line; durable at the next barrier.
+  void append(const RunRecord& record);
+  /// A barrier: cursor `cursor` gains one round holding the records
+  /// appended since the last barrier. The data file is synced, the
+  /// sidecar rewritten, and then after_barrier fires.
+  void barrier(std::size_t cursor);
+  /// Marks `cursor` done and rewrites the sidecar (not a barrier).
+  void finish(std::size_t cursor);
+
+  /// The crash seam: called after every barrier this log commits, with
+  /// the checkpoint just written (`--crash-after-batches` kills from here).
+  std::function<void(const Checkpoint&)> after_barrier;
+
+ private:
+  Checkpoint open(Checkpoint fresh, Bound bound, bool resume);
+  void commit();
+
+  std::string data_file_;
+  bool timing_;
+  std::vector<RunRecord> restored_;
+  Checkpoint ckpt_;
+  DurableAppender out_;
+  std::uint64_t pending_ = 0;  ///< records appended since the last barrier
 };
 
 /// Executes `runs` (already filtered to this shard) through `runner` in
-/// batches, appending JSONL to `shard_file` with a durable checkpoint per
-/// batch. `identity` carries spec_digest/shard/of; with opts.resume the
-/// existing sidecar is validated against it and execution continues after
-/// the last durable batch. Throws ShardError on I/O failure or a
-/// checkpoint that belongs to a different spec or shard layout.
-ShardResult run_sharded(Runner& runner, const std::vector<RunSpec>& runs,
-                        const std::string& shard_file,
-                        const Checkpoint& identity,
-                        const ShardOptions& opts = {});
+/// batches of `batch` runs (min 1), starting after the runs `log`
+/// restored; each batch is appended and committed as one barrier of the
+/// log's single cursor, which is then marked done. Returns the records
+/// this call executed, in index order.
+std::vector<RunRecord> run_sharded(Runner& runner,
+                                   const std::vector<RunSpec>& runs,
+                                   DurableLog& log, std::size_t batch);
 
 /// Merges the `of` shard files of `out` (shard_path naming) into `out`
 /// itself, in global index order. Every expanded run must be present in

@@ -9,7 +9,6 @@
 #include <limits>
 #include <random>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -507,15 +506,19 @@ TEST(RunnerTest, ProgressAndRecordCallbacksAccount) {
   const auto runs = expand(small_sweep());
   RunnerConfig rc;
   rc.workers = 3;
-  std::size_t record_calls = 0;
+  struct CountingSink final : RecordSink {
+    std::size_t calls = 0;
+    void on_record(const RunRecord&) override { ++calls; }
+  };
+  CountingSink counting;
   Progress last;
-  rc.on_record = [&record_calls](const RunRecord&) { ++record_calls; };
+  rc.sinks = {&counting};
   rc.on_progress = [&last](const Progress& p) {
     EXPECT_LE(p.completed + p.failed + p.in_flight, p.total);
     last = p;
   };
   const auto records = Runner(rc).run_all(runs);
-  EXPECT_EQ(record_calls, runs.size());
+  EXPECT_EQ(counting.calls, runs.size());
   EXPECT_EQ(last.completed + last.failed, runs.size());
   EXPECT_EQ(last.in_flight, 0u);
   EXPECT_EQ(records.size(), runs.size());
@@ -538,7 +541,6 @@ TEST(RunnerTest, SkippedRunsAreStampedAndReachEverySink) {
   };
   CollectingSink first;
   CollectingSink second;
-  std::vector<RunRecord> streamed;
   Progress last;
   RunnerConfig rc;
   rc.workers = 2;
@@ -548,7 +550,6 @@ TEST(RunnerTest, SkippedRunsAreStampedAndReachEverySink) {
     return r;
   };
   rc.should_skip = [](const RunSpec& run) { return run.index % 2 == 1; };
-  rc.on_record = [&streamed](const RunRecord& r) { streamed.push_back(r); };
   rc.on_progress = [&last](const Progress& p) { last = p; };
   rc.sinks = {&first, &second};
   const auto records = Runner(rc).run_all(runs);
@@ -589,38 +590,13 @@ TEST(RunnerTest, SkippedRunsAreStampedAndReachEverySink) {
                             "\"secondary_effects\"", "\"fc_credit_stalls\""}) {
       EXPECT_EQ(line.find(key), std::string::npos) << key << " in " << line;
     }
-    EXPECT_EQ(delivered(streamed, run.index), 1);
     EXPECT_EQ(delivered(first.seen, run.index), 1);
     EXPECT_EQ(delivered(second.seen, run.index), 1);
   }
   EXPECT_EQ(declined, 2u);
   EXPECT_EQ(last.skipped, declined);
-  EXPECT_EQ(streamed.size(), runs.size());
   EXPECT_EQ(first.seen.size(), runs.size());
   EXPECT_EQ(second.seen.size(), runs.size());
-}
-
-TEST(RunnerTest, JsonlSinkWritesOneLinePerRecord) {
-  std::ostringstream out;
-  JsonlSink sink(out);
-  RunnerConfig rc;
-  rc.workers = 2;
-  rc.on_record = [&sink](const RunRecord& r) { sink.write(r); };
-  rc.executor = [](const RunSpec& run, const nftape::RunControl&) {
-    nftape::CampaignResult r;
-    r.counters.messages_sent = r.counters.messages_received = run.index;
-    return r;
-  };
-  const auto records = Runner(rc).run_all(expand(small_sweep()));
-  std::istringstream in(out.str());
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) {
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    ++lines;
-  }
-  EXPECT_EQ(lines, records.size());
 }
 
 TEST(SeedTest, SplitmixDerivationIsStableAndDispersed) {

@@ -4,10 +4,15 @@
 // The contract under test: forking runs from a settled-fabric snapshot is
 // an execution detail, never an observable one. A mini-campaign executed
 // with snapshots on must emit JSONL byte-identical to the same campaign
-// cold-started — per run, across worker counts (1 vs 8, exercising the
-// per-worker cache with both a shared and a partitioned cell stream), on
+// cold-started — per run, across worker counts (1 vs 8, or 3 under
+// ThreadSanitizer, exercising the per-worker cache with both a shared and
+// a partitioned cell stream), on
 // both media, and through all three adaptive strategies (whose rounds
 // reuse one Runner's caches across run_batch calls).
+//
+// Under ThreadSanitizer the fork-vs-cold cases run shorter settles and
+// windows on fewer workers (see race_probe): the race they guard needs
+// concurrency and cache reuse, not simulated span.
 //
 // On top of the self-consistency checks, the snapshotted Myrinet
 // mini-campaign's JSONL is pinned as a committed digest
@@ -17,6 +22,7 @@
 // only when a result change is deliberate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -39,6 +45,34 @@ namespace {
 
 using namespace hsfi;
 using myrinet::ControlSymbol;
+
+#if defined(__SANITIZE_THREAD__)
+constexpr bool kThreadSanitizer = true;
+#else
+constexpr bool kThreadSanitizer = false;
+#endif
+
+/// Workers of the concurrent fork-vs-cold passes. Under ThreadSanitizer
+/// fewer than a cell's runs, so each worker forks from its own cache more
+/// than once.
+constexpr std::size_t kForkWorkers = kThreadSanitizer ? 3 : 8;
+
+/// A fork-vs-cold probe as its case runs it. ThreadSanitizer slows every
+/// simulated event many times over, so there the probe settles for at
+/// most two 20 ms mapping periods and measures a 3 ms window; the
+/// per-worker caches still settle, capture and fork on every medium and
+/// round. Default builds run the probe unchanged.
+template <class Spec>
+Spec race_probe(Spec spec) {
+  if constexpr (kThreadSanitizer) {
+    spec.startup_settle = std::min(spec.startup_settle, sim::milliseconds(40));
+    spec.testbed.map_period = sim::milliseconds(20);
+    spec.base.warmup = sim::milliseconds(1);
+    spec.base.duration = sim::milliseconds(3);
+    spec.base.drain = sim::milliseconds(1);
+  }
+  return spec;
+}
 
 /// FNV-1a, 64-bit, over the JSONL bytes (same helper shape as the other
 /// golden files so the digests are comparable artifacts).
@@ -135,23 +169,25 @@ std::string run_jsonl(const orchestrator::SweepSpec& sweep,
 }
 
 TEST(SnapshotEquivalence, MyrinetForkMatchesColdStart) {
-  const std::string cold = run_jsonl(mini_sweep(), 1, /*snapshots=*/false);
-  const std::string fork1 = run_jsonl(mini_sweep(), 1, /*snapshots=*/true);
-  const std::string fork8 = run_jsonl(mini_sweep(), 8, /*snapshots=*/true);
+  const auto sweep = race_probe(mini_sweep());
+  const std::string cold = run_jsonl(sweep, 1, /*snapshots=*/false);
+  const std::string fork1 = run_jsonl(sweep, 1, /*snapshots=*/true);
+  const std::string forks = run_jsonl(sweep, kForkWorkers, /*snapshots=*/true);
   ASSERT_FALSE(cold.empty());
   EXPECT_EQ(cold, fork1)
       << "forked runs must be byte-identical to cold starts";
-  EXPECT_EQ(cold, fork8)
+  EXPECT_EQ(cold, forks)
       << "per-worker snapshot caches must not leak into results";
 }
 
 TEST(SnapshotEquivalence, FibreChannelForkMatchesColdStart) {
-  const std::string cold = run_jsonl(fc_mini_sweep(), 1, /*snapshots=*/false);
-  const std::string fork1 = run_jsonl(fc_mini_sweep(), 1, /*snapshots=*/true);
-  const std::string fork8 = run_jsonl(fc_mini_sweep(), 8, /*snapshots=*/true);
+  const auto sweep = race_probe(fc_mini_sweep());
+  const std::string cold = run_jsonl(sweep, 1, /*snapshots=*/false);
+  const std::string fork1 = run_jsonl(sweep, 1, /*snapshots=*/true);
+  const std::string forks = run_jsonl(sweep, kForkWorkers, /*snapshots=*/true);
   ASSERT_FALSE(cold.empty());
   EXPECT_EQ(cold, fork1);
-  EXPECT_EQ(cold, fork8);
+  EXPECT_EQ(cold, forks);
 }
 
 // ---------------------------------------------------------------------------
@@ -190,7 +226,8 @@ std::string run_adaptive_jsonl(const std::string& which, bool snapshots) {
   adaptive::ControllerConfig config;
   config.runner.workers = 4;
   config.runner.snapshots = snapshots;
-  adaptive::Controller controller(adaptive_spec(), std::move(config));
+  adaptive::Controller controller(race_probe(adaptive_spec()),
+                                  std::move(config));
 
   adaptive::CampaignOutcome outcome;
   if (which == "fixed") {
