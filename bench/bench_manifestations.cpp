@@ -15,6 +15,7 @@
 #include "analysis/metrics.hpp"
 #include "myrinet/control.hpp"
 #include "nftape/campaign.hpp"
+#include "nftape/fabric.hpp"
 #include "nftape/faults.hpp"
 #include "nftape/report.hpp"
 #include "nftape/testbed.hpp"
@@ -70,10 +71,10 @@ int main() {
   config.map_period = sim::milliseconds(100);
   config.nic_config.rx_processing_time = sim::microseconds(1);
   config.send_stack_time = sim::microseconds(1);
-  nftape::Testbed bed(config);
-  bed.start();
-  bed.settle(sim::milliseconds(150));
-  nftape::CampaignRunner runner(bed);
+  nftape::MyrinetFabric fabric(config);
+  fabric.start();
+  fabric.settle(sim::milliseconds(150));
+  nftape::CampaignRunner runner(fabric);
 
   nftape::Report report("Failure manifestations by fault class");
   std::vector<std::string> header = {"fault", "injections"};

@@ -154,10 +154,10 @@ std::uint64_t scenario_seu_sweep(bool smoke) {
 /// Manifestation-analysis campaigns on one shared testbed: the monitor-hook
 /// and analyzer overhead on top of the §4.3 fault classes.
 std::uint64_t scenario_manifestations(bool smoke) {
-  nftape::Testbed bed(standard_testbed());
-  bed.start();
-  bed.settle(sim::milliseconds(150));
-  nftape::CampaignRunner runner(bed);
+  nftape::MyrinetFabric fabric(standard_testbed());
+  fabric.start();
+  fabric.settle(sim::milliseconds(150));
+  nftape::CampaignRunner runner(fabric);
 
   const struct {
     const char* name;
@@ -167,7 +167,7 @@ std::uint64_t scenario_manifestations(bool smoke) {
       {"gap->idle", nftape::control_symbol_corruption(ControlSymbol::kGap,
                                                       ControlSymbol::kIdle)},
   };
-  const std::uint64_t begin = bed.sim().executed_events();
+  const std::uint64_t begin = fabric.sim().executed_events();
   for (const auto& row : rows) {
     nftape::CampaignSpec spec;
     spec.name = row.name;
@@ -182,7 +182,7 @@ std::uint64_t scenario_manifestations(bool smoke) {
     spec.fault_from_switch = row.config;
     (void)runner.run(spec);
   }
-  return bed.sim().executed_events() - begin;
+  return fabric.sim().executed_events() - begin;
 }
 
 /// Live-monitor overhead A/B: the same pass-through-style sweep through the

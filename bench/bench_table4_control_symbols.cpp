@@ -14,6 +14,7 @@
 
 #include "myrinet/control.hpp"
 #include "nftape/campaign.hpp"
+#include "nftape/fabric.hpp"
 #include "nftape/faults.hpp"
 #include "nftape/report.hpp"
 #include "nftape/testbed.hpp"
@@ -64,10 +65,10 @@ void run_table(GateSemantics semantics, nftape::Report& report) {
     config.switch_config.short_timeout = sim::milliseconds(50);
     config.nic_config.short_timeout = sim::milliseconds(50);
   }
-  nftape::Testbed bed(config);
-  bed.start();
-  bed.settle(sim::milliseconds(150));
-  nftape::CampaignRunner runner(bed);
+  nftape::MyrinetFabric fabric(config);
+  fabric.start();
+  fabric.settle(sim::milliseconds(150));
+  nftape::CampaignRunner runner(fabric);
 
   const auto make_spec = [](std::string name) {
     nftape::CampaignSpec s;

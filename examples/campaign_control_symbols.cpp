@@ -9,6 +9,7 @@
 
 #include "myrinet/control.hpp"
 #include "nftape/campaign.hpp"
+#include "nftape/fabric.hpp"
 #include "nftape/faults.hpp"
 #include "nftape/report.hpp"
 #include "nftape/testbed.hpp"
@@ -19,11 +20,11 @@ using myrinet::ControlSymbol;
 int main() {
   nftape::TestbedConfig config;
   config.map_period = sim::milliseconds(100);
-  nftape::Testbed bed(config);
-  bed.start();
-  bed.settle(sim::milliseconds(150));
+  nftape::MyrinetFabric fabric(config);
+  fabric.start();
+  fabric.settle(sim::milliseconds(150));
 
-  nftape::CampaignRunner runner(bed);
+  nftape::CampaignRunner runner(fabric);
   nftape::Report report("Control symbol corruption (paper Table 4, excerpt)");
   report.set_header({"Mask", "Replacement", "Sent", "Received", "Loss"});
 

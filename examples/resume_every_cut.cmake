@@ -2,11 +2,13 @@
 # `--resume --crash-after-batches 2` must then stop after exactly k+2
 # durable barriers, the sidecar's records on whole lines, and `--resume
 # --monitor` must finish with the uninterrupted JSONL bytes and report.
+# With -DRUNS (a static spec of one run per barrier), every progress entry
+# of the first resume must count all RUNS runs, the first entry k done.
 #
 # Usage:
 #   cmake -DSWEEP=<run_sweep> -DSPEC=<campaign.json> -DWORK=<dir>
 #         -DTAG=<prefix> -DBARRIERS=<barriers of an uninterrupted run>
-#         -P resume_every_cut.cmake
+#         [-DRUNS=<runs>] -P resume_every_cut.cmake
 
 foreach(var SWEEP SPEC WORK TAG BARRIERS)
   if(NOT DEFINED ${var})
@@ -15,7 +17,8 @@ foreach(var SWEEP SPEC WORK TAG BARRIERS)
 endforeach()
 
 # Runs the spec into `out`, expects exit `expect_rc`, and sets `report` to
-# stderr from the per-cell table on, which holds no wall times.
+# stderr from the per-cell table on, which holds no wall times, and
+# `progress` to the progress line's entries ("3/8 done", ...).
 function(sweep expect_rc out)
   execute_process(COMMAND ${SWEEP} --spec ${SPEC} --out ${out} ${ARGN}
     RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
@@ -25,6 +28,8 @@ function(sweep expect_rc out)
   endif()
   string(REGEX MATCH "== per-cell manifestation rates.*" report "${err}")
   set(report "${report}" PARENT_SCOPE)
+  string(REGEX MATCHALL "[0-9]+/[0-9]+ done" progress "${err}")
+  set(progress "${progress}" PARENT_SCOPE)
 endfunction()
 
 set(reference ${WORK}/${TAG}_cut_reference.jsonl)
@@ -49,6 +54,13 @@ foreach(k RANGE 1 ${BARRIERS})
                           "over the ${lines} whole lines of ${cut}, got\n"
                           "${ckpt}")
     endif()
+  endif()
+  set(stray ${progress})
+  list(FILTER stray EXCLUDE REGEX "/${RUNS} done$")
+  if(DEFINED RUNS AND k LESS RUNS AND
+     (stray OR NOT progress MATCHES "^${k}/${RUNS} done"))
+    message(FATAL_ERROR "resumed after ${k} of ${RUNS} runs, the progress "
+                        "line read\n${progress}")
   endif()
   sweep(0 ${cut} --resume --monitor)
   execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${reference}

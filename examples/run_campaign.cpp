@@ -13,6 +13,7 @@
 
 #include "myrinet/control.hpp"
 #include "nftape/campaign.hpp"
+#include "nftape/fabric.hpp"
 #include "nftape/faults.hpp"
 #include "nftape/report.hpp"
 #include "nftape/testbed.hpp"
@@ -108,10 +109,10 @@ int main(int argc, char** argv) {
   config.map_period = sim::milliseconds(100);
   config.nic_config.rx_processing_time = sim::microseconds(1);
   config.send_stack_time = sim::microseconds(1);
-  nftape::Testbed bed(config);
-  bed.start();
-  bed.settle(sim::milliseconds(150));
-  nftape::CampaignRunner runner(bed);
+  nftape::MyrinetFabric fabric(config);
+  fabric.start();
+  fabric.settle(sim::milliseconds(150));
+  nftape::CampaignRunner runner(fabric);
 
   nftape::CampaignSpec spec;
   spec.name = name;

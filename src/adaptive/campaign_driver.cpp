@@ -243,9 +243,13 @@ Executed run_static(const std::vector<orchestrator::RunSpec>& runs,
     std::fprintf(stderr, " on shard %u/%u", o.shard_k, o.shard_n);
   }
   std::fprintf(stderr, "\n");
-  rc.on_progress = [](const orchestrator::Progress& p) {
+  // Progress counts the batches submitted so far; the line counts the
+  // whole shard, restored runs as done.
+  rc.on_progress = [restored = log == nullptr ? 0 : log->restored().size(),
+                    total = runs.size()](const orchestrator::Progress& p) {
     std::fprintf(stderr, "\r%zu/%zu done, %zu failed, %zu in flight   ",
-                 p.completed + p.failed, p.total, p.failed, p.in_flight);
+                 restored + p.completed + p.failed, total, p.failed,
+                 p.in_flight);
   };
   orchestrator::Runner runner(rc);
 

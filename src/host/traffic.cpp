@@ -4,23 +4,23 @@
 
 namespace hsfi::host {
 
-UdpFlood::UdpFlood(sim::Simulator& simulator, Host& host, Config config)
+PacedFlood::PacedFlood(sim::Simulator& simulator, Config config, Send send)
     : simulator_(simulator),
-      host_(host),
       config_(config),
-      rng_(config.seed, config.src_port) {}
+      send_(std::move(send)),
+      rng_(config.seed, config.stream) {}
 
-UdpFlood::~UdpFlood() {
+PacedFlood::~PacedFlood() {
   if (event_ != sim::kInvalidEventId) simulator_.cancel(event_);
 }
 
-void UdpFlood::start() {
+void PacedFlood::start() {
   if (running_) return;
   running_ = true;
   tick();
 }
 
-void UdpFlood::stop() {
+void PacedFlood::stop() {
   running_ = false;
   if (event_ != sim::kInvalidEventId) {
     simulator_.cancel(event_);
@@ -28,22 +28,17 @@ void UdpFlood::stop() {
   }
 }
 
-void UdpFlood::tick() {
+void PacedFlood::tick() {
   event_ = sim::kInvalidEventId;
   if (!running_) return;
-  if (config_.max_packets != 0 && sent_ >= config_.max_packets) {
+  if (config_.max_messages != 0 && sent_ >= config_.max_messages) {
     running_ = false;
     return;
   }
   const std::size_t burst = config_.burst_size == 0 ? 1 : config_.burst_size;
   for (std::size_t i = 0; i < burst; ++i) {
-    if (config_.max_packets != 0 && sent_ >= config_.max_packets) break;
-    UdpDatagram dgram;
-    dgram.src_port = config_.src_port;
-    dgram.dst_port = config_.dst_port;
-    dgram.payload.assign(config_.payload_size, config_.fill);
-    ++sent_;
-    host_.send_udp(config_.target, std::move(dgram));
+    if (config_.max_messages != 0 && sent_ >= config_.max_messages) break;
+    send_(sent_++);
   }
   sim::Duration wait = config_.interval * static_cast<sim::Duration>(burst);
   if (config_.jitter > 0.0) {
@@ -53,6 +48,18 @@ void UdpFlood::tick() {
   }
   event_ = simulator_.schedule_in(wait, [this] { tick(); });
 }
+
+UdpFlood::UdpFlood(sim::Simulator& simulator, Host& host, Config config)
+    : PacedFlood(simulator,
+                 {config.interval, config.burst_size, config.jitter,
+                  config.seed, config.src_port, config.max_packets},
+                 [&host, config](std::uint64_t) {
+                   UdpDatagram dgram;
+                   dgram.src_port = config.src_port;
+                   dgram.dst_port = config.dst_port;
+                   dgram.payload.assign(config.payload_size, config.fill);
+                   host.send_udp(config.target, std::move(dgram));
+                 }) {}
 
 UdpSink::UdpSink(Host& host, std::uint16_t port) {
   host.bind(port, [this](HostId src, const UdpDatagram& dgram,

@@ -18,34 +18,44 @@
 
 namespace hsfi::host {
 
-/// Sends fixed-size datagrams to one destination at a fixed interval.
-class UdpFlood {
+/// The campaign workload's destination port: the discard service, whose
+/// sink only counts what arrives.
+inline constexpr std::uint16_t kWorkloadPort = 9;
+/// The byte every workload payload is filled with, chosen so the corrupted
+/// symbol mask "did not appear in the message itself" (§4.3.1). Both media
+/// check each delivered payload against it.
+inline constexpr std::uint8_t kPayloadFill = 0x5A;
+
+/// The message program's pacing, one implementation for every medium:
+/// each tick hands the next `burst_size` message ordinals (0, 1, 2, ...)
+/// to the send callback back to back, then waits `interval x burst_size`.
+/// UdpFlood sends each ordinal as a datagram; the FC fabric sends it as an
+/// FC-2 sequence. Sharing this code is what makes the Knob axes (udp-us,
+/// burst) mean the same thing on either medium.
+class PacedFlood {
  public:
   struct Config {
-    HostId target = 0;
-    std::uint16_t src_port = 2048;
-    std::uint16_t dst_port = 9;  ///< discard-style sink
-    std::size_t payload_size = 64;
     sim::Duration interval = sim::microseconds(100);
-    /// Byte the payload is filled with; chosen so the corrupted symbol mask
-    /// "did not appear in the message itself".
-    std::uint8_t fill = 0x5A;
-    /// 0 = run until stop().
-    std::uint64_t max_packets = 0;
-    /// Datagrams emitted back to back per tick ("full capacity" bursts that
+    /// Messages emitted back to back per tick ("full capacity" bursts that
     /// collide at switch outputs and exercise STOP/GO flow control).
     std::size_t burst_size = 1;
-    /// Uniform jitter applied to each tick, as a fraction of the interval,
-    /// so periodic flows do not phase-lock.
+    /// Uniform jitter applied to each tick's wait, as a fraction of it, so
+    /// periodic flows do not phase-lock. Drawn from Rng(seed, stream).
     double jitter = 0.0;
     std::uint64_t seed = 1;
+    std::uint64_t stream = 0;
+    /// 0 = run until stop().
+    std::uint64_t max_messages = 0;
   };
+  /// Sends message number `ordinal`.
+  using Send = std::function<void(std::uint64_t ordinal)>;
 
-  UdpFlood(sim::Simulator& simulator, Host& host, Config config);
-  ~UdpFlood();
+  PacedFlood(sim::Simulator& simulator, Config config, Send send);
+  /// Cancels the pending tick.
+  ~PacedFlood();
 
-  UdpFlood(const UdpFlood&) = delete;
-  UdpFlood& operator=(const UdpFlood&) = delete;
+  PacedFlood(const PacedFlood&) = delete;
+  PacedFlood& operator=(const PacedFlood&) = delete;
 
   void start();
   void stop();
@@ -57,12 +67,34 @@ class UdpFlood {
   void tick();
 
   sim::Simulator& simulator_;
-  Host& host_;
   Config config_;
+  Send send_;
   bool running_ = false;
   std::uint64_t sent_ = 0;
   sim::EventId event_ = sim::kInvalidEventId;
   sim::Rng rng_;
+};
+
+/// Sends fixed-size datagrams to one destination; its pacing RNG stream is
+/// the source port.
+class UdpFlood final : public PacedFlood {
+ public:
+  struct Config {
+    HostId target = 0;
+    std::uint16_t src_port = 2048;
+    std::uint16_t dst_port = kWorkloadPort;
+    std::size_t payload_size = 64;
+    sim::Duration interval = sim::microseconds(100);
+    std::uint8_t fill = kPayloadFill;
+    /// 0 = run until stop().
+    std::uint64_t max_packets = 0;
+    /// Pacing, as in PacedFlood::Config.
+    std::size_t burst_size = 1;
+    double jitter = 0.0;
+    std::uint64_t seed = 1;
+  };
+
+  UdpFlood(sim::Simulator& simulator, Host& host, Config config);
 };
 
 /// Binds a port and counts what arrives (the receiving message program).

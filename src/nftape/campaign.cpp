@@ -24,11 +24,6 @@ struct FabricGuard {
 
 CampaignRunner::CampaignRunner(Fabric& fabric) : fabric_(fabric) {}
 
-CampaignRunner::CampaignRunner(Testbed& bed)
-    : owned_(std::make_unique<MyrinetFabric>(bed)), fabric_(*owned_) {}
-
-CampaignRunner::~CampaignRunner() = default;
-
 void CampaignRunner::settle_checked(sim::Duration span,
                                     const RunControl* control,
                                     sim::Duration* elapsed) {

@@ -19,14 +19,11 @@
 #include <string>
 #include <string_view>
 
-#include <memory>
-
 #include "analysis/analyzer.hpp"
 #include "analysis/manifestation.hpp"
 #include "analysis/metrics.hpp"
 #include "core/injector_config.hpp"
 #include "nftape/medium.hpp"
-#include "nftape/testbed.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/time.hpp"
 
@@ -34,15 +31,15 @@ namespace hsfi::nftape {
 
 class Fabric;
 
+/// The message program every node runs toward every other node, on either
+/// medium (flow_plan in fabric.hpp). Payloads are host::kPayloadFill bytes
+/// sent to host::kWorkloadPort.
 struct WorkloadSpec {
-  /// Per-sender datagram interval ("the network was operating at full
+  /// Per-sender message interval ("the network was operating at full
   /// capacity and every node was running a message-sending program").
   sim::Duration udp_interval = sim::microseconds(500);
   std::size_t payload_size = 64;
-  std::uint8_t payload_fill = 0x5A;
-  bool all_to_all = true;  ///< false: only node 0 <-> node 1
-  std::uint16_t port = 9;
-  /// Burstiness (see host::UdpFlood::Config): bursts collide at switch
+  /// Burstiness (see host::PacedFlood::Config): bursts collide at switch
   /// outputs and engage STOP/GO flow control, the paper's "network
   /// operating at full capacity".
   std::size_t burst_size = 1;
@@ -243,13 +240,6 @@ class CampaignRunner {
   /// interface.
   explicit CampaignRunner(Fabric& fabric);
 
-  /// Convenience for the historical call sites: wraps `bed` in a
-  /// MyrinetFabric view (no behavioral difference from the pre-Fabric
-  /// runner — the event stream is identical).
-  explicit CampaignRunner(Testbed& bed);
-
-  ~CampaignRunner();
-
   CampaignRunner(const CampaignRunner&) = delete;
   CampaignRunner& operator=(const CampaignRunner&) = delete;
 
@@ -269,7 +259,6 @@ class CampaignRunner {
   void settle_checked(sim::Duration span, const RunControl* control,
                       sim::Duration* elapsed);
 
-  std::unique_ptr<Fabric> owned_;  ///< set by the Testbed& constructor
   Fabric& fabric_;
 };
 

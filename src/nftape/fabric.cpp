@@ -18,21 +18,26 @@ void Fabric::detach_monitors() {
   monitor_ = nullptr;
 }
 
-bool payload_intact(const WorkloadSpec& workload,
-                    std::span<const std::uint8_t> payload) {
-  return payload.size() == workload.payload_size &&
-         std::all_of(payload.begin(), payload.end(),
-                     [fill = workload.payload_fill](std::uint8_t b) {
-                       return b == fill;
-                     });
+std::vector<Flow> flow_plan(std::size_t nodes, std::uint64_t seed) {
+  std::vector<Flow> flows;
+  for (std::size_t i = 0; i < nodes; ++i) {
+    for (std::size_t j = 0; j < nodes; ++j) {
+      if (i == j) continue;
+      flows.push_back({i, j, sim::derive_seed(seed, 100 + i * 16 + j),
+                       static_cast<std::uint16_t>(3000 + i * 16 + j)});
+    }
+  }
+  return flows;
 }
 
-MyrinetFabric::MyrinetFabric(TestbedConfig config)
-    : owned_(std::make_unique<Testbed>(std::move(config))), bed_(*owned_) {}
+bool payload_intact(std::size_t payload_size,
+                    std::span<const std::uint8_t> payload) {
+  return payload.size() == payload_size &&
+         std::all_of(payload.begin(), payload.end(),
+                     [](std::uint8_t b) { return b == host::kPayloadFill; });
+}
 
-MyrinetFabric::MyrinetFabric(Testbed& bed) : bed_(bed) {}
-
-MyrinetFabric::~MyrinetFabric() = default;
+MyrinetFabric::MyrinetFabric(TestbedConfig config) : bed_(std::move(config)) {}
 
 std::uint64_t MyrinetFabric::base_seed() const noexcept {
   return bed_.config().seed;
@@ -43,34 +48,29 @@ void MyrinetFabric::start_workload(const WorkloadSpec& workload,
                                    analysis::ManifestationAnalyzer&) {
   for (std::size_t i = 0; i < bed_.node_count(); ++i) {
     sinks_.push_back(
-        std::make_unique<host::UdpSink>(bed_.host(i), workload.port));
+        std::make_unique<host::UdpSink>(bed_.host(i), host::kWorkloadPort));
     sinks_.back()->on_receive(
         [&simulator = bed_.sim(), node = static_cast<std::uint32_t>(i),
-         workload](host::HostId, const host::UdpDatagram& dgram,
-                   sim::SimTime when) {
-          if (!payload_intact(workload, dgram.payload)) {
+         size = workload.payload_size](host::HostId,
+                                       const host::UdpDatagram& dgram,
+                                       sim::SimTime when) {
+          if (!payload_intact(size, dgram.payload)) {
             simulator.observe(when, sim::Observed::kPayloadCorrupted, "sink",
                               node);
           }
         });
   }
-  for (std::size_t i = 0; i < bed_.node_count(); ++i) {
-    for (std::size_t j = 0; j < bed_.node_count(); ++j) {
-      if (i == j) continue;
-      if (!workload.all_to_all && !(i < 2 && j < 2)) continue;
-      host::UdpFlood::Config fc;
-      fc.target = static_cast<host::HostId>(j + 1);
-      fc.dst_port = workload.port;
-      fc.src_port = static_cast<std::uint16_t>(3000 + i * 16 + j);
-      fc.payload_size = workload.payload_size;
-      fc.fill = workload.payload_fill;
-      fc.interval = workload.udp_interval;
-      fc.burst_size = workload.burst_size;
-      fc.jitter = workload.jitter;
-      fc.seed = sim::derive_seed(seed, 100 + i * 16 + j);
-      floods_.push_back(
-          std::make_unique<host::UdpFlood>(bed_.sim(), bed_.host(i), fc));
-    }
+  for (const Flow& flow : flow_plan(bed_.node_count(), seed)) {
+    host::UdpFlood::Config fc;
+    fc.target = static_cast<host::HostId>(flow.dst + 1);
+    fc.src_port = flow.stream;
+    fc.payload_size = workload.payload_size;
+    fc.interval = workload.udp_interval;
+    fc.burst_size = workload.burst_size;
+    fc.jitter = workload.jitter;
+    fc.seed = flow.seed;
+    floods_.push_back(
+        std::make_unique<host::UdpFlood>(bed_.sim(), bed_.host(flow.src), fc));
   }
   for (auto& f : floods_) f->start();
 }

@@ -90,12 +90,13 @@ class Fabric {
   virtual void attach_monitors(analysis::ManifestationAnalyzer& analyzer);
   virtual void detach_monitors();
 
-  /// Creates and starts the saturating workload (UDP floods / FC sequence
-  /// floods), with per-flow RNG streams derived from `seed`. Delivered-but-
-  /// corrupted payloads are observed as kPayloadCorrupted (the taxonomy's
-  /// worst class — nothing upstream noticed). `analyzer` is unused (the
-  /// stream reaches it); it stays until the campaign benchmark's wrapper,
-  /// which overrides this signature, drops it too (ROADMAP).
+  /// Creates and starts the saturating workload: one paced flood per
+  /// flow_plan(nodes, seed) flow, sending UDP datagrams or FC-2 sequences.
+  /// Delivered-but-corrupted payloads are observed as kPayloadCorrupted
+  /// (the taxonomy's worst class — nothing upstream noticed). `analyzer` is
+  /// unused (the stream reaches it); it stays until the campaign
+  /// benchmark's wrapper, which overrides this signature, drops it too
+  /// (ROADMAP).
   virtual void start_workload(const WorkloadSpec& workload, std::uint64_t seed,
                               analysis::ManifestationAnalyzer& analyzer) = 0;
   virtual void stop_workload() = 0;
@@ -108,25 +109,17 @@ class Fabric {
   /// start, so step.at offsets land inside the window). Firings are
   /// observed as kScenarioStep, which the analyzer counts as injections,
   /// and surface as FabricCounters.scenario_steps. `analyzer` is unused,
-  /// as in start_workload. Base implementation: scenarios unsupported,
-  /// no-op.
+  /// as in start_workload.
   virtual void arm_scenario(const scenario::ScenarioSpec& spec,
                             std::uint64_t seed,
-                            analysis::ManifestationAnalyzer& analyzer) {
-    (void)spec;
-    (void)seed;
-    (void)analyzer;
-  }
+                            analysis::ManifestationAnalyzer& analyzer) = 0;
   /// Uninstalls the hooks and neutralizes unfired steps. Idempotent.
-  virtual void disarm_scenario() {}
+  virtual void disarm_scenario() = 0;
 
   [[nodiscard]] virtual FabricCounters snapshot() const = 0;
   /// Total symbols transmitted across every link segment since
   /// construction (monotonic; callers diff two readings for a window).
-  /// Base implementation reports 0 for fabrics without symbol channels.
-  [[nodiscard]] virtual std::uint64_t symbols_sent() const noexcept {
-    return 0;
-  }
+  [[nodiscard]] virtual std::uint64_t symbols_sent() const noexcept = 0;
   /// How long after disarming the medium needs to re-reach the known good
   /// state (Myrinet: one mapping round; FC: in-flight drain).
   [[nodiscard]] virtual sim::Duration recovery_time() const = 0;
@@ -148,11 +141,7 @@ class Fabric {
 /// flood/sink workload, scenario driver and counter snapshots.
 class MyrinetFabric final : public Fabric {
  public:
-  /// Owns a private Testbed built from `config` (the orchestrator path).
   explicit MyrinetFabric(TestbedConfig config);
-  /// Wraps an existing Testbed (the historical direct-construction path).
-  explicit MyrinetFabric(Testbed& bed);
-  ~MyrinetFabric() override;
 
   [[nodiscard]] Testbed& bed() noexcept { return bed_; }
 
@@ -189,18 +178,33 @@ class MyrinetFabric final : public Fabric {
   void restore_snapshot(const FabricSnapshot& snap) override;
 
  private:
-  std::unique_ptr<Testbed> owned_;
-  Testbed& bed_;
+  Testbed bed_;
   std::vector<std::unique_ptr<host::UdpSink>> sinks_;
   std::vector<std::unique_ptr<host::UdpFlood>> floods_;
   std::unique_ptr<scenario::MyrinetScenarioDriver> scenario_driver_;
 };
 
-/// True when `payload` has the workload's constant size and fill. Both
-/// media check every delivered payload with it: a delivery that passed
+/// One flow of the campaign workload: node `src` floods node `dst`, its
+/// pacing jitter drawn from Rng(seed, stream). On Myrinet the stream is
+/// also the datagrams' source port.
+struct Flow {
+  std::size_t src = 0;
+  std::size_t dst = 0;
+  std::uint64_t seed = 0;
+  std::uint16_t stream = 0;
+};
+
+/// The workload's flows on `nodes` nodes, in the order both media build
+/// and start them: every ordered pair of distinct nodes, source-major, each
+/// with its own seed derived from the run's `seed`.
+[[nodiscard]] std::vector<Flow> flow_plan(std::size_t nodes,
+                                          std::uint64_t seed);
+
+/// True when `payload` has the workload's size and host::kPayloadFill.
+/// Both media check every delivered payload with it: a delivery that passed
 /// every protocol check but fails this was corrupted in flight with nothing
 /// upstream noticing (the taxonomy's worst class).
-[[nodiscard]] bool payload_intact(const WorkloadSpec& workload,
+[[nodiscard]] bool payload_intact(std::size_t payload_size,
                                   std::span<const std::uint8_t> payload);
 
 /// Builds the fabric realization for `medium` from one medium-neutral

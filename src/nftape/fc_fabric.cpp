@@ -4,96 +4,7 @@
 #include <string>
 #include <utility>
 
-#include "sim/rng.hpp"
-
 namespace hsfi::nftape {
-
-/// The "SCSI-like" message program: each tick submits `burst_size`
-/// payloads, each split by SequenceBuilder into SOFi3...EOFt multi-frame
-/// sequences with cycling SEQ_ID/OX_ID, paced and jittered exactly like
-/// host::UdpFlood so the Knob axes (udp-us, burst) mean the same thing on
-/// either medium.
-class FcFabric::SequenceFlood {
- public:
-  struct Config {
-    std::uint32_t s_id = 0;
-    std::uint32_t d_id = 0;
-    std::size_t payload_size = 64;
-    std::uint8_t fill = 0x5A;
-    std::size_t chunk = 128;
-    sim::Duration interval = sim::microseconds(100);
-    std::size_t burst_size = 1;
-    double jitter = 0.0;
-    std::uint64_t seed = 1;
-    std::uint32_t stream = 0;
-  };
-
-  SequenceFlood(sim::Simulator& simulator, fc::FcPort& port, Config config)
-      : simulator_(simulator),
-        port_(port),
-        config_(config),
-        rng_(config.seed, config.stream) {}
-
-  ~SequenceFlood() {
-    if (event_ != sim::kInvalidEventId) simulator_.cancel(event_);
-  }
-
-  SequenceFlood(const SequenceFlood&) = delete;
-  SequenceFlood& operator=(const SequenceFlood&) = delete;
-
-  void start() {
-    if (running_) return;
-    running_ = true;
-    tick();
-  }
-
-  void stop() {
-    running_ = false;
-    if (event_ != sim::kInvalidEventId) {
-      simulator_.cancel(event_);
-      event_ = sim::kInvalidEventId;
-    }
-  }
-
-  [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }
-
- private:
-  void tick() {
-    event_ = sim::kInvalidEventId;
-    if (!running_) return;
-    const std::size_t burst = config_.burst_size == 0 ? 1 : config_.burst_size;
-    for (std::size_t i = 0; i < burst; ++i) {
-      fc::FcHeader h;
-      h.d_id = config_.d_id;
-      h.s_id = config_.s_id;
-      h.seq_id = static_cast<std::uint8_t>(sent_ & 0xFF);
-      h.ox_id = static_cast<std::uint16_t>(sent_ & 0xFFFF);
-      auto frames = fc::SequenceBuilder::build(
-          h, std::vector<std::uint8_t>(config_.payload_size, config_.fill),
-          config_.chunk);
-      // A full transmit queue drops the frame (counted by the port); the
-      // receiver's reassembler then aborts the sequence — class 3 has no
-      // retransmission.
-      for (auto& f : frames) port_.send(std::move(f));
-      ++sent_;
-    }
-    sim::Duration wait = config_.interval * static_cast<sim::Duration>(burst);
-    if (config_.jitter > 0.0) {
-      const double span = config_.jitter * static_cast<double>(wait);
-      wait += static_cast<sim::Duration>((rng_.uniform() - 0.5) * span);
-      if (wait < 1) wait = 1;
-    }
-    event_ = simulator_.schedule_in(wait, [this] { tick(); });
-  }
-
-  sim::Simulator& simulator_;
-  fc::FcPort& port_;
-  Config config_;
-  bool running_ = false;
-  std::uint64_t sent_ = 0;
-  sim::EventId event_ = sim::kInvalidEventId;
-  sim::Rng rng_;
-};
 
 FcFabric::FcFabric(TestbedConfig config)
     : config_([&config] {
@@ -127,8 +38,6 @@ FcFabric::FcFabric(TestbedConfig config)
   }
 }
 
-FcFabric::~FcFabric() = default;
-
 fc::FcPort& FcFabric::node_port(std::size_t i) { return *nodes_.at(i)->port; }
 
 void FcFabric::start() {
@@ -156,7 +65,7 @@ void FcFabric::reset_to_known_good(std::uint64_t seed) {
 
 void FcFabric::start_workload(const WorkloadSpec& workload, std::uint64_t seed,
                               analysis::ManifestationAnalyzer&) {
-  workload_ = workload;
+  payload_size_ = workload.payload_size;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     Node& node = *nodes_[i];
     node.delivered = 0;
@@ -164,10 +73,10 @@ void FcFabric::start_workload(const WorkloadSpec& workload, std::uint64_t seed,
     // A reassembled sequence cleared CRC-32 and in-order SEQ_CNT; a
     // payload_intact failure past that is corruption nothing noticed.
     node.reassembler = std::make_unique<fc::SequenceReassembler>(
-        [this, &node, unit, workload](std::uint32_t, std::uint8_t,
-                                      std::vector<std::uint8_t> payload) {
+        [this, &node, unit](std::uint32_t, std::uint8_t,
+                            std::vector<std::uint8_t> payload) {
           ++node.delivered;
-          if (!payload_intact(workload, payload)) {
+          if (!payload_intact(payload_size_, payload)) {
             sim_.observe(sim_.now(), sim::Observed::kPayloadCorrupted, "sink",
                          unit);
           }
@@ -190,24 +99,32 @@ void FcFabric::start_workload(const WorkloadSpec& workload, std::uint64_t seed,
       }
     });
   }
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    for (std::size_t j = 0; j < nodes_.size(); ++j) {
-      if (i == j) continue;
-      if (!workload.all_to_all && !(i < 2 && j < 2)) continue;
-      SequenceFlood::Config fcfg;
-      fcfg.s_id = port_id_of(i);
-      fcfg.d_id = port_id_of(j);
-      fcfg.payload_size = workload.payload_size;
-      fcfg.fill = workload.payload_fill;
-      fcfg.chunk = config_.fc.frame_chunk;
-      fcfg.interval = workload.udp_interval;
-      fcfg.burst_size = workload.burst_size;
-      fcfg.jitter = workload.jitter;
-      fcfg.seed = sim::derive_seed(seed, 100 + i * 16 + j);
-      fcfg.stream = static_cast<std::uint32_t>(3000 + i * 16 + j);
-      floods_.push_back(std::make_unique<SequenceFlood>(
-          sim_, *nodes_[i]->port, fcfg));
-    }
+  // The "SCSI-like" message program: each message is one fixed-fill
+  // payload split by SequenceBuilder into a SOFi3...EOFt multi-frame
+  // sequence, its SEQ_ID/OX_ID cycling with the message's ordinal.
+  for (const Flow& flow : flow_plan(nodes_.size(), seed)) {
+    host::PacedFlood::Config pacing;
+    pacing.interval = workload.udp_interval;
+    pacing.burst_size = workload.burst_size;
+    pacing.jitter = workload.jitter;
+    pacing.seed = flow.seed;
+    pacing.stream = flow.stream;
+    fc::FcHeader h;
+    h.d_id = port_id_of(flow.dst);
+    h.s_id = port_id_of(flow.src);
+    floods_.push_back(std::make_unique<host::PacedFlood>(
+        sim_, pacing,
+        [&port = *nodes_[flow.src]->port, h, size = workload.payload_size,
+         chunk = config_.fc.frame_chunk](std::uint64_t ordinal) mutable {
+          h.seq_id = static_cast<std::uint8_t>(ordinal & 0xFF);
+          h.ox_id = static_cast<std::uint16_t>(ordinal & 0xFFFF);
+          auto frames = fc::SequenceBuilder::build(
+              h, std::vector<std::uint8_t>(size, host::kPayloadFill), chunk);
+          // A full transmit queue drops the frame (counted by the port);
+          // the receiver's reassembler then aborts the sequence — class 3
+          // has no retransmission.
+          for (auto& f : frames) port.send(std::move(f));
+        }));
   }
   for (auto& f : floods_) f->start();
 }
@@ -234,8 +151,7 @@ void FcFabric::arm_scenario(const scenario::ScenarioSpec& spec,
   }
   scenario::FcScenarioDriver::Params params;
   params.frame_chunk = config_.fc.frame_chunk;
-  params.payload_size = workload_.payload_size;
-  params.payload_fill = workload_.payload_fill;
+  params.payload_size = payload_size_;
   scenario_driver_ = std::make_unique<scenario::FcScenarioDriver>(
       sim_, std::move(hooks), params);
   scenario_driver_->arm(spec, seed);

@@ -19,6 +19,7 @@
 #include "fc/fabric.hpp"
 #include "fc/port.hpp"
 #include "fc/sequence.hpp"
+#include "host/traffic.hpp"
 #include "nftape/board.hpp"
 #include "nftape/fabric.hpp"
 #include "scenario/driver_fc.hpp"
@@ -29,7 +30,6 @@ namespace hsfi::nftape {
 class FcFabric final : public Fabric {
  public:
   explicit FcFabric(TestbedConfig config);
-  ~FcFabric() override;
 
   FcFabric(const FcFabric&) = delete;
   FcFabric& operator=(const FcFabric&) = delete;
@@ -83,7 +83,6 @@ class FcFabric final : public Fabric {
   void restore_snapshot(const FabricSnapshot& snap) override;
 
  private:
-  class SequenceFlood;
   struct Node {
     std::unique_ptr<fc::FcPort> port;
     /// Per-run receive side (built by start_workload).
@@ -96,10 +95,10 @@ class FcFabric final : public Fabric {
   InjectorBoard board_;
   std::unique_ptr<fc::FcFabric> element_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<std::unique_ptr<SequenceFlood>> floods_;
-  /// Payload shape of the current workload, so injected scenario sequences
+  std::vector<std::unique_ptr<host::PacedFlood>> floods_;
+  /// Payload size of the current workload, so injected scenario sequences
   /// can match (or deliberately mismatch) what the reassembler checks.
-  WorkloadSpec workload_;
+  std::size_t payload_size_ = WorkloadSpec{}.payload_size;
   std::unique_ptr<scenario::FcScenarioDriver> scenario_driver_;
 };
 

@@ -111,13 +111,23 @@ class Testbed {
   [[nodiscard]] sim::Simulator& sim() noexcept { return sim_; }
   [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
   [[nodiscard]] host::Host& host(std::size_t i) { return *nodes_.at(i)->host; }
+  [[nodiscard]] const host::Host& host(std::size_t i) const {
+    return *nodes_.at(i)->host;
+  }
   [[nodiscard]] myrinet::HostInterface& nic(std::size_t i) {
     return *nodes_.at(i)->nic;
   }
+  [[nodiscard]] const myrinet::HostInterface& nic(std::size_t i) const {
+    return *nodes_.at(i)->nic;
+  }
   [[nodiscard]] myrinet::Switch& network_switch() noexcept { return switch_; }
+  [[nodiscard]] const myrinet::Switch& network_switch() const noexcept {
+    return switch_;
+  }
 
   /// The cabling and the spliced injector board.
   [[nodiscard]] InjectorBoard& board() noexcept { return board_; }
+  [[nodiscard]] const InjectorBoard& board() const noexcept { return board_; }
   /// The spliced injector (with_injector must be set).
   [[nodiscard]] core::InjectorDevice& injector() { return board_.injector(); }
   /// The external system's serial handle to the injector.

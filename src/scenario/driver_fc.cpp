@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "fc/sequence.hpp"
+#include "host/traffic.hpp"
 
 namespace hsfi::scenario {
 
@@ -47,7 +48,7 @@ void FcScenarioDriver::State::fire(const std::shared_ptr<State>& st,
       // visible to the workload's payload check.
       const std::vector<std::uint8_t> payload(
           st->params.payload_size,
-          static_cast<std::uint8_t>(~st->params.payload_fill));
+          static_cast<std::uint8_t>(~host::kPayloadFill));
       const auto frames = fc::SequenceBuilder::build(
           st->scenario_header(node, target), payload, st->params.frame_chunk);
       for (int pass = 0; pass < 2; ++pass) {
@@ -59,7 +60,7 @@ void FcScenarioDriver::State::fire(const std::shared_ptr<State>& st,
       // Three chunks so there are two continuation frames to swap; the
       // receiver's in-order SEQ_CNT check rejects the early arrival.
       const std::vector<std::uint8_t> payload(st->params.frame_chunk * 3,
-                                              st->params.payload_fill);
+                                              host::kPayloadFill);
       auto frames = fc::SequenceBuilder::build(
           st->scenario_header(node, target), payload, st->params.frame_chunk);
       if (frames.size() >= 3) std::swap(frames[1], frames[2]);

@@ -37,10 +37,10 @@ class FcScenarioDriver {
     /// Sequence chunking, matched to the testbed's frame_chunk so injected
     /// sequences are indistinguishable from workload traffic on the wire.
     std::size_t frame_chunk = 128;
-    /// Workload payload shape; duplicated sequences deliberately invert the
-    /// fill so the delivered duplicate fails the workload's payload check.
+    /// Workload payload size; duplicated sequences deliberately invert
+    /// host::kPayloadFill so the delivered duplicate fails the workload's
+    /// payload check.
     std::size_t payload_size = 64;
-    std::uint8_t payload_fill = 0x5A;
   };
 
   FcScenarioDriver(sim::Simulator& simulator, std::vector<FcNodeHooks> nodes,

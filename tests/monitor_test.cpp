@@ -33,6 +33,7 @@
 #include "monitor/service.hpp"
 #include "myrinet/control.hpp"
 #include "nftape/campaign.hpp"
+#include "nftape/fabric.hpp"
 #include "nftape/faults.hpp"
 #include "nftape/testbed.hpp"
 #include "orchestrator/runner.hpp"
@@ -186,17 +187,17 @@ MiniOutput run_mini(std::size_t workers, monitor::MonitorService* service) {
   rc.executor = [&digests](const orchestrator::RunSpec& run,
                            const nftape::RunControl& control) {
     Fnv1a digest;
-    nftape::Testbed bed(run.testbed);
-    bed.sim().set_event_observer(
+    nftape::MyrinetFabric fabric(run.testbed);
+    fabric.sim().set_event_observer(
         [&digest](sim::SimTime when, std::uint64_t exec_seq,
                   std::uint64_t schedule_seq) {
           digest.i64(when);
           digest.u64(exec_seq);
           digest.u64(schedule_seq);
         });
-    bed.start();
-    bed.settle(run.startup_settle);
-    nftape::CampaignRunner runner(bed);
+    fabric.start();
+    fabric.settle(run.startup_settle);
+    nftape::CampaignRunner runner(fabric);
     auto result = runner.run(run.campaign, &control);
     digests[run.index] = digest.hex();
     return result;

@@ -7,7 +7,9 @@
 #include "analysis/manifestation.hpp"
 #include "myrinet/control.hpp"
 #include "nftape/campaign.hpp"
+#include "nftape/fabric.hpp"
 #include "nftape/faults.hpp"
+#include "nftape/fc_fabric.hpp"
 #include "nftape/report.hpp"
 #include "nftape/testbed.hpp"
 
@@ -39,10 +41,10 @@ CampaignSpec quick_spec(std::string name) {
 }
 
 TEST(CampaignTest, BaselineRunHasNoLoss) {
-  Testbed bed(campaign_config());
-  bed.start();
-  bed.settle(milliseconds(60));
-  CampaignRunner runner(bed);
+  MyrinetFabric fabric(campaign_config());
+  fabric.start();
+  fabric.settle(milliseconds(60));
+  CampaignRunner runner(fabric);
   const auto r = runner.run(quick_spec("baseline"));
   EXPECT_GT(r.counters.messages_sent, 1000u);
   // Loss-free up to window-boundary skew (messages sent during warmup may
@@ -55,10 +57,10 @@ TEST(CampaignTest, BaselineRunHasNoLoss) {
 }
 
 TEST(CampaignTest, GapCorruptionCausesLoss) {
-  Testbed bed(campaign_config());
-  bed.start();
-  bed.settle(milliseconds(60));
-  CampaignRunner runner(bed);
+  MyrinetFabric fabric(campaign_config());
+  fabric.start();
+  fabric.settle(milliseconds(60));
+  CampaignRunner runner(fabric);
 
   auto spec = quick_spec("GAP->GO");
   spec.fault_to_switch =
@@ -76,10 +78,10 @@ TEST(CampaignTest, GapCorruptionCausesLoss) {
 TEST(CampaignTest, RunsAreRepeatable) {
   // "To ensure the repeatability of the experiments, each campaign began
   // with the network in a known good state."
-  Testbed bed(campaign_config());
-  bed.start();
-  bed.settle(milliseconds(60));
-  CampaignRunner runner(bed);
+  MyrinetFabric fabric(campaign_config());
+  fabric.start();
+  fabric.settle(milliseconds(60));
+  CampaignRunner runner(fabric);
   auto spec = quick_spec("repeat");
   spec.fault_to_switch =
       control_symbol_corruption(ControlSymbol::kStop, ControlSymbol::kGap);
@@ -91,17 +93,17 @@ TEST(CampaignTest, RunsAreRepeatable) {
 }
 
 TEST(CampaignTest, SerialAndDirectProgrammingAgree) {
-  Testbed bed(campaign_config());
-  bed.start();
-  bed.settle(milliseconds(60));
-  CampaignRunner runner(bed);
+  MyrinetFabric fabric(campaign_config());
+  fabric.start();
+  fabric.settle(milliseconds(60));
+  CampaignRunner runner(fabric);
   auto spec = quick_spec("serial-vs-direct");
   spec.fault_to_switch =
       control_symbol_corruption(ControlSymbol::kGap, ControlSymbol::kIdle);
   spec.program_via_serial = true;
   const auto serial = runner.run(spec);
   const auto serial_cfg =
-      bed.injector().config(core::Direction::kLeftToRight);
+      fabric.bed().injector().config(core::Direction::kLeftToRight);
   spec.program_via_serial = false;
   const auto direct = runner.run(spec);
   // The programmed configuration must be byte-identical; the measured
@@ -109,7 +111,10 @@ TEST(CampaignTest, SerialAndDirectProgrammingAgree) {
   // trigger ~20 ms later, changing how much pre-window mapping traffic is
   // exposed to the fault (real campaigns have the same sensitivity).
   EXPECT_EQ(serial_cfg.compare_data,
-            bed.injector().config(core::Direction::kLeftToRight).compare_data);
+            fabric.bed()
+                .injector()
+                .config(core::Direction::kLeftToRight)
+                .compare_data);
   EXPECT_GT(serial.counters.injections, 0u);
   EXPECT_GT(direct.counters.injections, 0u);
   EXPECT_NEAR(serial.loss_rate(), direct.loss_rate(), 0.10);
@@ -117,10 +122,10 @@ TEST(CampaignTest, SerialAndDirectProgrammingAgree) {
 
 TEST(CampaignTest, FaultFreeRunAfterFaultRunIsClean) {
   // The runner must disarm the injector between runs.
-  Testbed bed(campaign_config());
-  bed.start();
-  bed.settle(milliseconds(60));
-  CampaignRunner runner(bed);
+  MyrinetFabric fabric(campaign_config());
+  fabric.start();
+  fabric.settle(milliseconds(60));
+  CampaignRunner runner(fabric);
   auto faulty = quick_spec("faulty");
   faulty.fault_to_switch =
       control_symbol_corruption(ControlSymbol::kGap, ControlSymbol::kGo);
@@ -134,10 +139,10 @@ TEST(CampaignTest, ManifestationsAccountForEveryInjection) {
   // Tentpole invariant: each firing is followed downstream and lands in
   // exactly one taxonomy class, so the breakdown sums to the injection
   // count for every campaign — baseline and faulty alike.
-  Testbed bed(campaign_config());
-  bed.start();
-  bed.settle(milliseconds(60));
-  CampaignRunner runner(bed);
+  MyrinetFabric fabric(campaign_config());
+  fabric.start();
+  fabric.settle(milliseconds(60));
+  CampaignRunner runner(fabric);
 
   const auto baseline = runner.run(quick_spec("baseline"));
   EXPECT_EQ(baseline.manifestations.total(), baseline.counters.injections);
@@ -163,10 +168,10 @@ TEST(CampaignTest, GuardSettlesCountAgainstWatchdogBudget) {
   // into the elapsed figure handed to RunControl::should_cancel — a
   // watchdog budget covers the whole run, guards included.
   auto elapsed_with_guards = [](sim::Duration guard) {
-    Testbed bed(campaign_config());
-    bed.start();
-    bed.settle(milliseconds(60));
-    CampaignRunner runner(bed);
+    MyrinetFabric fabric(campaign_config());
+    fabric.start();
+    fabric.settle(milliseconds(60));
+    CampaignRunner runner(fabric);
     auto spec = quick_spec("guards");
     spec.duration = milliseconds(50);
     spec.program_guard = guard;
@@ -194,10 +199,10 @@ TEST(CampaignTest, OversizedGuardTripsWatchdog) {
   // A budget generous enough for the default guards must cancel the same
   // run when program_guard alone exceeds it — guards cannot hide from
   // the watchdog.
-  Testbed bed(campaign_config());
-  bed.start();
-  bed.settle(milliseconds(60));
-  CampaignRunner runner(bed);
+  MyrinetFabric fabric(campaign_config());
+  fabric.start();
+  fabric.settle(milliseconds(60));
+  CampaignRunner runner(fabric);
 
   auto spec = quick_spec("oversized-guard");
   spec.fault_to_switch =
@@ -229,12 +234,55 @@ TEST(CampaignTest, DuplicateDeliveriesAreCountedNotClampedAway) {
   // No live campaign in this testbed duplicates datagrams, but
   // window-boundary skew (warmup sends delivered inside the window) can
   // register a small overshoot — bounded like the baseline's loss check.
-  Testbed bed(campaign_config());
-  bed.start();
-  bed.settle(milliseconds(60));
-  CampaignRunner runner(bed);
+  MyrinetFabric fabric(campaign_config());
+  fabric.start();
+  fabric.settle(milliseconds(60));
+  CampaignRunner runner(fabric);
   const auto live = runner.run(quick_spec("dups"));
   EXPECT_LE(live.duplicates(), live.counters.messages_sent / 100);
+}
+
+TEST(CampaignTest, BothMediaPaceTheWorkloadAlike) {
+  // One workload program paces both media, so a fault-free run of the
+  // same workload and seed hands each medium the same messages. The bed
+  // is run_sweep's: with mapping settled, every Myrinet send has a route.
+  TestbedConfig config;
+  config.map_period = milliseconds(100);
+  config.nic_config.rx_processing_time = microseconds(1);
+  config.send_stack_time = microseconds(1);
+  config.fc.rx_processing_time = microseconds(1);
+  MyrinetFabric myrinet(config);
+  FcFabric fc(config);
+  for (Fabric* fabric : {static_cast<Fabric*>(&myrinet),
+                         static_cast<Fabric*>(&fc)}) {
+    fabric->start();
+    fabric->settle(milliseconds(160));
+  }
+  const struct {
+    std::int64_t interval_us;
+    std::size_t burst;
+    double jitter;
+  } points[] = {{12, 4, 0.5}, {40, 1, 0.0}, {25, 2, 0.9}};
+  for (const auto& point : points) {
+    for (const std::uint64_t seed : {1u, 17u}) {
+      CampaignSpec spec = quick_spec("pacing");
+      spec.duration = milliseconds(5);
+      spec.seed = seed;
+      spec.workload.udp_interval = microseconds(point.interval_us);
+      spec.workload.payload_size = 256;
+      spec.workload.burst_size = point.burst;
+      spec.workload.jitter = point.jitter;
+      const auto sent = [&spec](Fabric& fabric) {
+        return CampaignRunner(fabric).run(spec).counters.messages_sent;
+      };
+      const std::uint64_t on_myrinet = sent(myrinet);
+      SCOPED_TRACE(::testing::Message()
+                   << point.interval_us << " us, burst " << point.burst
+                   << ", jitter " << point.jitter << ", seed " << seed);
+      EXPECT_GT(on_myrinet, 0u);
+      EXPECT_EQ(on_myrinet, sent(fc));
+    }
+  }
 }
 
 TEST(ReportTest, RenderAlignsColumns) {

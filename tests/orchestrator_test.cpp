@@ -15,6 +15,7 @@
 
 #include "analysis/manifestation.hpp"
 #include "myrinet/control.hpp"
+#include "nftape/fabric.hpp"
 #include "nftape/faults.hpp"
 #include "orchestrator/json_value.hpp"
 #include "orchestrator/jsonl.hpp"
@@ -470,9 +471,9 @@ TEST(RunnerTest, CampaignRunnerHonorsPreCampaignElapsed) {
   const auto sweep = small_sweep();
   auto bed_config = sweep.testbed;
   bed_config.seed = 1;
-  nftape::Testbed bed(bed_config);
-  bed.start();
-  nftape::CampaignRunner campaign(bed);
+  nftape::MyrinetFabric fabric(bed_config);
+  fabric.start();
+  nftape::CampaignRunner campaign(fabric);
   nftape::RunControl control;
   control.poll_interval = milliseconds(5);
   control.should_cancel = [](sim::Duration elapsed) {
