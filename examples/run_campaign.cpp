@@ -5,6 +5,7 @@
 //   ./build/examples/run_campaign seu:00FF 300
 //   ./build/examples/run_campaign udp-swap
 //   ./build/examples/run_campaign list
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,6 +18,7 @@
 #include "nftape/faults.hpp"
 #include "nftape/report.hpp"
 #include "nftape/testbed.hpp"
+#include "orchestrator/campaign_file.hpp"
 
 using namespace hsfi;
 using myrinet::ControlSymbol;
@@ -75,17 +77,44 @@ std::optional<core::InjectorConfig> fault_by_name(const std::string& name) {
   if (name == "marker-msb") return nftape::marker_msb_corruption();
   if (name == "udp-swap") return nftape::udp_word_swap_have_to_veha();
   if (name.rfind("seu:", 0) == 0) {
-    const auto mask = std::strtoul(name.c_str() + 4, nullptr, 16);
+    // 1-4 hex digits: strtoul would read "zz" as mask 0, which fires on
+    // every compare.
+    const std::string hex = name.substr(4);
+    if (hex.empty() || hex.size() > 4 ||
+        hex.find_first_not_of("0123456789abcdefABCDEF") != std::string::npos) {
+      return std::nullopt;
+    }
+    const auto mask = std::strtoul(hex.c_str(), nullptr, 16);
     return nftape::random_bit_flip_seu(static_cast<std::uint16_t>(mask));
   }
   return std::nullopt;
 }
 
-void usage() {
-  std::printf("usage: run_campaign <fault> [duration-ms]\n\nfaults:\n");
+void usage(std::FILE* to = stdout) {
+  std::fprintf(to, "usage: run_campaign <fault> [duration-ms]\n\nfaults:\n");
   for (const auto& f : kCatalog) {
-    std::printf("  %-12s %s\n", f.name, f.what);
+    std::fprintf(to, "  %-12s %s\n", f.name, f.what);
   }
+}
+
+[[noreturn]] void refuse(const std::string& why) {
+  std::fprintf(stderr, "%s\n\n", why.c_str());
+  usage(stderr);
+  std::exit(1);
+}
+
+/// The window in whole milliseconds, refused as run_sweep's --duration-ms
+/// is: anything but a plain integer in [0, kMaxDurationMs].
+long parse_duration_ms(const char* v) {
+  char* end = nullptr;
+  errno = 0;
+  const long long ms = std::strtoll(v, &end, 10);
+  if (errno == ERANGE || end == v || *end != '\0' || ms < 0 ||
+      static_cast<double>(ms) > orchestrator::kMaxDurationMs) {
+    refuse(std::string("duration-ms must be an integer in [0, 1000000], ") +
+           "got '" + v + "'");
+  }
+  return static_cast<long>(ms);
 }
 
 }  // namespace
@@ -97,13 +126,9 @@ int main(int argc, char** argv) {
     return argc < 2 ? 1 : 0;
   }
   const std::string name = argv[1];
-  const long duration_ms = argc > 2 ? std::atol(argv[2]) : 200;
+  const long duration_ms = argc > 2 ? parse_duration_ms(argv[2]) : 200;
   const auto fault = fault_by_name(name);
-  if (!fault) {
-    std::fprintf(stderr, "unknown fault '%s'\n\n", name.c_str());
-    usage();
-    return 1;
-  }
+  if (!fault) refuse("unknown fault '" + name + "'");
 
   nftape::TestbedConfig config;
   config.map_period = sim::milliseconds(100);

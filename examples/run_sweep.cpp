@@ -67,7 +67,6 @@ void usage(std::FILE* to = stdout) {
       "                   compare the produced JSONL record byte-for-byte\n"
       "                   against the record stored in the trace\n"
       "  --strategy S     closed-loop campaign instead of the static grid:\n"
-      "                   fixed (the static grid through the controller),\n"
       "                   bisect (binary-search the manifestation threshold\n"
       "                   on the udp-interval axis per fault x direction\n"
       "                   cell), or coverage (replicate where rare\n"
@@ -258,9 +257,8 @@ int main(int argc, char** argv) {
       grid.medium = *parsed;
     } else if (arg == "--strategy") {
       strategy.name = value();
-      if (strategy.name != "fixed" && strategy.name != "bisect" &&
-          strategy.name != "coverage") {
-        refuse("--strategy must be fixed, bisect, or coverage, got '" +
+      if (strategy.name != "bisect" && strategy.name != "coverage") {
+        refuse("--strategy must be bisect or coverage, got '" +
                strategy.name + "'");
       }
     } else if (arg == "--tolerance") {
@@ -374,7 +372,7 @@ int main(int argc, char** argv) {
   }
 
   if (!emit_repro_path.empty()) {
-    return orchestrator::emit_repro(campaign.targets.front().sweep,
+    return orchestrator::emit_repro(campaign.targets.front(),
                                     !grid.faults.empty(), emit_repro_path,
                                     opts.dry_run);
   }

@@ -28,7 +28,6 @@ namespace hsfi::adaptive {
 namespace {
 
 using orchestrator::CampaignFile;
-using orchestrator::CampaignTarget;
 using orchestrator::RunRecord;
 
 /// Campaign throughput in the BENCH_sim_kernel.json schema
@@ -99,11 +98,11 @@ class IntervalRenderer final : public orchestrator::RecordSink {
 }
 
 /// The one strategy factory. The intensity axis is the strategy's knob,
-/// from axis_lo (most intense) to axis_hi; fixed runs the target's own
-/// workload point.
+/// from axis_lo (most intense) to axis_hi. The static grid runs without
+/// one, so parse_strategy and run_sweep admit only bisect and coverage.
 std::unique_ptr<Strategy> make_strategy(const orchestrator::StrategySpec& s,
                                         std::vector<Cell> cells,
-                                        const orchestrator::SweepSpec& sweep) {
+                                        const orchestrator::SweepSpec& target) {
   if (s.name == "bisect") {
     BisectionConfig bc;
     bc.lo = s.axis_lo;
@@ -113,40 +112,21 @@ std::unique_ptr<Strategy> make_strategy(const orchestrator::StrategySpec& s,
     bc.min_manifested = 3;
     return std::make_unique<BisectionStrategy>(std::move(cells), bc);
   }
-  if (s.name == "coverage") {
-    CoverageConfig cc;
-    cc.knob_value = s.axis_lo;
-    cc.target_count = s.target_count;
-    cc.batch_replicates = sweep.replicates;
-    return std::make_unique<CoverageStrategy>(std::move(cells), cc);
-  }
-  FixedGridConfig fg;
-  fg.knob_values = {
-      sim::to_nanoseconds(sweep.base.workload.udp_interval) / 1000.0};
-  fg.replicates = sweep.replicates;
-  return std::make_unique<FixedGridStrategy>(std::move(cells), fg);
+  CoverageConfig cc;
+  cc.knob_value = s.axis_lo;
+  cc.target_count = s.target_count;
+  cc.batch_replicates = target.replicates;
+  return std::make_unique<CoverageStrategy>(std::move(cells), cc);
 }
 
-/// The Controller plane of one target of a strategy campaign; its runs
-/// are numbered from `index_base` and named "<target>:..." when the
-/// target has a name.
+/// The Controller plane of one target of a strategy campaign: the target
+/// itself, its runs numbered from `index_base` and named "<target>:..."
+/// when the target has a name.
 AdaptiveSpec steered_spec(const CampaignFile& file,
-                          const CampaignTarget& target,
+                          const orchestrator::SweepSpec& target,
                           std::size_t index_base) {
-  const orchestrator::SweepSpec& sweep = target.sweep;
-  AdaptiveSpec spec;
-  spec.name = file.name;
-  spec.base = sweep.base;
-  spec.testbed = sweep.testbed;
-  spec.startup_settle = sweep.startup_settle;
-  spec.faults = sweep.faults;
-  spec.directions = sweep.directions;
-  spec.knob = file.strategy->knob;
-  spec.base_seed = sweep.base_seed;
-  spec.max_rounds = file.strategy->max_rounds;
-  spec.name_prefix = target.name.empty() ? "" : target.name + ":";
-  spec.index_base = index_base;
-  return spec;
+  return {target, file.strategy->knob, file.strategy->max_rounds,
+          target.name.empty() ? "" : target.name + ":", index_base};
 }
 
 /// The one dry-run printer: the expanded grid of a static campaign
@@ -155,12 +135,12 @@ AdaptiveSpec steered_spec(const CampaignFile& file,
 void print_plan(const CampaignFile& file, const CampaignOptions& o) {
   if (!file.strategy) {
     const auto runs = orchestrator::expand_campaign(file);
-    const CampaignTarget& only = file.targets.front();
+    const orchestrator::SweepSpec& only = file.targets.front();
     if (file.targets.size() == 1 && only.name.empty()) {
       std::printf(
           "dry run: %zu runs (%zu faults x %zu directions x %zu reps)\n",
-          runs.size(), only.sweep.faults.size(), only.sweep.directions.size(),
-          only.sweep.replicates);
+          runs.size(), only.faults.size(), only.directions.size(),
+          only.replicates);
     } else {
       std::printf("dry run: %zu runs across %zu targets\n", runs.size(),
                   file.targets.size());
@@ -175,7 +155,7 @@ void print_plan(const CampaignFile& file, const CampaignOptions& o) {
   for (const auto& target : file.targets) {
     const Controller planner(steered_spec(file, target, 0));
     const auto strategy =
-        make_strategy(*file.strategy, planner.cells(), target.sweep);
+        make_strategy(*file.strategy, planner.cells(), target);
     const auto round0 = planner.expand_round(strategy->next_round(0), 0, 0,
                                              file.strategy->name);
     std::printf("%s: %zu runs in round 0 (strategy %s)\n",
@@ -316,7 +296,7 @@ Executed run_steered(const CampaignFile& file, const CampaignOptions& o,
   Executed done;
   std::size_t index_base = 0;
   for (std::size_t ti = 0; ti < file.targets.size(); ++ti) {
-    const CampaignTarget& target = file.targets[ti];
+    const orchestrator::SweepSpec& target = file.targets[ti];
     const std::string label = target.name.empty() ? file.name : target.name;
     const std::size_t replayed_rounds = replays[ti].size();
 
@@ -334,15 +314,14 @@ Executed run_steered(const CampaignFile& file, const CampaignOptions& o,
     AdaptiveSpec spec = steered_spec(file, target, index_base);
     const std::string prefix = spec.name_prefix;
     Controller controller(std::move(spec), std::move(cc));
-    const auto strategy =
-        make_strategy(strat, controller.cells(), target.sweep);
+    const auto strategy = make_strategy(strat, controller.cells(), target);
     auto outcome = controller.run(*strategy, replays[ti]);
 
     index_base += outcome.replayed + outcome.records.size();
     if (log != nullptr) log->finish(ti);
     std::fprintf(stderr, "%s: %u rounds, %s; %zu runs executed, %zu replayed\n",
                  label.c_str(), outcome.rounds,
-                 outcome.converged ? "converged" : "round/run cap reached",
+                 outcome.converged ? "converged" : "round cap reached",
                  outcome.records.size(), outcome.replayed);
 
     if (strat.name == "bisect") {

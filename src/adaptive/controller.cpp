@@ -74,25 +74,15 @@ std::string knob_tag(double value) {
 }  // namespace
 
 Controller::Controller(AdaptiveSpec spec, ControllerConfig config)
-    : spec_(std::move(spec)), config_(std::move(config)) {
-  if (spec_.faults.empty()) {
-    spec_.faults.push_back({"baseline", std::nullopt, ""});
-  }
-  if (spec_.directions.empty()) {
-    spec_.directions = {orchestrator::FaultDirection::kBoth};
-  }
-  startup_settle_ = spec_.startup_settle > 0
-                        ? spec_.startup_settle
-                        : spec_.testbed.map_period +
-                              spec_.testbed.map_reply_window +
-                              sim::milliseconds(50);
-}
+    : spec_(std::move(spec)), config_(std::move(config)) {}
 
 std::vector<Cell> Controller::cells() const {
+  const std::size_t faults = orchestrator::fault_axis(spec_).size();
+  const std::size_t directions = orchestrator::direction_axis(spec_).size();
   std::vector<Cell> out;
-  out.reserve(spec_.faults.size() * spec_.directions.size());
-  for (std::uint32_t f = 0; f < spec_.faults.size(); ++f) {
-    for (std::uint32_t d = 0; d < spec_.directions.size(); ++d) {
+  out.reserve(faults * directions);
+  for (std::uint32_t f = 0; f < faults; ++f) {
+    for (std::uint32_t d = 0; d < directions; ++d) {
       out.push_back({f, d});
     }
   }
@@ -100,15 +90,17 @@ std::vector<Cell> Controller::cells() const {
 }
 
 std::string Controller::cell_name(const Cell& cell) const {
-  std::string name = spec_.faults.at(cell.fault).name;
+  std::string name = orchestrator::fault_axis(spec_).at(cell.fault).name;
   name += '/';
-  name += to_string(spec_.directions.at(cell.direction));
+  name += to_string(orchestrator::direction_axis(spec_).at(cell.direction));
   return name;
 }
 
 std::vector<orchestrator::RunSpec> Controller::expand_round(
     const std::vector<RunRequest>& requests, std::uint32_t round,
     std::size_t first_index, std::string_view strategy_name) const {
+  const auto& faults = orchestrator::fault_axis(spec_);
+  const auto& directions = orchestrator::direction_axis(spec_);
   // Replicate ordinals are per (cell, knob value) within the round, in
   // request order — the strategy's batching across cells cannot shift
   // another cell's seeds.
@@ -117,44 +109,23 @@ std::vector<orchestrator::RunSpec> Controller::expand_round(
   runs.reserve(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const RunRequest& req = requests[i];
-    const auto& fault = spec_.faults.at(req.cell.fault);
-    const auto dir = spec_.directions.at(req.cell.direction);
     const std::uint64_t cell_key =
         (static_cast<std::uint64_t>(req.cell.fault) << 32) |
         req.cell.direction;
     const std::uint32_t rep = replicate[{cell_key, req.knob_value}]++;
 
-    orchestrator::RunSpec run;
+    std::string point(to_string(spec_.knob));
+    point += '=';
+    point += knob_tag(req.knob_value);
+    orchestrator::RunSpec run = orchestrator::plan_run(
+        spec_, faults.at(req.cell.fault), directions.at(req.cell.direction),
+        point, rep,
+        derive_run_seed(spec_.base_seed, round, req.cell.fault,
+                        req.cell.direction, rep));
     run.index = spec_.index_base + first_index + i;
     run.round = round;
     run.strategy = std::string(strategy_name);
-    run.seed = derive_run_seed(spec_.base_seed, round, req.cell.fault,
-                               req.cell.direction, rep);
-    run.startup_settle = startup_settle_;
-    run.testbed = spec_.testbed;
-    run.testbed.seed = run.seed;
-    run.campaign = spec_.base;
-    run.campaign.seed = run.seed;
-    run.campaign.name = spec_.name_prefix;
-    run.campaign.name += fault.name;
-    run.campaign.name += '/';
-    run.campaign.name += to_string(dir);
-    run.campaign.name += '/';
-    run.campaign.name += std::string(to_string(spec_.knob));
-    run.campaign.name += '=';
-    run.campaign.name += knob_tag(req.knob_value);
-    run.campaign.name += "/r";
-    run.campaign.name += std::to_string(rep);
-    run.campaign.fault_to_switch.reset();
-    run.campaign.fault_from_switch.reset();
-    if (fault.config) {
-      if (dir != orchestrator::FaultDirection::kFromSwitch) {
-        run.campaign.fault_to_switch = fault.config;
-      }
-      if (dir != orchestrator::FaultDirection::kToSwitch) {
-        run.campaign.fault_from_switch = fault.config;
-      }
-    }
+    run.campaign.name.insert(0, spec_.name_prefix);
     // After fault installation, so kSeuLfsrBits sees the installed
     // directions.
     nftape::apply_knob(run.campaign, spec_.knob, req.knob_value);
@@ -163,27 +134,23 @@ std::vector<orchestrator::RunSpec> Controller::expand_round(
   return runs;
 }
 
-CampaignOutcome Controller::run(Strategy& strategy) {
-  return run(strategy, {});
-}
-
 CampaignOutcome Controller::run(
     Strategy& strategy,
     const std::vector<std::vector<orchestrator::RunRecord>>& replay) {
   CampaignOutcome outcome;
   // Runs accounted so far — replayed and executed. Replayed rounds are not
-  // re-materialized in outcome.records, so indices/caps track this instead.
+  // re-materialized in outcome.records, so indices track this instead.
   std::size_t emitted = 0;
 
   // Live mode: state shared with the runner callbacks for the round in
   // flight. Skip flags are per cell (fault-major, like cells()).
   RoundStream stream;
-  std::vector<std::atomic<bool>> skip(spec_.faults.size() *
-                                      spec_.directions.size());
+  const std::size_t directions = orchestrator::direction_axis(spec_).size();
+  std::vector<std::atomic<bool>> skip(
+      orchestrator::fault_axis(spec_).size() * directions);
   orchestrator::RunnerConfig runner_config = config_.runner;
   std::unique_ptr<StreamBridge> bridge;
   if (config_.early_cancel) {
-    const std::size_t directions = spec_.directions.size();
     bridge =
         std::make_unique<StreamBridge>(strategy, stream, skip, directions);
     runner_config.sinks.push_back(bridge.get());
@@ -209,10 +176,6 @@ CampaignOutcome Controller::run(
             " but the strategy converged before it — spec drift");
       }
       outcome.converged = true;
-      break;
-    }
-    if (spec_.max_total_runs != 0 &&
-        emitted + requests.size() > spec_.max_total_runs) {
       break;
     }
     const auto runs =

@@ -31,11 +31,9 @@
 
 #include "adaptive/strategy.hpp"
 #include "nftape/campaign.hpp"
-#include "nftape/testbed.hpp"
 #include "orchestrator/runner.hpp"
 #include "orchestrator/sweep.hpp"
 #include "sim/rng.hpp"
-#include "sim/time.hpp"
 
 namespace hsfi::adaptive {
 
@@ -62,30 +60,15 @@ namespace hsfi::adaptive {
                           run_key(round, fault, direction, replicate));
 }
 
-/// The adaptive campaign plane: like orchestrator::SweepSpec, but the
-/// intensity axis is a tunable knob the strategy steers instead of a
-/// pre-enumerated list.
-struct AdaptiveSpec {
-  std::string name = "adaptive";
-  /// Template for every run (fault, workload, and knob fields overwritten
-  /// per request).
-  nftape::CampaignSpec base;
-  nftape::TestbedConfig testbed;
-  /// 0 = auto, same formula as SweepSpec.
-  sim::Duration startup_settle = 0;
-
-  std::vector<orchestrator::FaultPoint> faults;
-  std::vector<orchestrator::FaultDirection> directions = {
-      orchestrator::FaultDirection::kBoth};
+/// The adaptive campaign plane: a SweepSpec whose intensity axis is a
+/// knob the strategy steers instead of a pre-enumerated list. The
+/// controller reads neither `intensities` (a campaign file refuses a grid
+/// under a strategy) nor `replicates` (each strategy sets its own).
+struct AdaptiveSpec : orchestrator::SweepSpec {
   /// What RunRequest::knob_value means (see nftape::apply_knob).
   nftape::Knob knob = nftape::Knob::kUdpIntervalUs;
-
-  std::uint64_t base_seed = 1;
   /// Hard round cap — the loop stops even if the strategy wants more.
   std::uint32_t max_rounds = 16;
-  /// Hard run cap across all rounds (0 = none). A round that would exceed
-  /// it is not started (partial rounds would break batch determinism).
-  std::size_t max_total_runs = 0;
   /// Prepended verbatim to every run name (multi-target campaign files use
   /// "<target>:"; the colon keeps cell_key's fault/direction grouping).
   std::string name_prefix;
@@ -133,7 +116,7 @@ struct CampaignOutcome {
   std::uint32_t rounds = 0;
   std::size_t replayed = 0;  ///< runs restored from replay, not re-executed
   /// True when the strategy declared convergence (returned an empty
-  /// round) rather than hitting max_rounds / max_total_runs.
+  /// round) rather than hitting max_rounds.
   bool converged = false;
 };
 
@@ -149,11 +132,10 @@ class Controller {
  public:
   explicit Controller(AdaptiveSpec spec, ControllerConfig config = {});
 
-  /// Runs the closed loop to convergence (or the caps) and returns the
-  /// outcome. The strategy is owned by the caller and can be inspected
+  /// Runs the closed loop to convergence (or the round cap) and returns
+  /// the outcome. The strategy is owned by the caller and can be inspected
   /// afterwards (e.g. BisectionStrategy::thresholds()).
-  CampaignOutcome run(Strategy& strategy);
-
+  ///
   /// Resume: round `r` < replay.size() is NOT executed — the strategy's
   /// requests are re-derived, verified name-by-name against replay[r]
   /// (ReplayMismatch on any drift), and fed to observe() as if the round
@@ -164,7 +146,7 @@ class Controller {
   /// byte-identical to the uninterrupted campaign.
   CampaignOutcome run(
       Strategy& strategy,
-      const std::vector<std::vector<orchestrator::RunRecord>>& replay);
+      const std::vector<std::vector<orchestrator::RunRecord>>& replay = {});
 
   /// All fault × direction cells of the spec's plane, in the order
   /// strategies index them (fault-major).
@@ -183,7 +165,6 @@ class Controller {
  private:
   AdaptiveSpec spec_;
   ControllerConfig config_;
-  sim::Duration startup_settle_ = 0;  ///< resolved (never 0)
 };
 
 }  // namespace hsfi::adaptive

@@ -25,8 +25,8 @@
 
 namespace hsfi::adaptive {
 
-/// One fault × direction cell of the campaign plane (indices into
-/// AdaptiveSpec::faults / AdaptiveSpec::directions).
+/// One fault × direction cell of the campaign plane (indices into its
+/// orchestrator::fault_axis / orchestrator::direction_axis).
 struct Cell {
   std::uint32_t fault = 0;
   std::uint32_t direction = 0;
@@ -63,8 +63,8 @@ class Strategy {
  public:
   virtual ~Strategy() = default;
 
-  /// Stable tag stamped into every JSONL record ("fixed", "bisect",
-  /// "coverage", ...). User-supplied names pass through json_escape, so
+  /// Stable tag stamped into every JSONL record ("bisect", "coverage",
+  /// ...). User-supplied names pass through json_escape, so
   /// any byte string is safe; keep it short and path-like for readability.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
@@ -92,37 +92,6 @@ class Strategy {
     (void)obs;
     return false;
   }
-};
-
-// ---------------------------------------------------------------------------
-// Fixed grid: today's static sweep as a one-round strategy.
-
-struct FixedGridConfig {
-  /// Knob values to run at (the intensity axis); empty = one run at
-  /// `neutral_value` per cell.
-  std::vector<double> knob_values;
-  double neutral_value = 0.0;  ///< used when knob_values is empty
-  std::size_t replicates = 1;
-};
-
-/// Wraps the pre-adaptive behavior: round 0 is the full
-/// cell × knob-value × replicate grid, then done. Makes `run_sweep
-/// --strategy fixed` a strict superset of the static CLI (same grid, plus
-/// round/strategy provenance in the records).
-class FixedGridStrategy final : public Strategy {
- public:
-  FixedGridStrategy(std::vector<Cell> cells, FixedGridConfig config);
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "fixed";
-  }
-  [[nodiscard]] std::vector<RunRequest> next_round(
-      std::uint32_t round) override;
-  void observe(const std::vector<Observation>& results) override;
-
- private:
-  std::vector<Cell> cells_;
-  FixedGridConfig config_;
 };
 
 // ---------------------------------------------------------------------------

@@ -57,7 +57,9 @@ sim::Duration field_us(const JsonValue& v, const std::string& ctx) {
   const double us = field_num(v, ctx);
   if (us <= 0) bail(ctx + " must be positive");
   if (!(us <= kMaxDurationMs * 1e3)) bail(ctx + " must be at most 1e9 us");
-  return sim::nanoseconds(std::llround(us * 1e3));
+  const auto ns = std::llround(us * 1e3);
+  if (ns == 0) bail(ctx + " must be at least 0.0005 us (it rounds to 0 ns)");
+  return sim::nanoseconds(ns);
 }
 
 namespace {
@@ -190,7 +192,10 @@ TargetSettings parse_target_settings(const JsonValue& v,
     } else if (key == "startup_settle_ms") {
       s.startup_settle = field_ms(value, fctx);
     } else if (key == "map_period_ms") {
+      // The mapper reschedules itself one period ahead: 0 would spin at
+      // one simulated instant forever.
       s.map_period = field_ms(value, fctx);
+      if (*s.map_period == 0) bail(fctx + " must be positive");
     } else if (key == "udp_interval_us") {
       s.udp_interval = field_us(value, fctx);
     } else if (key == "burst_size") {
@@ -256,17 +261,28 @@ StrategySpec parse_strategy(const JsonValue& v, const std::string& ctx) {
       bail("unknown key '" + fctx + "'");
     }
   }
-  if (s.name != "fixed" && s.name != "bisect" && s.name != "coverage") {
-    bail(ctx + ".name must be fixed, bisect, or coverage, got '" + s.name +
-         "'");
+  if (s.name != "bisect" && s.name != "coverage") {
+    bail(ctx + ".name must be bisect or coverage, got '" + s.name + "'");
   }
-  // On the interval knob the axis is a duration in microseconds.
-  if (s.knob == nftape::Knob::kUdpIntervalUs) {
-    for (const auto& [key, x] : {std::pair{"axis_lo", s.axis_lo},
-                                 std::pair{"axis_hi", s.axis_hi}}) {
-      if (x > kMaxDurationMs * 1e3) {
-        bail(ctx + "." + key + " must be at most 1e9 us on the udp-us knob");
-      }
+  // The axis stays inside what apply_knob runs unclamped, so every run is
+  // named for the value it runs at.
+  for (const auto& [key, x] : {std::pair{"axis_lo", s.axis_lo},
+                               std::pair{"axis_hi", s.axis_hi}}) {
+    const std::string where = ctx + "." + key;
+    switch (s.knob) {
+      case nftape::Knob::kUdpIntervalUs:
+        if (x < 0.001 || x > kMaxDurationMs * 1e3) {
+          bail(where + " must be in [0.001, 1e9] us on the udp-us knob");
+        }
+        break;
+      case nftape::Knob::kSeuLfsrBits:
+        if (x < 0 || x > 16) {
+          bail(where + " must be in [0, 16] on the seu-bits knob");
+        }
+        break;
+      case nftape::Knob::kBurstSize:
+        if (x < 1) bail(where + " must be at least 1 on the burst knob");
+        break;
     }
   }
   return s;
@@ -276,17 +292,14 @@ StrategySpec parse_strategy(const JsonValue& v, const std::string& ctx) {
 /// defaults are also the run_sweep flags' (lower_grid_flags resolves
 /// through here), so a minimal spec file runs exactly the flag-driven
 /// grid.
-CampaignTarget resolve_target(const TargetSettings& s,
-                              std::uint64_t base_seed) {
-  CampaignTarget target;
+SweepSpec resolve_target(const TargetSettings& s, std::uint64_t base_seed) {
+  SweepSpec sweep;
   const nftape::Medium medium = s.medium.value_or(nftape::Medium::kMyrinet);
-  target.name = s.name.value_or("");
+  sweep.name = s.name.value_or("");
   // A lowered flag campaign's target has no name to put in its errors.
   const std::string where =
-      target.name.empty() ? "" : "target '" + target.name + "': ";
+      sweep.name.empty() ? "" : "target '" + sweep.name + "': ";
 
-  SweepSpec& sweep = target.sweep;
-  sweep.name = target.name;
   sweep.base.medium = medium;
   sweep.base_seed = base_seed;
   sweep.replicates = s.replicates.value_or(2);
@@ -353,7 +366,7 @@ CampaignTarget resolve_target(const TargetSettings& s,
       sweep.intensities.push_back(std::move(point));
     }
   }
-  return target;
+  return sweep;
 }
 
 }  // namespace
@@ -600,7 +613,7 @@ CampaignFile lower_grid_flags(const GridFlags& flags) {
 std::vector<RunSpec> expand_campaign(const CampaignFile& file) {
   std::vector<RunSpec> all;
   for (const auto& target : file.targets) {
-    auto runs = expand(target.sweep);
+    auto runs = expand(target);
     const std::size_t offset = all.size();
     for (auto& run : runs) {
       run.index += offset;

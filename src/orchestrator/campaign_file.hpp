@@ -52,10 +52,11 @@ class CampaignFileError : public std::runtime_error {
 /// campaign and its knobs. Data only — the orchestrator does not depend on
 /// src/adaptive; adaptive::run_campaign interprets it.
 struct StrategySpec {
-  std::string name;  ///< "fixed" | "bisect" | "coverage"
+  std::string name;  ///< "bisect" | "coverage"
   nftape::Knob knob = nftape::Knob::kUdpIntervalUs;
   /// The intensity axis endpoints (same defaults as the CLI: full-capacity
-  /// 12 us pace out to a 396 us trickle).
+  /// 12 us pace out to a 396 us trickle), inside the knob's domain: at
+  /// least 0.001 us on udp-us, 0..16 on seu-bits, at least 1 on burst.
   double axis_lo = 12.0;
   double axis_hi = 396.0;
   double tolerance_us = 24.0;   ///< bisect bracket width
@@ -63,24 +64,20 @@ struct StrategySpec {
   std::uint64_t target_count = 5;  ///< coverage observations per class
 };
 
-/// One target: a named medium-under-test with its fully resolved sweep
-/// (file defaults overlaid with the target's own overrides, fault names
-/// resolved against standard_fault_axis). `sweep.base_seed` is already
-/// derive_seed(file seed, target ordinal), so targets draw disjoint seed
-/// streams no matter how the file is sliced across processes.
-struct CampaignTarget {
-  /// No '/' or ':' (prefixed onto run names). Empty only for the one
-  /// target of a lowered flag campaign, whose run names carry no prefix.
-  std::string name;
-  SweepSpec sweep;
-};
-
 struct CampaignFile {
   std::string name;
   std::uint64_t base_seed = 1;
   /// Runs per durable checkpoint batch in sharded execution.
   std::size_t checkpoint_batch = 8;
-  std::vector<CampaignTarget> targets;
+  /// One fully resolved sweep per target, in file order: file defaults
+  /// overlaid with the target's own overrides, fault names resolved
+  /// against standard_fault_axis. A target's `name` has no '/' or ':'
+  /// (it prefixes run names) and is empty only for the one target of a
+  /// lowered flag campaign, whose run names carry no prefix. Its
+  /// `base_seed` is already derive_seed(file seed, target ordinal), so
+  /// targets draw disjoint seed streams no matter how the file is sliced
+  /// across processes.
+  std::vector<SweepSpec> targets;
   std::optional<StrategySpec> strategy;
   /// fnv1a64 of the source text. 0 for a lowered flag campaign: with no
   /// text there is nothing for a checkpoint to bind to, so such a campaign
@@ -99,8 +96,9 @@ inline constexpr double kMaxDurationMs = 1e6;
 /// Strict typed reads of one field of a parsed document, shared by
 /// campaign files and repro traces; each throws CampaignFileError naming
 /// `ctx`, the field's JSON path. Millisecond (>= 0) and microsecond (> 0)
-/// fields accept fractions, land exactly on the picosecond grid, and are
-/// refused beyond kMaxDurationMs (or when not finite).
+/// fields accept fractions, round to the nearest nanosecond, and are
+/// refused beyond kMaxDurationMs (or when not finite); a microsecond field
+/// that rounds to 0 ns is refused too.
 [[nodiscard]] std::string field_str(const JsonValue& v, const std::string& ctx);
 [[nodiscard]] double field_num(const JsonValue& v, const std::string& ctx);
 [[nodiscard]] std::uint64_t field_u64(const JsonValue& v,
@@ -137,7 +135,7 @@ inline constexpr double kMaxDurationMs = 1e6;
 /// (names from standard_fault_axis; absent = the full axis), "directions"
 /// (["to-switch"|"from-switch"|"both"]), "replicates", "duration_ms",
 /// "warmup_ms", "drain_ms", "startup_settle_ms" (absent/0 = auto),
-/// "map_period_ms", "udp_interval_us", "burst_size", "payload_size",
+/// "map_period_ms" (> 0), "udp_interval_us", "burst_size", "payload_size",
 /// "jitter", "program_via_serial", "grid" — a list of named intensity
 /// points {"name", "udp_interval_us", "burst_size", "payload_size"}
 /// defaulting to the target's resolved workload — and "scenario": a

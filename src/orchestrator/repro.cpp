@@ -175,7 +175,7 @@ int emit_repro(SweepSpec sweep, bool fault_filtered, const std::string& path,
   if (fault_filtered) {
     sweep.faults.resize(1);
   } else {
-    sweep.faults = {{"baseline", std::nullopt, ""}};
+    sweep.faults.clear();  // the empty axis is the baseline point
   }
   sweep.directions = {FaultDirection::kBoth};
   sweep.intensities.clear();
@@ -259,7 +259,7 @@ int emit_repro(SweepSpec sweep, bool fault_filtered, const std::string& path,
   trace.name = verify.name;
   trace.medium = sweep.base.medium;
   trace.seed = sweep.base_seed;
-  trace.fault = sweep.faults.front().config ? sweep.faults.front().name : "";
+  trace.fault = sweep.faults.empty() ? "" : sweep.faults.front().name;
   trace.direction = FaultDirection::kBoth;
   trace.warmup = sweep.base.warmup;
   trace.duration = sweep.base.duration;
@@ -301,12 +301,12 @@ int replay_repro(const std::string& path) {
     flags.replicates = 1;
     flags.duration = trace.duration;
     if (!trace.fault.empty()) flags.faults = {trace.fault};
-    sweep = lower_grid_flags(flags).targets.front().sweep;
+    sweep = lower_grid_flags(flags).targets.front();
   } catch (const CampaignFileError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
-  if (trace.fault.empty()) sweep.faults = {{"baseline", std::nullopt, ""}};
+  if (trace.fault.empty()) sweep.faults.clear();  // the baseline point
   sweep.directions = {trace.direction};
   sweep.base.warmup = trace.warmup;
   sweep.base.drain = trace.drain;

@@ -56,7 +56,9 @@ struct IntensityPoint {
 };
 
 /// The full grid. Axes with no entries contribute a single neutral point,
-/// so the minimal sweep is faults alone.
+/// so the minimal sweep is faults alone. It is also the one campaign
+/// plane: a campaign file's target is one, and a strategy steers one
+/// (adaptive::AdaptiveSpec adds only the knob and the controller's caps).
 struct SweepSpec {
   std::string name = "sweep";
   /// Template for every run: measurement window, workload defaults,
@@ -82,7 +84,9 @@ struct SweepSpec {
 /// One expanded run: everything a worker needs to execute it in isolation.
 struct RunSpec {
   std::size_t index = 0;    ///< position in the expanded grid
-  std::uint64_t seed = 0;   ///< derive_seed(base_seed, index)
+  /// derive_seed(base_seed, index) on the static grid; strategy runs key
+  /// it on (round, cell, replicate) instead (adaptive::derive_run_seed).
+  std::uint64_t seed = 0;
   sim::Duration startup_settle = 0;  ///< resolved (never 0)
   /// Closed-loop provenance (src/adaptive): which controller round issued
   /// this run and under which strategy. Static sweeps leave `strategy`
@@ -93,6 +97,24 @@ struct RunSpec {
   nftape::CampaignSpec campaign;
   nftape::TestbedConfig testbed;
 };
+
+/// The fault axis a plane's runs walk: its own, or one fault-free
+/// "baseline" point when it names none.
+[[nodiscard]] const std::vector<FaultPoint>& fault_axis(const SweepSpec& plane);
+/// The direction axis a plane's runs walk: its own, or {kBoth} when empty.
+[[nodiscard]] const std::vector<FaultDirection>& direction_axis(
+    const SweepSpec& plane);
+
+/// The one run constructor, shared by the static grid (expand) and the
+/// strategy rounds (adaptive::Controller::expand_round): resolves the
+/// plane's startup settle, copies its testbed and campaign templates with
+/// `seed` stamped on both, names the run "<fault>/<direction>/<point>/r<rep>"
+/// and installs `fault` on the link directions `direction` covers. The
+/// caller sets the index, the workload point (or knob) and provenance.
+[[nodiscard]] RunSpec plan_run(const SweepSpec& plane, const FaultPoint& fault,
+                               FaultDirection direction,
+                               std::string_view point, std::size_t rep,
+                               std::uint64_t seed);
 
 /// Expands the grid in fault-major order:
 /// fault × direction × intensity × replicate. Run names are

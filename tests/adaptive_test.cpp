@@ -18,6 +18,7 @@
 #include "nftape/faults.hpp"
 #include "orchestrator/jsonl.hpp"
 #include "orchestrator/runner.hpp"
+#include "orchestrator/sweep.hpp"
 
 namespace hsfi::adaptive {
 namespace {
@@ -143,29 +144,6 @@ std::vector<Cell> grid_cells(std::uint32_t faults, std::uint32_t directions) {
     for (std::uint32_t d = 0; d < directions; ++d) cells.push_back({f, d});
   }
   return cells;
-}
-
-// ---------------------------------------------------------------------------
-// Fixed grid strategy
-
-TEST(FixedGridTest, OneRoundGridThenConverged) {
-  FixedGridConfig config;
-  config.knob_values = {10.0, 20.0};
-  config.replicates = 3;
-  FixedGridStrategy strategy(grid_cells(2, 2), config);
-
-  const auto round0 = strategy.next_round(0);
-  ASSERT_EQ(round0.size(), 4u * 2u * 3u);
-  // Cell-major, knob-major, replicate-minor: replicate ordinals (and so
-  // seeds) are positional within each (cell, knob) group.
-  EXPECT_EQ(round0[0].cell, (Cell{0, 0}));
-  EXPECT_EQ(round0[0].knob_value, 10.0);
-  EXPECT_EQ(round0[2].knob_value, 10.0);
-  EXPECT_EQ(round0[3].knob_value, 20.0);
-  EXPECT_EQ(round0[6].cell, (Cell{0, 1}));
-
-  strategy.observe({});
-  EXPECT_TRUE(strategy.next_round(1).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -531,23 +509,96 @@ TEST(ControllerTest, SeedsDependOnRoundCellReplicateOnly) {
   EXPECT_EQ(reps[1].seed, derive_run_seed(spec.base_seed, 3, 0, 0, 1));
 }
 
-TEST(ControllerTest, MaxTotalRunsSkipsWholeRounds) {
-  AdaptiveSpec spec = controller_spec();
-  spec.max_total_runs = 5;  // round 0 needs 8 runs (4 cells x 2 endpoints)
-  ControllerConfig config;
-  config.runner.workers = 2;
-  config.runner.executor = synthetic_executor;
-  Controller controller(spec, std::move(config));
-  BisectionConfig bc;
-  bc.lo = 12.0;
-  bc.hi = 396.0;
-  bc.higher_is_more_intense = false;
-  BisectionStrategy strategy(controller.cells(), bc);
-  const auto outcome = controller.run(strategy);
-  // Partial rounds would break the batch-determinism contract, so nothing
-  // ran at all.
-  EXPECT_TRUE(outcome.records.empty());
-  EXPECT_FALSE(outcome.converged);
+/// Fills the fields a static sweep and a steered plane share: two faults,
+/// all three directions and a testbed and window off the defaults.
+template <typename Plane>
+void shared_plane(Plane& plane, sim::Duration settle) {
+  plane.faults = controller_spec().faults;
+  plane.directions = {orchestrator::FaultDirection::kToSwitch,
+                      orchestrator::FaultDirection::kFromSwitch,
+                      orchestrator::FaultDirection::kBoth};
+  plane.startup_settle = settle;
+  plane.base_seed = 5;
+  plane.testbed.map_period = milliseconds(40);
+  plane.testbed.map_reply_window = milliseconds(7);
+  plane.testbed.send_stack_time = microseconds(2);
+  plane.testbed.nic_config.rx_processing_time = microseconds(1);
+  plane.base.warmup = milliseconds(3);
+  plane.base.duration = milliseconds(9);
+  plane.base.drain = milliseconds(4);
+  plane.base.workload.udp_interval = microseconds(25);
+  plane.base.workload.burst_size = 3;
+  plane.base.workload.payload_size = 128;
+  plane.base.workload.jitter = 0.25;
+}
+
+TEST(ControllerTest, StaticAndSteeredRunsShareOnePlan) {
+  // The static grid (orchestrator::expand) and a strategy round
+  // (expand_round) build a run from the same plane; at the plane's own
+  // interval only the name's point, the seed and provenance may differ.
+  for (const sim::Duration settle : {sim::Duration{0}, milliseconds(150)}) {
+    orchestrator::SweepSpec sweep;
+    shared_plane(sweep, settle);
+    AdaptiveSpec spec;
+    shared_plane(spec, settle);
+
+    const auto grid = orchestrator::expand(sweep);
+    const Controller controller(spec, {});
+    std::vector<RunRequest> requests;
+    for (const Cell& cell : controller.cells()) {
+      requests.push_back({cell, 25.0});
+    }
+    const auto round = controller.expand_round(requests, 0, 0, "coverage");
+    ASSERT_EQ(grid.size(), 6u);
+    ASSERT_EQ(round.size(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const auto& a = grid[i];
+      const auto& b = round[i];
+      SCOPED_TRACE(a.campaign.name + " vs " + b.campaign.name);
+      EXPECT_EQ(a.startup_settle, b.startup_settle);
+      EXPECT_EQ(a.campaign.fault_to_switch, b.campaign.fault_to_switch);
+      EXPECT_EQ(a.campaign.fault_from_switch, b.campaign.fault_from_switch);
+      EXPECT_EQ(a.campaign.warmup, b.campaign.warmup);
+      EXPECT_EQ(a.campaign.duration, b.campaign.duration);
+      EXPECT_EQ(a.campaign.drain, b.campaign.drain);
+      EXPECT_EQ(a.campaign.program_guard, b.campaign.program_guard);
+      EXPECT_EQ(a.campaign.disarm_guard, b.campaign.disarm_guard);
+      EXPECT_EQ(a.campaign.workload.udp_interval,
+                b.campaign.workload.udp_interval);
+      EXPECT_EQ(a.campaign.workload.burst_size, b.campaign.workload.burst_size);
+      EXPECT_EQ(a.campaign.workload.payload_size,
+                b.campaign.workload.payload_size);
+      EXPECT_EQ(a.campaign.workload.jitter, b.campaign.workload.jitter);
+      auto bed_a = a.testbed;
+      auto bed_b = b.testbed;
+      bed_a.seed = bed_b.seed = 0;
+      EXPECT_EQ(bed_a, bed_b);
+      EXPECT_EQ(orchestrator::cell_key(a.campaign.name),
+                orchestrator::cell_key(b.campaign.name));
+    }
+    EXPECT_EQ(grid.front().startup_settle,
+              settle > 0 ? settle : milliseconds(40 + 7 + 50));
+  }
+
+  // Empty fault and direction axes: one fault-free cell in both
+  // directions at once, on both paths.
+  orchestrator::SweepSpec sweep;
+  sweep.directions.clear();
+  AdaptiveSpec spec;
+  spec.directions.clear();
+  const auto grid = orchestrator::expand(sweep);
+  const Controller controller(spec, {});
+  ASSERT_EQ(grid.size(), 1u);
+  ASSERT_EQ(controller.cells().size(), 1u);
+  EXPECT_EQ(controller.cell_name(controller.cells().front()), "baseline/both");
+  const auto round = controller.expand_round(
+      {{controller.cells().front(), 500.0}}, 0, 0, "coverage");
+  EXPECT_EQ(orchestrator::cell_key(grid.front().campaign.name),
+            "baseline/both");
+  EXPECT_EQ(orchestrator::cell_key(round.front().campaign.name),
+            "baseline/both");
+  EXPECT_FALSE(round.front().campaign.fault_to_switch.has_value());
+  EXPECT_FALSE(round.front().campaign.fault_from_switch.has_value());
 }
 
 // ---------------------------------------------------------------------------

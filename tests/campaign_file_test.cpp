@@ -106,18 +106,18 @@ TEST(CampaignFileTest, MinimalSpecResolvesCliDefaults) {
 
   const auto& t = file.targets[0];
   EXPECT_EQ(t.name, "fc");  // defaults to the medium string
-  EXPECT_EQ(t.sweep.base.medium, nftape::Medium::kFc);
+  EXPECT_EQ(t.base.medium, nftape::Medium::kFc);
   // The full FC fault axis when "faults" is absent.
-  EXPECT_EQ(t.sweep.faults.size(),
+  EXPECT_EQ(t.faults.size(),
             standard_fault_axis(nftape::Medium::kFc).size());
   // CLI sweep base values carried over.
-  EXPECT_EQ(t.sweep.base.duration, milliseconds(60));
-  EXPECT_EQ(t.sweep.base.workload.udp_interval, microseconds(12));
-  EXPECT_EQ(t.sweep.replicates, 2u);
-  EXPECT_EQ(t.sweep.directions.size(), 2u);
+  EXPECT_EQ(t.base.duration, milliseconds(60));
+  EXPECT_EQ(t.base.workload.udp_interval, microseconds(12));
+  EXPECT_EQ(t.replicates, 2u);
+  EXPECT_EQ(t.directions.size(), 2u);
   // Target seed is derived from (file seed, ordinal), not the file seed
   // itself — targets must draw disjoint seed streams.
-  EXPECT_EQ(t.sweep.base_seed, sim::derive_seed(1, 0));
+  EXPECT_EQ(t.base_seed, sim::derive_seed(1, 0));
 }
 
 TEST(CampaignFileTest, DefaultsOverlayThenTargetOverrides) {
@@ -130,11 +130,11 @@ TEST(CampaignFileTest, DefaultsOverlayThenTargetOverrides) {
        "directions": ["to-switch"]}
     ]})");
   ASSERT_EQ(file.targets.size(), 2u);
-  const auto& a = file.targets[0].sweep;
-  const auto& b = file.targets[1].sweep;
+  const auto& a = file.targets[0];
+  const auto& b = file.targets[1];
   EXPECT_EQ(a.replicates, 3u);
   EXPECT_EQ(b.replicates, 1u);  // target wins over defaults
-  // Fractional milliseconds land exactly on the picosecond grid.
+  // Fractional milliseconds land exactly on the nanosecond grid.
   EXPECT_EQ(a.base.duration, nanoseconds(7'500'000));
   EXPECT_EQ(b.base.duration, nanoseconds(7'500'000));
   EXPECT_EQ(a.base.workload.udp_interval, microseconds(48));
@@ -215,7 +215,7 @@ TEST(CampaignFileTest, ScenarioBlockResolvesRegistryName) {
     "name": "s",
     "targets": [{"medium": "myrinet", "faults": ["gap-go"],
                  "scenario": {"name": "flow-liar"}}]})");
-  const auto& sweep = file.targets[0].sweep;
+  const auto& sweep = file.targets[0];
   ASSERT_TRUE(sweep.base.scenario.has_value());
   EXPECT_EQ(sweep.base.scenario->name, "flow-liar");
   EXPECT_EQ(*sweep.base.scenario, *scenario::find_scenario("flow-liar"));
@@ -229,7 +229,7 @@ TEST(CampaignFileTest, ScenarioBlockParsesInlineSteps) {
                    {"kind": "rrdy-flood", "at_ms": 1.5, "node": 2,
                     "count": 24},
                    {"kind": "dup-sequence", "at_ms": 3}]}}]})");
-  const auto& scen = file.targets[0].sweep.base.scenario;
+  const auto& scen = file.targets[0].base.scenario;
   ASSERT_TRUE(scen.has_value());
   EXPECT_EQ(scen->name, "storm");
   ASSERT_EQ(scen->steps.size(), 2u);
@@ -305,7 +305,10 @@ TEST(CampaignFileTest, RejectsInvalidSpecs) {
 
 TEST(CampaignFileTest, RefusesDurationsAndRoundCapsPastTheirRange) {
   // Each would overflow the picosecond clock (1e10 ms), not be finite
-  // (1e400), or wrap to another value; each error names its path.
+  // (1e400), wrap to another value, or not run as written: a 0 map period
+  // never lets simulated time advance, an interval can round to 0 ns, and
+  // apply_knob clamps a strategy axis outside its knob's domain. Each
+  // error names its path.
   const std::string durations[] = {"warmup_ms", "duration_ms", "drain_ms",
                                    "startup_settle_ms", "map_period_ms",
                                    "udp_interval_us"};
@@ -338,6 +341,23 @@ TEST(CampaignFileTest, RefusesDurationsAndRoundCapsPastTheirRange) {
   cases.emplace_back(R"({"name": "x", "strategy": {"name": "bisect",
       "knob": "burst", "axis_lo": -1e400}, "targets": [{}]})",
                      "strategy.axis_lo");
+  cases.emplace_back(R"({"name": "x", "targets": [{"map_period_ms": 0}]})",
+                     "targets[0].map_period_ms");
+  cases.emplace_back(
+      R"({"name": "x", "targets": [{"udp_interval_us": 0.0004}]})",
+      "targets[0].udp_interval_us");
+  cases.emplace_back(R"({"name": "x", "strategy": {"name": "coverage",
+      "knob": "udp-us", "axis_lo": 0}, "targets": [{}]})",
+                     "strategy.axis_lo");
+  cases.emplace_back(R"({"name": "x", "strategy": {"name": "bisect",
+      "knob": "seu-bits", "axis_lo": 0, "axis_hi": 17}, "targets": [{}]})",
+                     "strategy.axis_hi");
+  cases.emplace_back(R"({"name": "x", "strategy": {"name": "bisect",
+      "knob": "seu-bits", "axis_lo": -1, "axis_hi": 16}, "targets": [{}]})",
+                     "strategy.axis_lo");
+  cases.emplace_back(R"({"name": "x", "strategy": {"name": "bisect",
+      "knob": "burst", "axis_lo": 0, "axis_hi": 8}, "targets": [{}]})",
+                     "strategy.axis_lo");
   for (const auto& [text, path] : cases) {
     try {
       (void)parse_campaign_file(text);
@@ -352,7 +372,7 @@ TEST(CampaignFileTest, RefusesDurationsAndRoundCapsPastTheirRange) {
       "strategy": {"name": "bisect", "max_rounds": 4294967295},
       "targets": [{"duration_ms": 1e6}]})");
   EXPECT_EQ(edge.strategy->max_rounds, 4294967295u);
-  EXPECT_EQ(edge.targets[0].sweep.base.duration, milliseconds(1'000'000));
+  EXPECT_EQ(edge.targets[0].base.duration, milliseconds(1'000'000));
 }
 
 TEST(CampaignFileTest, StrategyBlockParses) {
@@ -444,7 +464,7 @@ TEST(CampaignFileTest, GridFlagsLowerToOneUnnamedTarget) {
   EXPECT_EQ(file.digest, 0u) << "no source text: never checkpointed";
   EXPECT_FALSE(file.strategy.has_value());
   ASSERT_EQ(file.targets.size(), 1u);
-  const auto& sweep = file.targets[0].sweep;
+  const auto& sweep = file.targets[0];
   EXPECT_TRUE(file.targets[0].name.empty());
   EXPECT_EQ(sweep.base_seed, 17u) << "--seed is the base seed verbatim";
   EXPECT_EQ(sweep.replicates, 1u);
@@ -464,7 +484,7 @@ TEST(CampaignFileTest, GridFlagsLowerToOneUnnamedTarget) {
   // Every other setting is a spec target's default.
   const auto spec = parse_campaign_file(
       R"({"name": "x", "seed": 17, "targets": [{"duration_ms": 2}]})");
-  const auto& def = spec.targets[0].sweep;
+  const auto& def = spec.targets[0];
   EXPECT_EQ(sweep.testbed.map_period, def.testbed.map_period);
   EXPECT_EQ(sweep.base.warmup, def.base.warmup);
   EXPECT_EQ(sweep.base.drain, def.base.drain);

@@ -231,13 +231,7 @@ std::string run_adaptive_jsonl(const std::string& which, bool snapshots) {
                                   std::move(config));
 
   adaptive::CampaignOutcome outcome;
-  if (which == "fixed") {
-    adaptive::FixedGridConfig fc;
-    fc.knob_values = {12.0};
-    fc.replicates = 2;
-    adaptive::FixedGridStrategy strategy(controller.cells(), fc);
-    outcome = controller.run(strategy);
-  } else if (which == "bisect") {
+  if (which == "bisect") {
     adaptive::BisectionConfig bc;
     bc.lo = 8.0;
     bc.hi = 64.0;
@@ -277,7 +271,7 @@ TEST_P(SnapshotAdaptiveTest, ForkMatchesColdStart) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Strategies, SnapshotAdaptiveTest,
-                         ::testing::Values("fixed", "bisect", "coverage"),
+                         ::testing::Values("bisect", "coverage"),
                          [](const ::testing::TestParamInfo<const char*>&
                                 param_info) {
                            return std::string(param_info.param);
